@@ -7,9 +7,15 @@
 #   go test -race   the packages with concurrency: the sharded stage ③
 #                   analysis (internal/hawkset, exercised from the root
 #                   package's app-workload differential test), the
-#                   cooperative scheduler (internal/sched), and the
+#                   cooperative scheduler (internal/sched), the
 #                   ingestion daemon (internal/pmcheckd: concurrent
-#                   tenants, fault-injected reconnects, drain/recovery)
+#                   tenants, fault-injected reconnects, drain/recovery),
+#                   and the site table two goroutines share (internal/sites)
+#   benchmark   the pipeline benchmark's own module, which the root
+#               go test ./... does not reach
+#   arm64       vet and build for a non-amd64 target, so the fallback of
+#               the amd64-only frame-pointer site key keeps compiling (go vet
+#               on amd64 already checks the assembly's frame and arg sizes)
 #   go test -bench  one iteration of every benchmark — a smoke test that
 #                   the benchmark harness still compiles and runs, not a
 #                   performance measurement — plus a targeted iteration of
@@ -43,7 +49,10 @@ set -eux
 go vet ./...
 go build ./...
 go test ./...
-go test -race . ./internal/hawkset ./internal/sched ./internal/pmcheckd
+go test -race . ./internal/hawkset ./internal/sched ./internal/pmcheckd ./internal/sites
+(cd benchmark && go test ./...)
+GOARCH=arm64 go vet ./internal/sites ./internal/pmrt
+GOARCH=arm64 go build ./...
 go test -run '^$' -bench . -benchtime 1x ./...
 go test -run '^$' -bench 'BenchmarkParallelAnalysis/.*/(workers=1|reference)$' -benchtime 1x .
 go run ./cmd/pmlint -baseline pmlint.baseline ./...

@@ -232,13 +232,14 @@ func NewRuntime(e *Entry, cfg RunConfig) *pmrt.Runtime {
 // spawn, exactly like the paper's benchmarks.
 func Run(e *Entry, w *ycsb.Workload, cfg RunConfig) (*pmrt.Runtime, error) {
 	rt := NewRuntime(e, cfg)
-	app := e.Factory(rt, cfg.Fixed)
-	return rt, RunOn(rt, app, w)
+	return rt, RunOn(rt, e.Factory(rt, cfg.Fixed), w)
 }
 
-// RunOn drives a workload against an app on an existing runtime. The
-// observation-based baseline builds its own runtime (with delay hooks and
-// writer tracking) and shares this driver.
+// RunOn drives a workload against an app on an existing runtime (the
+// observation-based baseline builds its own). It is never inlined, so the
+// Spawn and Join sites in its closure keep the name RunOn.func1.
+//
+//go:noinline
 func RunOn(rt *pmrt.Runtime, app App, w *ycsb.Workload) error {
 	return rt.Run(func(c *pmrt.Ctx) {
 		app.Setup(c)
@@ -247,7 +248,6 @@ func RunOn(rt *pmrt.Runtime, app App, w *ycsb.Workload) error {
 		}
 		var ths []*pmrt.Thread
 		for _, ops := range w.Threads {
-			ops := ops
 			ths = append(ths, c.Spawn(func(wc *pmrt.Ctx) {
 				for _, op := range ops {
 					app.Apply(wc, op)

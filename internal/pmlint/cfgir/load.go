@@ -7,6 +7,7 @@ package cfgir
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -210,6 +211,15 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	for _, e := range ents {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+			continue
+		}
+		// Honour _GOARCH suffixes and //go:build lines, as the go tool does:
+		// a package may declare a function once per architecture.
+		ok, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
 		names = append(names, filepath.Join(dir, n))

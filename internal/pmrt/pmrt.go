@@ -185,11 +185,18 @@ func NewWithPool(cfg Config, pool *pmem.Pool, heap *pmem.Heap) *Runtime {
 }
 
 // Run executes main as the root simulated thread and returns when all
-// threads have finished (or a deadlock/livelock error).
+// threads have finished (or a deadlock/livelock error). The site-capture
+// counts of the run go to Config.Metrics as sites.fast, sites.slow and
+// sites.resolved.
 func (r *Runtime) Run(main func(c *Ctx)) error {
-	return r.Sched.Run(func(t *sched.Thread) {
+	err := r.Sched.Run(func(t *sched.Thread) {
 		main(&Ctx{r: r, th: t})
 	})
+	n := r.Trace.Sites.Counts() // the table is this runtime's own
+	r.cfg.Metrics.Counter("sites.fast").Add(n.Fast)
+	r.cfg.Metrics.Counter("sites.slow").Add(n.Slow)
+	r.cfg.Metrics.Counter("sites.resolved").Add(n.Resolved)
+	return err
 }
 
 // Ctx is a simulated thread's handle to the runtime. Every instrumented
@@ -209,7 +216,12 @@ func (c *Ctx) Runtime() *Runtime { return c.r }
 
 // here captures the application call site two frames up (the caller of the
 // exported Ctx method) — or, under Config.Backtraces, the four-frame call
-// chain.
+// chain. It must be called directly from an exported Ctx method, and
+// neither may be inlined: sites.Table.Here's frame-pointer key assumes
+// exactly two physical frames between it and the application (DESIGN.md
+// §14, pinned by TestCtxMethodsCaptureOnFastPath).
+//
+//go:noinline
 func (c *Ctx) here() sites.ID {
 	if c.r.cfg.Backtraces {
 		return c.r.Trace.Sites.HereStack(2, 4)
@@ -289,6 +301,8 @@ func (r *Runtime) elided(site sites.ID) bool {
 
 // Store writes data to PM at addr (a cached, temporal store: visible
 // immediately, persistent only after flush+fence).
+//
+//go:noinline
 func (c *Ctx) Store(addr uint64, data []byte) {
 	site := c.here()
 	c.storeAt(site, addr, data)
@@ -302,6 +316,8 @@ func (c *Ctx) storeAt(site sites.ID, addr uint64, data []byte) {
 }
 
 // Store8 writes a uint64 (little-endian).
+//
+//go:noinline
 func (c *Ctx) Store8(addr uint64, v uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
@@ -309,6 +325,8 @@ func (c *Ctx) Store8(addr uint64, v uint64) {
 }
 
 // Store4 writes a uint32.
+//
+//go:noinline
 func (c *Ctx) Store4(addr uint64, v uint32) {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
@@ -316,6 +334,8 @@ func (c *Ctx) Store4(addr uint64, v uint32) {
 }
 
 // Store1 writes a byte.
+//
+//go:noinline
 func (c *Ctx) Store1(addr uint64, v byte) {
 	c.storeAt(c.here(), addr, []byte{v})
 }
@@ -323,6 +343,8 @@ func (c *Ctx) Store1(addr uint64, v byte) {
 // NTStore8 writes a uint64 with a non-temporal store: it bypasses the cache
 // (no flush needed) but still requires a Fence for the persistence
 // guarantee.
+//
+//go:noinline
 func (c *Ctx) NTStore8(addr uint64, v uint64) {
 	site := c.here()
 	var b [8]byte
@@ -334,6 +356,8 @@ func (c *Ctx) NTStore8(addr uint64, v uint64) {
 }
 
 // Load reads size bytes from PM at addr.
+//
+//go:noinline
 func (c *Ctx) Load(addr uint64, size uint32) []byte {
 	return c.loadAt(c.here(), addr, size)
 }
@@ -352,21 +376,29 @@ func (c *Ctx) loadAt(site sites.ID, addr uint64, size uint32) []byte {
 }
 
 // Load8 reads a uint64.
+//
+//go:noinline
 func (c *Ctx) Load8(addr uint64) uint64 {
 	return binary.LittleEndian.Uint64(c.loadAt(c.here(), addr, 8))
 }
 
 // Load4 reads a uint32.
+//
+//go:noinline
 func (c *Ctx) Load4(addr uint64) uint32 {
 	return binary.LittleEndian.Uint32(c.loadAt(c.here(), addr, 4))
 }
 
 // Load1 reads a byte.
+//
+//go:noinline
 func (c *Ctx) Load1(addr uint64) byte {
 	return c.loadAt(c.here(), addr, 1)[0]
 }
 
 // Flush issues a CLWB for the cache line containing addr.
+//
+//go:noinline
 func (c *Ctx) Flush(addr uint64) {
 	site := c.here()
 	c.pre(trace.KFlush, addr, 0)
@@ -380,6 +412,8 @@ func (c *Ctx) Flush(addr uint64) {
 }
 
 // Fence issues an SFENCE, completing this thread's pending flushes.
+//
+//go:noinline
 func (c *Ctx) Fence() {
 	site := c.here()
 	c.pre(trace.KFence, 0, 0)
@@ -394,6 +428,8 @@ func (c *Ctx) Fence() {
 
 // Persist flushes every line of [addr, addr+size) and fences: the idiomatic
 // flush-and-fence sequence PM libraries expose (e.g. pmem_persist).
+//
+//go:noinline
 func (c *Ctx) Persist(addr uint64, size uint64) {
 	site := c.here()
 	el := c.r.elided(site)
@@ -427,6 +463,8 @@ func (c *Ctx) Persist(addr uint64, size uint64) {
 // lock-free primitive: the trace records the load (and the store on
 // success) with no lock held, exactly how HawkSet sees an uninstrumented
 // CAS. Atomicity is native under the cooperative scheduler.
+//
+//go:noinline
 func (c *Ctx) CAS8(addr uint64, old, new uint64) bool {
 	site := c.here()
 	c.pre(trace.KLoad, addr, 8)
@@ -446,6 +484,8 @@ func (c *Ctx) CAS8(addr uint64, old, new uint64) bool {
 // Alloc allocates size bytes from the PM heap. By default allocation is not
 // an instrumented event (HawkSet deliberately does not instrument PM
 // allocators, §7); Config.InstrumentAllocs opts into recording it.
+//
+//go:noinline
 func (c *Ctx) Alloc(size uint64) uint64 {
 	addr := c.r.Heap.Alloc(size)
 	if c.r.cfg.InstrumentAllocs {
@@ -459,6 +499,8 @@ func (c *Ctx) Alloc(size uint64) uint64 {
 // analogue of wrapping the application's PM allocation primitives the way
 // §5.5 wraps its synchronization primitives. No-op unless
 // Config.InstrumentAllocs is set.
+//
+//go:noinline
 func (c *Ctx) RecordAlloc(addr, size uint64) {
 	if c.r.cfg.InstrumentAllocs {
 		c.emit(trace.Event{Kind: trace.KAlloc, TID: c.th.ID(), Addr: addr, Size: uint32(size), Site: c.here()})
@@ -505,6 +547,8 @@ type Thread struct {
 
 // Spawn starts fn on a new simulated thread, recording the thread-create
 // event that drives the inter-thread happens-before analysis.
+//
+//go:noinline
 func (c *Ctx) Spawn(fn func(c *Ctx)) *Thread {
 	site := c.here()
 	nt := c.th.Spawn(func(t *sched.Thread) {
@@ -515,6 +559,8 @@ func (c *Ctx) Spawn(fn func(c *Ctx)) *Thread {
 }
 
 // Join waits for th to finish, recording the thread-join event.
+//
+//go:noinline
 func (c *Ctx) Join(th *Thread) {
 	site := c.here()
 	c.th.Join(th.t)

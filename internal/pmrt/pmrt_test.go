@@ -1,6 +1,7 @@
 package pmrt
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -79,6 +80,60 @@ func TestSiteCapture(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("store event does not carry the application call site")
+	}
+}
+
+// TestCtxMethodsCaptureOnFastPath calls every Ctx method that captures a
+// site twice from the same lines. The second round must be answered entirely
+// from the frame-pointer key: a Ctx method (or here) that got inlined would
+// shift the physical frames and send its calls to the slow path for good.
+func TestCtxMethodsCaptureOnFastPath(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("no frame-pointer key on " + runtime.GOARCH)
+	}
+	r := New(Config{Seed: 1, PoolSize: 1 << 16, InstrumentAllocs: true})
+	m, rw := r.NewMutex("m"), r.NewRWMutex("rw")
+	err := r.Run(func(c *Ctx) {
+		sl := r.NewSpinLock(c, "sl")
+		a := c.Alloc(64)
+		for round := 0; round < 2; round++ {
+			before := r.Trace.Sites.Counts()
+			c.Store(a, []byte{1})
+			c.Store8(a, 1)
+			c.Store4(a, 1)
+			c.Store1(a, 1)
+			c.NTStore8(a, 1)
+			c.Load(a, 1)
+			c.Load8(a)
+			c.Load4(a)
+			c.Load1(a)
+			c.Flush(a)
+			c.Fence()
+			c.Persist(a, 8)
+			c.CAS8(a, 1, 2)
+			c.Alloc(8)
+			c.RecordAlloc(a, 8)
+			c.Join(c.Spawn(func(*Ctx) {}))
+			c.Lock(m)
+			c.Unlock(m)
+			c.TryLock(m)
+			c.Unlock(m)
+			c.RLock(rw)
+			c.RUnlock(rw)
+			c.WLock(rw)
+			c.WUnlock(rw)
+			c.SpinLock(sl)
+			c.SpinUnlock(sl)
+			// 29 captures: one per call above, plus the CAS8 inside SpinLock
+			// and the Store8 inside SpinUnlock.
+			after := r.Trace.Sites.Counts()
+			if round == 1 && (after.Slow != before.Slow || after.Fast-before.Fast != 29) {
+				t.Errorf("repeat round took the slow path: counts %+v -> %+v", before, after)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

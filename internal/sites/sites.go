@@ -4,6 +4,10 @@
 // location of the application code that issued it, deduplicated behind a
 // small integer ID so that traces stay compact and race reports can be
 // deduplicated by (store site, load site) pairs with integer comparisons.
+//
+// Capture runs on every PM access, so the common case is a frame-pointer
+// read plus one map lookup; the runtime unwinder runs only the first time a
+// call site is seen (see Table.Here and DESIGN.md §14).
 package sites
 
 import (
@@ -57,10 +61,25 @@ func ModuleRel(file string) string {
 // scheduled, but analyses may resolve frames from other goroutines).
 type Table struct {
 	mu      sync.Mutex
-	byPC    map[uintptr]ID
+	byPC    map[uintptr]ID // runtime.Callers return PC → site
+	byKey   map[uintptr]ID // frame-pointer fast key → site, or viaCallers
 	byName  map[string]ID
 	byStack map[[8]uintptr]ID
 	frames  []Frame
+	counts  Counts
+}
+
+// viaCallers pins a fast key whose physical frame is not the logical one
+// runtime.Callers reports (a wrapper sits in between): calls with that key
+// always take the runtime.Callers path.
+const viaCallers ID = -1
+
+// Counts counts Here calls by the path they took. They are side-band
+// metrics (DESIGN.md §8): no report depends on them.
+type Counts struct {
+	Fast     uint64 // answered from the frame-pointer key
+	Slow     uint64 // took the runtime.Callers path
+	Resolved uint64 // of those, first sightings resolved to a new frame
 }
 
 // NewTable creates an empty table. Index 0 is reserved for the unknown
@@ -68,40 +87,82 @@ type Table struct {
 func NewTable() *Table {
 	return &Table{
 		byPC:   make(map[uintptr]ID),
+		byKey:  make(map[uintptr]ID),
 		byName: make(map[string]ID),
 		frames: []Frame{{}},
 	}
 }
 
 // Here captures the caller's call site, skipping skip additional stack
-// frames (skip 0 means the immediate caller of Here). runtime.Caller is used
-// rather than raw PC walking so inlined frames resolve to their logical
-// source location.
+// frames (skip 0 means the immediate caller of Here). The site is the
+// logical frame runtime.Callers reports, so inlined frames resolve to their
+// own source location and wrapper frames are skipped.
+//
+// The common case never unwinds: the return address skip frame-pointer
+// links up is the fast key, looked up in one map. A miss takes
+// runtime.Callers and compares the fast key with the return PC it reports;
+// a key that differs is pinned to the runtime.Callers path. The fast key is
+// exact when each of the skip frames between Here's caller and the captured
+// frame is a direct call of a function that is never inlined; pmrt keeps
+// (*Ctx).here and the Ctx methods that call it out of line for this reason
+// (DESIGN.md §14).
+//
+//go:noinline
 func (t *Table) Here(skip int) ID {
-	pc, file, line, ok := runtime.Caller(skip + 1)
-	if !ok {
-		return 0
-	}
+	return t.capture(skip+1, retAddr(skip))
+}
+
+// capture interns the call site skip frames above its caller, answering
+// from key when it is a known fast key (0 means no fast key).
+func (t *Table) capture(skip int, key uintptr) ID {
 	t.mu.Lock()
-	if id, ok := t.byPC[pc]; ok {
+	if id, ok := t.byKey[key]; ok && id != viaCallers {
+		t.counts.Fast++
 		t.mu.Unlock()
 		return id
 	}
 	t.mu.Unlock()
-	fname := ""
-	if fn := runtime.FuncForPC(pc); fn != nil {
-		fname = fn.Name()
+	var rpc [1]uintptr
+	if runtime.Callers(skip+2, rpc[:]) == 0 {
+		return 0
 	}
-	fr := Frame{File: file, Line: line, Func: fname}
+	pc := rpc[0]
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok := t.byPC[pc]; ok {
-		return id
+	t.counts.Slow++
+	id, ok := t.byPC[pc]
+	if !ok {
+		id = ID(len(t.frames))
+		t.frames = append(t.frames, resolve(pc))
+		t.byPC[pc] = id
+		t.counts.Resolved++
 	}
-	id := ID(len(t.frames))
-	t.frames = append(t.frames, fr)
-	t.byPC[pc] = id
+	switch {
+	case key == 0: // no fast key to validate
+	case key != pc:
+		t.byKey[key] = viaCallers
+	case t.byKey[key] != viaCallers: // a pinned key stays pinned
+		t.byKey[key] = id
+	}
 	return id
+}
+
+// resolve turns a return PC from runtime.Callers into its frame, exactly as
+// runtime.Caller does.
+func resolve(pc uintptr) Frame {
+	fr, _ := runtime.CallersFrames([]uintptr{pc}).Next()
+	name := ""
+	if fn := runtime.FuncForPC(fr.PC); fn != nil {
+		name = fn.Name()
+	}
+	return Frame{File: fr.File, Line: fr.Line, Func: name}
+}
+
+// Counts returns how many Here calls took each path so far.
+func (t *Table) Counts() Counts {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.counts
 }
 
 // Named interns a synthetic site by name (used by toy programs and tests

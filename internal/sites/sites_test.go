@@ -1,7 +1,10 @@
 package sites
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -133,5 +136,192 @@ func TestHereStackCapturesChain(t *testing.T) {
 	}
 	if ids[0] != ids[1] {
 		t.Fatalf("stack re-interned: %d vs %d", ids[0], ids[1])
+	}
+}
+
+// refFrame is the reference capture: runtime.Caller resolved the way Here
+// did before it had a fast path. skip counts as in Here.
+func refFrame(skip int) Frame {
+	pc, file, line, ok := runtime.Caller(skip + 1)
+	if !ok {
+		return Frame{}
+	}
+	name := ""
+	if fn := runtime.FuncForPC(pc); fn != nil {
+		name = fn.Name()
+	}
+	return Frame{File: file, Line: line, Func: name}
+}
+
+// chain has pmrt's shape: an exported method calls an unexported here, both
+// never inlined, and here captures two frames up — once through Here and
+// once through the reference, so both see the same physical call.
+type chain struct {
+	tab  *Table
+	got  ID
+	want Frame
+}
+
+//go:noinline
+func (c *chain) here() { c.got, c.want = c.tab.Here(2), refFrame(2) }
+
+//go:noinline
+func (c *chain) Op() { c.here() }
+
+func (c *chain) check(t *testing.T, wantFunc string) {
+	t.Helper()
+	if got := c.tab.Lookup(c.got); got != c.want {
+		t.Fatalf("Here resolved %+v, runtime.Caller %+v", got, c.want)
+	}
+	if !strings.Contains(c.want.Func, wantFunc) {
+		t.Fatalf("captured %+v, want a frame in %s", c.want, wantFunc)
+	}
+}
+
+func TestHereChainDirect(t *testing.T) {
+	c := &chain{tab: NewTable()}
+	for i := 0; i < 3; i++ {
+		c.Op()
+		c.check(t, "TestHereChainDirect")
+	}
+	n := c.tab.Counts()
+	if n.Resolved != 1 || n.Fast+n.Slow != 3 {
+		t.Fatalf("counts %+v, want 1 resolution over 3 calls", n)
+	}
+	if runtime.GOARCH == "amd64" && n.Fast != 2 {
+		t.Fatalf("counts %+v: repeat calls missed the frame-pointer key", n)
+	}
+}
+
+func TestHereChainDeferAndMethodValue(t *testing.T) {
+	c := &chain{tab: NewTable()}
+	op := c.Op
+	for i := 0; i < 3; i++ {
+		func() { defer c.Op() }()
+		c.check(t, "TestHereChainDeferAndMethodValue")
+		// Both lines run through one method-value wrapper, so they share a
+		// fast key that must not answer for either.
+		op()
+		c.check(t, "TestHereChainDeferAndMethodValue")
+		op()
+		c.check(t, "TestHereChainDeferAndMethodValue")
+	}
+	if n := c.tab.Counts(); n.Resolved != 3 {
+		t.Fatalf("counts %+v, want the defer and both method-value calls resolved once each", n)
+	}
+}
+
+func TestHereChainClosure(t *testing.T) {
+	c := &chain{tab: NewTable()}
+	op := func() { c.Op() }
+	for i := 0; i < 3; i++ {
+		op()
+		c.check(t, "TestHereChainClosure.func1")
+	}
+}
+
+// inlinedApp is small enough to be inlined into its caller: the captured
+// site is its own line, a logical frame with no physical frame of its own.
+func inlinedApp(c *chain) { c.Op() }
+
+func TestHereChainInlinedHelper(t *testing.T) {
+	c := &chain{tab: NewTable()}
+	for i := 0; i < 3; i++ {
+		inlinedApp(c)
+		c.check(t, "inlinedApp")
+	}
+}
+
+// TestHereSkipThroughInlinableHelper: helperSite is inlined into this test,
+// so Here(0) names a logical frame with no physical frame of its own, and
+// Here(1)'s frame-pointer key (this test's return into its caller) differs
+// from the logical frame's return PC and must be pinned to the slow path.
+func TestHereSkipThroughInlinableHelper(t *testing.T) {
+	tab := NewTable()
+	fn := runtime.FuncForPC(reflect.ValueOf(helperSite).Pointer())
+	file, line := fn.FileLine(fn.Entry())
+	inHelper := Frame{File: file, Line: line, Func: fn.Name()}
+	for i := 0; i < 3; i++ {
+		if got := tab.Lookup(helperSite(tab, 0)); got != inHelper {
+			t.Fatalf("Here(0) resolved %+v, want %+v", got, inHelper)
+		}
+		id, want := helperSite(tab, 1), refFrame(0)
+		if got := tab.Lookup(id); got != want {
+			t.Fatalf("Here(1) resolved %+v, runtime.Caller %+v", got, want)
+		}
+	}
+}
+
+// deep recurses with a large frame, then captures: reaching the bottom grows
+// (and so moves) the goroutine stack.
+//
+//go:noinline
+func deep(c *chain, n int) int {
+	var pad [256]byte
+	pad[n%len(pad)] = byte(n)
+	if n == 0 {
+		c.Op()
+		return 0
+	}
+	return deep(c, n-1) + int(pad[0])
+}
+
+func TestHereAcrossStackGrowth(t *testing.T) {
+	done := make(chan struct{})
+	go func() { // a fresh goroutine starts with a small stack
+		defer close(done)
+		c := &chain{tab: NewTable()}
+		for i := 0; i < 3; i++ {
+			c.Op()
+			if got := c.tab.Lookup(c.got); got != c.want {
+				t.Errorf("before growth: Here resolved %+v, runtime.Caller %+v", got, c.want)
+			}
+			deep(c, 500+i*500)
+			if got := c.tab.Lookup(c.got); got != c.want || !strings.Contains(c.want.Func, "deep") {
+				t.Errorf("after growth: Here resolved %+v, runtime.Caller %+v", got, c.want)
+			}
+		}
+	}()
+	<-done
+}
+
+func TestHereSharedTable(t *testing.T) {
+	tab := NewTable()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := &chain{tab: tab}
+			for i := 0; i < 200; i++ {
+				c.Op()
+				if got := tab.Lookup(c.got); got != c.want {
+					t.Errorf("Here resolved %+v, runtime.Caller %+v", got, c.want)
+					return
+				}
+				inlinedApp(c)
+				if got := tab.Lookup(c.got); got != c.want {
+					t.Errorf("Here resolved %+v, runtime.Caller %+v", got, c.want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := tab.Counts(); n.Resolved != 2 || n.Fast+n.Slow != 800 {
+		t.Fatalf("counts %+v, want 2 resolutions over 800 calls", n)
+	}
+}
+
+func TestCaptureWithoutFastKey(t *testing.T) {
+	tab := NewTable()
+	for i := 0; i < 2; i++ {
+		id, want := tab.capture(0, 0), refFrame(0)
+		if got := tab.Lookup(id); got != want || !strings.Contains(want.Func, "TestCaptureWithoutFastKey") {
+			t.Fatalf("capture resolved %+v, runtime.Caller %+v", got, want)
+		}
+	}
+	if n := tab.Counts(); n != (Counts{Slow: 2, Resolved: 1}) {
+		t.Fatalf("counts %+v, want two slow calls and one resolution", n)
 	}
 }

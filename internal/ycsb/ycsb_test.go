@@ -2,6 +2,7 @@ package ycsb
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -333,5 +334,15 @@ func TestScrambledSpreads(t *testing.T) {
 	}
 	if low > 400 { // uniform expectation ≈ 2000/64 ≈ 31; allow heavy-hitter noise
 		t.Fatalf("%d/2000 scrambled keys in the lowest 1/64 of the space — scrambling broken", low)
+	}
+}
+
+// TestZetaPrecomputed recomputes every precomputed zeta constant with the
+// loop; the workloads depend on the exact bits.
+func TestZetaPrecomputed(t *testing.T) {
+	for n, bits := range zetaPrecomputed {
+		if got := math.Float64bits(zetaSum(n, 0.99)); got != bits {
+			t.Errorf("zeta(%d, 0.99) = %#x, table holds %#x", n, got, bits)
+		}
 	}
 }

@@ -32,10 +32,27 @@ func NewZipfian(n uint64, theta float64, randFn func() float64) *Zipfian {
 	return z
 }
 
-// zetaStatic computes the generalized harmonic number sum_{i=1..n} 1/i^theta.
-// YCSB caches these for common n; the corpus sizes here are small enough to
-// compute directly (once per generator).
+// zetaPrecomputed holds zetaSum's exact results, as float64 bits, for the
+// key spaces the workload specs use with theta 0.99. The sum costs one
+// math.Pow per key (~45 ms at 1<<20, most of a workload's generation time);
+// TestZetaPrecomputed recomputes every entry.
+var zetaPrecomputed = map[uint64]uint64{
+	1 << 20: 0x402ee4847517c6bf,
+	1 << 16: 0x40289c4466811f63,
+}
+
+// zetaStatic returns the generalized harmonic number sum_{i=1..n} 1/i^theta,
+// from zetaPrecomputed when it holds (n, theta), like YCSB's cached
+// constants for common n.
 func zetaStatic(n uint64, theta float64) float64 {
+	if bits, ok := zetaPrecomputed[n]; ok && theta == 0.99 {
+		return math.Float64frombits(bits)
+	}
+	return zetaSum(n, theta)
+}
+
+// zetaSum computes sum_{i=1..n} 1/i^theta directly.
+func zetaSum(n uint64, theta float64) float64 {
 	sum := 0.0
 	for i := uint64(1); i <= n; i++ {
 		sum += 1.0 / math.Pow(float64(i), theta)
