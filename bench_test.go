@@ -398,18 +398,18 @@ func BenchmarkInstrumentation(b *testing.B) {
 	b.ReportMetric(float64(rt.Trace.Len()), "events")
 }
 
-// BenchmarkTraceCodec measures binary trace encode/decode throughput per
-// format version on the same 100k-op workloads BenchmarkParallelAnalysis
-// uses — the capture-once/analyze-many IO cost. bytes/op via -benchmem (the
-// encoded size is reported as trace-B/op), decode MB/s via SetBytes.
+// BenchmarkTraceCodec measures binary trace encode/decode throughput, plain
+// and flate-compressed, on the same 100k-op workloads
+// BenchmarkParallelAnalysis uses — the capture-once/analyze-many IO cost.
+// bytes/op via -benchmem (the encoded size is reported as trace-B/op),
+// decode MB/s via SetBytes.
 func BenchmarkTraceCodec(b *testing.B) {
 	versions := []struct {
 		name string
 		opts trace.Options
 	}{
-		{"v1", trace.Options{Version: 1}},
-		{"v2", trace.Options{Version: 2}},
-		{"v2-flate", trace.Options{Version: 2, Compress: true}},
+		{"v2", trace.Options{}},
+		{"v2-flate", trace.Options{Compress: true}},
 	}
 	for _, name := range []string{"Fast-Fair", "Memcached-pmem"} {
 		e, err := apps.Lookup(name)

@@ -57,23 +57,25 @@ go test -run '^$' -bench . -benchtime 1x ./...
 go test -run '^$' -bench 'BenchmarkParallelAnalysis/.*/(workers=1|reference)$' -benchtime 1x .
 go run ./cmd/pmlint -baseline pmlint.baseline ./...
 
-# Trace round-trip smoke: a stored trace must BE the trace. Capture once per
-# format version, re-analyze the file through the streaming decoder, and
-# require the JSON report to be byte-identical to the in-process analysis of
-# the same run; then one targeted iteration of the codec benchmark so the
-# decode path stays runnable under the harness.
+# Trace round-trip smoke: a stored trace must BE the trace. Capture once
+# plain and once flate-compressed, re-analyze the file through the streaming
+# decoder, and require the JSON report to be byte-identical to the in-process
+# analysis of the same run; dump the committed v1 fixture so the CLIs' v1
+# read path keeps running end to end; then one targeted iteration of the
+# codec benchmark so the decode path stays runnable under the harness.
 TRACE_TMP=$(mktemp -d)
 trap 'rm -rf "$TRACE_TMP"' EXIT
-for fmt in "1" "2" "2 -trace-compress"; do
-    # shellcheck disable=SC2086 # $fmt intentionally splits into flags
+for flags in "" "-trace-compress"; do
+    # shellcheck disable=SC2086 # $flags intentionally splits into flags
     go run ./cmd/hawkset -app Fast-Fair -ops 1000 -seed 7 \
-        -trace-out "$TRACE_TMP/t.hwkt" -trace-format $fmt \
+        -trace-out "$TRACE_TMP/t.hwkt" $flags \
         -json "$TRACE_TMP/inproc.json"
     go run ./cmd/hawkset -app Fast-Fair -ops 1000 -seed 7 \
         -trace-in "$TRACE_TMP/t.hwkt" -json "$TRACE_TMP/file.json"
     diff "$TRACE_TMP/inproc.json" "$TRACE_TMP/file.json"
     go run ./cmd/tracedump -head 3 "$TRACE_TMP/t.hwkt" > /dev/null
 done
+go run ./cmd/tracedump internal/trace/testdata/golden_v1.hwkt > /dev/null
 go test -run '^$' -bench 'BenchmarkTraceCodec/decode' -benchtime 1x .
 
 if go run ./cmd/pmcheck -app Fast-Fair -ops 800 -inject -budget 8 -deadline 60s; then

@@ -48,8 +48,6 @@ func main() {
 		opt     = flag.Bool("opt", false, "run the flush/fence redundancy analysis and gated elimination (pmopt)")
 		optOps  = flag.Int("opt-ops", 0, "workload size for the optimization sweep (0 = per-app Table 2 sizes)")
 		optApps = flag.String("opt-apps", "", "comma-separated app names for the optimization sweep (empty = all)")
-		tfmt    = flag.Bool("tracefmt", false, "compare trace format versions (size, encode/decode throughput)")
-		tfmtOps = flag.Int("tracefmt-ops", 100000, "workload size for the trace-format comparison")
 		all   = flag.Bool("all", false, "run everything")
 		seeds = flag.Int("seeds", 240, "seed-corpus size for Table 3 (paper: 240)")
 		sizes = flag.String("sizes", "1000,10000,100000", "workload sizes for Figure 6")
@@ -66,7 +64,7 @@ func main() {
 	metrics := obsFlags.Registry()
 	expmt.AnalysisWorkers = *wrk
 	expmt.Metrics = metrics
-	if !*t2 && !*t3 && !*t4 && !*f6 && !*dur && !*auto && !*crash && !*opt && !*tfmt && !*all {
+	if !*t2 && !*t3 && !*t4 && !*f6 && !*dur && !*auto && !*crash && !*opt && !*all {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -138,13 +136,6 @@ func main() {
 		rows, err := expmt.OptTable(cfg)
 		check(err)
 		fmt.Println(expmt.FormatOptTable(rows))
-	}
-
-	if *tfmt || *all {
-		fmt.Println("== Trace format: size and codec throughput per version ==")
-		rows, err := expmt.TraceFmt([]string{"Fast-Fair", "Memcached-pmem"}, *tfmtOps, *seed)
-		check(err)
-		fmt.Println(expmt.FormatTraceFmt(rows))
 	}
 
 	if *auto || *all {

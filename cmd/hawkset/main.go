@@ -6,8 +6,8 @@
 //
 //	hawkset -app Fast-Fair -ops 10000 -seed 42
 //	hawkset -app Memcached-pmem -ops 100000 -no-irh -stats
-//	hawkset -app WIPE -trace-out wipe.hwkt        # capture a trace
-//	hawkset -trace-in wipe.hwkt                   # re-analyze it later
+//	hawkset -app WIPE -trace-out wipe.hwkt        # capture a trace (format v2)
+//	hawkset -trace-in wipe.hwkt                   # re-analyze it later (v1 or v2)
 //	hawkset -list                                 # show the application suite
 package main
 
@@ -55,10 +55,9 @@ func main() {
 		list     = flag.Bool("list", false, "list registered applications and exit")
 		wlIn     = flag.String("workload", "", "run this workload file instead of generating one")
 		wlOut    = flag.String("workload-out", "", "save the generated workload to this file (reproducible corpus artifact)")
-		traceOut = flag.String("trace-out", "", "write the captured trace to this file (format v2 by default)")
+		traceOut = flag.String("trace-out", "", "write the captured trace to this file (format v2)")
 		traceIn  = flag.String("trace-in", "", "skip execution; analyze this trace file (v1 or v2, auto-detected)")
-		traceFmt = flag.Int("trace-format", 2, "trace format version for -trace-out (1 or 2)")
-		traceZip = flag.Bool("trace-compress", false, "flate-compress v2 trace blocks for -trace-out")
+		traceZip = flag.Bool("trace-compress", false, "flate-compress the trace blocks for -trace-out")
 	)
 	var obsFlags obscli.Flags
 	obsFlags.Register(flag.CommandLine)
@@ -194,14 +193,13 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			opts := trace.Options{Version: *traceFmt, Compress: *traceZip}
-			if err := trace.EncodeWith(f, tr, opts); err != nil {
+			if err := trace.EncodeWith(f, tr, trace.Options{Compress: *traceZip}); err != nil {
 				fatal(err)
 			}
 			if err := f.Close(); err != nil {
 				fatal(err)
 			}
-			fmt.Printf("trace written to %s (format v%d)\n", *traceOut, *traceFmt)
+			fmt.Printf("trace written to %s (format v2)\n", *traceOut)
 		}
 
 		start = time.Now()

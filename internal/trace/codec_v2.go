@@ -410,15 +410,10 @@ type Encoder struct {
 }
 
 // NewEncoder writes the v2 header and site table and returns the streaming
-// encoder. Only format v2 supports streaming (v1's header carries the event
-// count, which a stream cannot know up front); use EncodeWith for v1.
+// encoder. It rejects any Options.Version other than 0 or 2.
 func NewEncoder(w io.Writer, st *sites.Table, o Options) (*Encoder, error) {
-	v := o.Version
-	if v == 0 {
-		v = DefaultVersion
-	}
-	if v != 2 {
-		return nil, fmt.Errorf("trace: streaming encoder requires format v2 (got v%d)", v)
+	if err := o.check(); err != nil {
+		return nil, err
 	}
 	frames := st.Frames()
 	if len(frames) == 0 {

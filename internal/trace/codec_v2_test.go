@@ -49,53 +49,50 @@ func bigTrace(n int) *Trace {
 	return tr
 }
 
-// TestGoldenV1Fixture pins the v1 format byte-for-byte: the committed
-// fixture must decode to the sample trace, and re-encoding that trace as v1
-// must reproduce the committed bytes exactly. If either direction drifts,
-// previously captured traces are no longer readable.
+// TestGoldenV1Fixture: the original committed v1 file still decodes to the
+// sample trace it was written from.
 func TestGoldenV1Fixture(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "golden_v1.hwkt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(bytes.NewReader(raw))
+	got, err := Decode(bytes.NewReader(readFixture(t, "golden_v1.hwkt")))
 	if err != nil {
 		t.Fatalf("golden v1 fixture no longer decodes: %v", err)
 	}
-	want := sampleTrace()
-	if !reflect.DeepEqual(got.Events, want.Events) {
-		t.Fatalf("golden fixture events differ:\n got %v\nwant %v", got.Events, want.Events)
+	requireSameTrace(t, "golden_v1.hwkt", got, sampleTrace())
+}
+
+// encodedSamples returns the sample trace as a v1 file (the committed
+// fixture), a v2 file and a v2-flate file, keyed by format name.
+func encodedSamples(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	v1, err := os.ReadFile(filepath.Join("testdata", "golden_v1.hwkt"))
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Sites.Frames(), want.Sites.Frames()) {
-		t.Fatalf("golden fixture site tables differ")
+	out := map[string][]byte{"v1": v1}
+	for name, o := range map[string]Options{
+		"v2":       {},
+		"v2-flate": {Compress: true},
+	} {
+		var buf bytes.Buffer
+		if err := EncodeWith(&buf, sampleTrace(), o); err != nil {
+			tb.Fatal(err)
+		}
+		out[name] = buf.Bytes()
 	}
-	var reenc bytes.Buffer
-	if err := EncodeWith(&reenc, want, Options{Version: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reenc.Bytes(), raw) {
-		t.Fatalf("v1 re-encode is not byte-identical to the committed fixture (%d vs %d bytes)",
-			reenc.Len(), len(raw))
-	}
+	return out
 }
 
 // TestDecodeRejectsTrailingGarbage is the regression for the bug where
 // Decode stopped reading at the declared event count and silently accepted
 // whatever followed. Both versions must require EOF after the last event.
 func TestDecodeRejectsTrailingGarbage(t *testing.T) {
-	for _, o := range []Options{{Version: 1}, {Version: 2}, {Version: 2, Compress: true}} {
-		var buf bytes.Buffer
-		if err := EncodeWith(&buf, sampleTrace(), o); err != nil {
-			t.Fatal(err)
-		}
-		clean := append([]byte(nil), buf.Bytes()...)
+	for name, clean := range encodedSamples(t) {
 		if _, err := Decode(bytes.NewReader(clean)); err != nil {
-			t.Fatalf("v%d: clean trace rejected: %v", o.version(), err)
+			t.Fatalf("%s: clean trace rejected: %v", name, err)
 		}
 		for _, tail := range [][]byte{{0x00}, {0xFF}, []byte("HWKT")} {
 			dirty := append(append([]byte(nil), clean...), tail...)
 			if _, err := Decode(bytes.NewReader(dirty)); err == nil {
-				t.Fatalf("v%d: trace with %d trailing bytes accepted", o.version(), len(tail))
+				t.Fatalf("%s: trace with %d trailing bytes accepted", name, len(tail))
 			}
 		}
 	}
@@ -194,94 +191,61 @@ func TestV2UnknownFlagsRejected(t *testing.T) {
 	}
 }
 
-// TestV2SmallerThanV1 sanity-checks the point of the format on a
-// realistically-shaped trace; the full ≥3× target is measured by
-// BenchmarkTraceCodec on the 100k application workloads.
-func TestV2SmallerThanV1(t *testing.T) {
-	tr := bigTrace(30000)
-	size := func(o Options) int {
-		var buf bytes.Buffer
-		if err := EncodeWith(&buf, tr, o); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Len()
-	}
-	v1, v2, v2z := size(Options{Version: 1}), size(Options{Version: 2}), size(Options{Version: 2, Compress: true})
-	if v2 >= v1 {
-		t.Fatalf("v2 (%d bytes) not smaller than v1 (%d bytes)", v2, v1)
-	}
-	if v2z >= v1 {
-		t.Fatalf("v2-flate (%d bytes) not smaller than v1 (%d bytes)", v2z, v1)
-	}
-	t.Logf("sizes: v1=%d v2=%d (%.2fx) v2-flate=%d (%.2fx)",
-		v1, v2, float64(v1)/float64(v2), v2z, float64(v1)/float64(v2z))
-}
-
-// TestSegmentV1GoldenBytes pins the legacy segment layout byte-for-byte:
-// pmcheckd segment logs written before the v2 codec must stay replayable,
-// so the v1 encoder may never drift.
+// TestSegmentV1GoldenBytes: a v1 segment as pmcheckd segment logs written
+// before the v2 codec hold it still decodes, so those logs stay replayable.
 func TestSegmentV1GoldenBytes(t *testing.T) {
-	seg := &Segment{
+	want := &Segment{
 		Seq:    7,
 		Frames: []sites.Frame{{File: "a.go", Line: 1, Func: "f"}},
 		Events: []Event{{Kind: KStore, TID: 1, Addr: 64, Size: 8, Site: 1}},
 	}
-	enc, err := EncodeSegmentV1(nil, seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := hex.DecodeString("070104612e676f010166010101014008")
-	if !bytes.Equal(enc, want) {
-		t.Fatalf("v1 segment encoding drifted:\n got %x\nwant %x", enc, want)
-	}
-	// Append-style: the caller's prefix is extended in place, not copied.
-	pre := []byte{0xAA, 0xBB}
-	enc2, err := EncodeSegmentV1(pre, seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc2, append([]byte{0xAA, 0xBB}, want...)) {
-		t.Fatalf("prefix not preserved: %x", enc2)
-	}
+	enc, _ := hex.DecodeString("070104612e676f010166010101014008")
 	dec, err := DecodeSegment(enc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Seq != 7 || !reflect.DeepEqual(dec.Events, seg.Events) || !reflect.DeepEqual(dec.Frames, seg.Frames) {
+	if !reflect.DeepEqual(dec, want) {
 		t.Fatalf("golden v1 segment decoded to %+v", dec)
 	}
 }
 
-// TestSegmentCrossVersion: both segment encodings of the same segment
-// decode identically, and PeekSegmentSeq reads the right sequence number
-// out of each without full decoding.
+// TestSegmentCrossVersion: the plain and flate v2 encodings of a segment
+// both decode to it, and PeekSegmentSeq reads the right sequence number out
+// of each without full decoding. The v1 side is pinned by the fixtures.
 func TestSegmentCrossVersion(t *testing.T) {
 	tr := bigTrace(5000)
 	seg := &Segment{Seq: 42, Frames: tr.Sites.Frames()[1:], Events: tr.Events}
-	for _, o := range []Options{{Version: 1}, {Version: 2}, {Version: 2, Compress: true}} {
+	for _, o := range []Options{{}, {Compress: true}} {
 		enc, err := EncodeSegmentWith(nil, seg, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seq, err := PeekSegmentSeq(enc)
 		if err != nil || seq != 42 {
-			t.Fatalf("v%d: PeekSegmentSeq = %d, %v; want 42", o.version(), seq, err)
+			t.Fatalf("compress=%v: PeekSegmentSeq = %d, %v; want 42", o.Compress, seq, err)
 		}
 		dec, err := DecodeSegment(enc, 1)
 		if err != nil {
-			t.Fatalf("v%d: %v", o.version(), err)
+			t.Fatalf("compress=%v: %v", o.Compress, err)
 		}
-		if dec.Seq != seg.Seq || !reflect.DeepEqual(dec.Events, seg.Events) || !reflect.DeepEqual(dec.Frames, seg.Frames) {
-			t.Fatalf("v%d segment round trip differs", o.version())
+		if !reflect.DeepEqual(dec, seg) {
+			t.Fatalf("compress=%v: segment round trip differs", o.Compress)
 		}
 	}
 }
 
-// TestSegmentV1RejectsSeqZero: sequence numbers are 1-based; 0 would
-// collide with the v2 marker byte, so the v1 encoder refuses it.
-func TestSegmentV1RejectsSeqZero(t *testing.T) {
-	if _, err := EncodeSegmentV1(nil, &Segment{Seq: 0}); err == nil {
-		t.Fatal("v1 segment with seq 0 accepted")
+// TestEncodeRejectsV1: format v1 is read-only; asking any encoder for it is
+// an error, not a silent v2 file.
+func TestEncodeRejectsV1(t *testing.T) {
+	var buf bytes.Buffer
+	if err := EncodeWith(&buf, sampleTrace(), Options{Version: version1}); err == nil {
+		t.Fatal("EncodeWith wrote format v1")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("EncodeWith wrote %d bytes before failing", buf.Len())
+	}
+	if _, err := EncodeSegmentWith(nil, &Segment{Seq: 1}, Options{Version: version1}); err == nil {
+		t.Fatal("EncodeSegmentWith wrote format v1")
 	}
 }
 

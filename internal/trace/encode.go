@@ -16,7 +16,7 @@ import (
 //	magic   "HWKT"            4 bytes
 //	version uvarint           1 or 2
 //
-// Format v1 (the original):
+// Format v1 (the original, now read-only):
 //
 //	nsites  uvarint           number of site frames (excluding reserved 0)
 //	sites   nsites × frame    frame = file string, line uvarint, func string
@@ -28,7 +28,8 @@ import (
 // Format v2 (delta-encoded, block-framed; layout in codec_v2.go) shares the
 // site-table encoding and replaces the event section with CRC'd blocks.
 //
-// Decode reads both versions; Encode defaults to v2 (EncodeWith selects).
+// Decode reads both versions; the encoders write only v2. Committed v1
+// fixtures (testdata/golden_v1*.hwkt) pin the v1 layout the decoder reads.
 // The format exists so traces can be captured once (cmd/hawkset -trace-out)
 // and analyzed repeatedly or inspected with cmd/tracedump, mirroring the
 // decoupling between HawkSet's instrumentation and analysis stages. A
@@ -40,25 +41,23 @@ const (
 	magic    = "HWKT"
 	version1 = 1
 	version2 = 2
-
-	// DefaultVersion is the format Encode writes.
-	DefaultVersion = version2
 )
 
 // Options selects the trace encoding.
 type Options struct {
-	// Version is the format version: 1 (one varint per field) or 2
-	// (delta-encoded blocks). 0 means DefaultVersion.
+	// Version is 0 or 2, the only format written; any other value is an
+	// error.
 	Version int
-	// Compress flate-compresses v2 blocks (ignored for v1).
+	// Compress flate-compresses the v2 blocks.
 	Compress bool
 }
 
-func (o Options) version() int {
-	if o.Version == 0 {
-		return DefaultVersion
+// check rejects a Version the encoders cannot write.
+func (o Options) check() error {
+	if o.Version != 0 && o.Version != version2 {
+		return fmt.Errorf("trace: cannot encode format v%d (only v2 is written)", o.Version)
 	}
-	return o.Version
+	return nil
 }
 
 var (
@@ -81,88 +80,23 @@ const (
 	maxString = 1 << 20
 )
 
-// Encode writes the trace in the default binary format (v2).
+// Encode writes the trace in format v2, uncompressed.
 func Encode(w io.Writer, t *Trace) error {
 	return EncodeWith(w, t, Options{})
 }
 
-// EncodeWith writes the trace in the selected format version.
+// EncodeWith writes the trace in format v2 with the selected options.
 func EncodeWith(w io.Writer, t *Trace, o Options) error {
-	switch o.version() {
-	case version1:
-		return encodeV1(w, t)
-	case version2:
-		enc, err := NewEncoder(w, t.Sites, o)
-		if err != nil {
-			return err
-		}
-		for _, e := range t.Events {
-			if err := enc.Write(e); err != nil {
-				return err
-			}
-		}
-		return enc.Close()
-	default:
-		return fmt.Errorf("trace: unsupported encode version %d", o.Version)
-	}
-}
-
-func encodeV1(w io.Writer, t *Trace) error {
-	frames := t.Sites.Frames()
-	if len(frames) == 0 {
-		// A well-formed site table always carries the reserved frame 0; the
-		// header stores len(frames)-1, which would underflow to 2⁶⁴−1 here
-		// and produce a file every decoder rejects as corrupt.
-		return errMissingFrame0
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
+	enc, err := NewEncoder(w, t.Sites, o)
+	if err != nil {
 		return err
 	}
-	putUvarint(bw, version1)
-	putUvarint(bw, uint64(len(frames)-1))
-	for _, f := range frames[1:] {
-		putString(bw, f.File)
-		putUvarint(bw, uint64(f.Line))
-		putString(bw, f.Func)
-	}
-	putUvarint(bw, uint64(len(t.Events)))
-	var scratch []byte
 	for _, e := range t.Events {
-		var err error
-		scratch, err = appendEventV1(scratch[:0], e)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(scratch); err != nil {
+		if err := enc.Write(e); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
-}
-
-// appendEventV1 appends the v1 encoding of one event: kind byte, tid, site,
-// then the kind-dependent fields, all uvarint. Shared by the v1 file format
-// and the v1 segment codec (both append-style, no intermediate buffer).
-func appendEventV1(dst []byte, e Event) ([]byte, error) {
-	dst = append(dst, byte(e.Kind))
-	dst = binary.AppendUvarint(dst, uint64(e.TID))
-	dst = binary.AppendUvarint(dst, uint64(e.Site))
-	switch e.Kind {
-	case KStore, KLoad, KNTStore, KAlloc:
-		dst = binary.AppendUvarint(dst, e.Addr)
-		dst = binary.AppendUvarint(dst, uint64(e.Size))
-	case KFlush:
-		dst = binary.AppendUvarint(dst, e.Addr)
-	case KFence:
-	case KLockAcq, KLockRel:
-		dst = binary.AppendUvarint(dst, e.Lock)
-	case KThreadCreate, KThreadJoin:
-		dst = binary.AppendUvarint(dst, uint64(e.Kid))
-	default:
-		return nil, fmt.Errorf("trace: cannot encode event kind %d", e.Kind)
-	}
-	return dst, nil
+	return enc.Close()
 }
 
 // Decode reads a binary trace in either format version, requiring the input

@@ -21,7 +21,8 @@ import (
 // ingestion daemon: the same encoded bytes travel over the wire, are
 // appended to the crash-safe segment log, and are replayed on recovery.
 //
-// Two segment encodings exist, distinguished by the first byte:
+// Two segment encodings exist, distinguished by the first byte. Only v2 is
+// written; v1 is still decoded, pinned by a fixture in the tests.
 //
 // v1 (all integers uvarint, strings length-prefixed like the trace format):
 //
@@ -31,7 +32,7 @@ import (
 //	nevents uvarint
 //	events  nevents × event    same event encoding as the v1 trace format
 //
-// v2 (the block codec of codec_v2.go; EncodeSegment's default):
+// v2 (the block codec of codec_v2.go):
 //
 //	marker  2 bytes            0x00 'S' — 0x00 cannot start a v1 segment,
 //	                           whose seq is 1-based
@@ -74,41 +75,14 @@ func EncodeSegment(buf []byte, seg *Segment) ([]byte, error) {
 	return EncodeSegmentWith(buf, seg, Options{})
 }
 
-// EncodeSegmentV1 appends the legacy v1 encoding (kept for the golden
-// fixtures and cross-version tests; DecodeSegment still accepts it).
-func EncodeSegmentV1(buf []byte, seg *Segment) ([]byte, error) {
-	return EncodeSegmentWith(buf, seg, Options{Version: version1})
-}
-
-// EncodeSegmentWith appends the segment's encoding in the selected format.
-// Both paths are direct append-style: no intermediate buffer, no copy of
-// the caller's prefix.
+// EncodeSegmentWith appends the segment's v2 encoding with the selected
+// options. It is direct append-style: no intermediate buffer, no copy of the
+// caller's prefix.
 func EncodeSegmentWith(buf []byte, seg *Segment, o Options) ([]byte, error) {
-	switch o.version() {
-	case version1:
-		return appendSegmentV1(buf, seg)
-	case version2:
-		return appendSegmentV2(buf, seg, o.Compress)
-	default:
-		return nil, fmt.Errorf("trace: unsupported segment version %d", o.Version)
+	if err := o.check(); err != nil {
+		return nil, err
 	}
-}
-
-func appendSegmentV1(buf []byte, seg *Segment) ([]byte, error) {
-	if seg.Seq == 0 {
-		// Sequence numbers are 1-based; 0 is the v2 marker byte.
-		return nil, errors.New("trace: segment sequence numbers are 1-based")
-	}
-	buf = binary.AppendUvarint(buf, seg.Seq)
-	buf = appendFrames(buf, seg.Frames)
-	buf = binary.AppendUvarint(buf, uint64(len(seg.Events)))
-	var err error
-	for _, e := range seg.Events {
-		if buf, err = appendEventV1(buf, e); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	return appendSegmentV2(buf, seg, o.Compress)
 }
 
 func appendSegmentV2(buf []byte, seg *Segment, compress bool) ([]byte, error) {

@@ -15,9 +15,12 @@ import (
 
 // TestTraceFormatsYieldIdenticalReports is the end-to-end invariant behind
 // the capture-once/analyze-many design: the analysis report document must be
-// byte-identical whether the trace arrives in-process, through a v1 file, a
-// v2 file (plain or compressed), or as a pmcheckd-style segment sequence.
-// Any divergence means a stored or streamed trace is not the trace.
+// byte-identical whether the trace arrives in-process, through a v2 file
+// (plain or compressed), or as a pmcheckd-style segment sequence. Any
+// divergence means a stored or streamed trace is not the trace. Format v1 is
+// only read, never written; the v1 fixtures in internal/trace pin that it
+// decodes to the very events it was written from, so a v1 capture yields
+// the same report too.
 func TestTraceFormatsYieldIdenticalReports(t *testing.T) {
 	e, err := apps.Lookup("Fast-Fair")
 	if err != nil {
@@ -42,13 +45,12 @@ func TestTraceFormatsYieldIdenticalReports(t *testing.T) {
 		t.Fatal("baseline report is empty; differential test is vacuous")
 	}
 
-	// File round trips, both versions, streamed through the online analyzer
-	// exactly as cmd/hawkset -trace-in does.
+	// File round trips, streamed through the online analyzer exactly as
+	// cmd/hawkset -trace-in does.
 	for _, tc := range []struct {
 		name string
 		opts trace.Options
 	}{
-		{"v1-file", trace.Options{Version: 1}},
 		{"v2-file", trace.Options{Version: 2}},
 		{"v2-flate-file", trace.Options{Version: 2, Compress: true}},
 	} {
@@ -86,7 +88,7 @@ func TestTraceFormatsYieldIdenticalReports(t *testing.T) {
 	// Segment ingestion: chunk the trace into encoded segments (the pmcheckd
 	// wire payload), decode each against a growing receiver-side site table,
 	// and stream the events — the daemon's apply path in miniature.
-	for _, o := range []trace.Options{{Version: 1}, {Version: 2}, {Version: 2, Compress: true}} {
+	for _, o := range []trace.Options{{Version: 2}, {Version: 2, Compress: true}} {
 		recv := sites.NewTable()
 		st := hawkset.NewStream(recv, hawkset.DefaultConfig())
 		frames := rt.Trace.Sites.Frames()
