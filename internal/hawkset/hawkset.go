@@ -223,11 +223,12 @@ type Result struct {
 }
 
 // Analyze runs the full pipeline over a recorded trace. It is the offline
-// twin of Stream: the same replay consumes the stored events.
+// twin of Stream: the same replay consumes the stored events. Events of an
+// unknown kind are skipped, as Stream.Feed rejects them.
 func Analyze(tr *trace.Trace, cfg Config) *Result {
 	s := NewStream(tr.Sites, cfg)
 	for _, e := range tr.Events {
-		s.Feed(e) //nolint:errcheck // a fresh stream only errors after Finish
+		s.Feed(e) //nolint:errcheck // only an unknown kind errors before Finish; it is skipped
 	}
 	res, _ := s.Finish() // first Finish on a fresh stream cannot fail
 	return res

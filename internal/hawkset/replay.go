@@ -1,7 +1,6 @@
 package hawkset
 
 import (
-	"fmt"
 	"sort"
 
 	"hawkset/internal/lockset"
@@ -419,8 +418,6 @@ func (r *replayer) feed(e trace.Event) {
 		// waiter's current tick (waiter.fresh bumps before the next access).
 		waiter.vcID = r.vc.Intern(waiter.vc)
 		waiter.fresh = true
-	default:
-		panic(fmt.Sprintf("hawkset: unknown event kind %d", e.Kind))
 	}
 }
 

@@ -2,6 +2,7 @@ package hawkset
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"time"
 
@@ -52,10 +53,14 @@ func NewStream(st *sites.Table, cfg Config) *Stream {
 
 // Feed consumes one event. After Finish it returns ErrStreamFinished and
 // drops the event — the stream's dedup state is gone, so late events cannot
-// be absorbed, but they also must not crash the process.
+// be absorbed, but they also must not crash the process. An event of an
+// unknown kind is likewise an error and leaves the stream untouched.
 func (s *Stream) Feed(e trace.Event) error {
 	if s.finished {
 		return ErrStreamFinished
+	}
+	if !e.Kind.Valid() {
+		return fmt.Errorf("hawkset: unknown event kind %d", e.Kind)
 	}
 	if s.cfg.Metrics != nil && s.replayStart.IsZero() {
 		s.replayStart = time.Now()

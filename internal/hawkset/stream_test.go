@@ -3,6 +3,7 @@ package hawkset
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hawkset/internal/trace"
@@ -59,5 +60,33 @@ func TestStreamLifecycle(t *testing.T) {
 	}
 	if res, err := s.Finish(); !errors.Is(err, ErrStreamFinished) || res != nil {
 		t.Fatalf("second Finish: got (%v, %v), want (nil, ErrStreamFinished)", res, err)
+	}
+}
+
+// TestStreamFeedUnknownKind: an event of an unknown kind fed between valid
+// events is an error, not a panic, and leaves no trace in the result.
+func TestStreamFeedUnknownKind(t *testing.T) {
+	tr := randTrace(rand.New(rand.NewSource(3)))
+	want := Analyze(tr, DefaultConfig())
+
+	s := NewStream(tr.Sites, DefaultConfig())
+	mid := len(tr.Events) / 2
+	for i, e := range tr.Events {
+		if i == mid {
+			bad := trace.Event{Kind: trace.Kind(200), TID: e.TID, Addr: e.Addr, Size: 8, Site: e.Site}
+			if err := s.Feed(bad); err == nil {
+				t.Fatal("Feed accepted an unknown event kind")
+			}
+		}
+		if err := s.Feed(e); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+	}
+	got, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("result differs from the trace without the unknown event:\n got %+v\nwant %+v", got.Stats, want.Stats)
 	}
 }

@@ -55,6 +55,9 @@ var kindNames = map[Kind]string{
 	KAlloc:        "alloc",
 }
 
+// Valid reports whether k is one of the kinds above.
+func (k Kind) Valid() bool { return k >= KStore && k <= KAlloc }
+
 // String returns the event kind's mnemonic.
 func (k Kind) String() string {
 	if s, ok := kindNames[k]; ok {
