@@ -355,7 +355,8 @@ func (r *replayer) curVC(tid int32, ts *threadState) vclock.ID {
 }
 
 // feed processes one event (the streaming entry point shared by the offline
-// replay and the online Stream).
+// replay and the online Stream). Stream.Feed rejects unknown kinds before
+// they get here; any that do arrive are counted and otherwise ignored.
 func (r *replayer) feed(e trace.Event) {
 	r.stats.Events++
 	r.mEvents.Inc()
