@@ -43,10 +43,10 @@ import (
 const (
 	nInodes    = 256
 	nDentries  = 256
-	recSize    = 64             // one cache line per dentry / inode record
-	pfsBlock   = 256            // data block bytes
-	pfsWords   = pfsBlock / 8   // words per data block
-	maxVBlocks = 8              // blocks per file
+	recSize    = 64           // one cache line per dentry / inode record
+	pfsBlock   = 256          // data block bytes
+	pfsWords   = pfsBlock / 8 // words per data block
+	maxVBlocks = 8            // blocks per file
 	maxFile    = maxVBlocks * pfsBlock
 	pfsCapLog  = 1 << 15 // committed log entries (append-only, no ring reuse)
 
@@ -64,8 +64,8 @@ const (
 
 // Rename-journal layout (one cache line) and states.
 const (
-	jOffIno   = 0 // inode number + 1
-	jOffSrc   = 8 // source slot address
+	jOffIno   = 0  // inode number + 1
+	jOffSrc   = 8  // source slot address
 	jOffDst   = 16 // destination slot address
 	jOffName  = 24 // destination name
 	jOffState = 32

@@ -121,7 +121,7 @@ func TestCampaignDeadlineSkipsExplicitly(t *testing.T) {
 }
 
 func TestTargetedStrategy(t *testing.T) {
-	tg := syntheticTarget(10) // Seqs 0..29
+	tg := syntheticTarget(10)                // Seqs 0..29
 	tg.TargetedEventSpans = [][2]int{{6, 9}} // exactly the third triple
 	camp, err := RunCampaign(tg, Config{Strategy: Targeted, Budget: -1})
 	if err != nil {

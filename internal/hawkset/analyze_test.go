@@ -103,8 +103,8 @@ func TestOverlapsAtAddressSpaceTop(t *testing.T) {
 		{top - 15, 8, top - 7, 8, false}, // adjacent, no shared byte
 		{0, 8, top - 7, 8, false},        // opposite ends
 		{top, 1, top, 1, true},           // single last byte
-		{0x100, 8, 0x104, 8, true},  // ordinary overlap still works
-		{0x100, 8, 0x108, 8, false}, // ordinary adjacency still works
+		{0x100, 8, 0x104, 8, true},       // ordinary overlap still works
+		{0x100, 8, 0x108, 8, false},      // ordinary adjacency still works
 		// Zero-size accesses read as one byte — the same convention
 		// lastAddrOf and linesOf use. (overlaps used to treat size 0 as an
 		// empty range, so a zero-size store was indexed under a line but
