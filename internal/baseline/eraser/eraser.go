@@ -62,7 +62,7 @@ func Analyze(tr *trace.Trace) *Result {
 	recs := map[recKey]*record{}
 	var order []*record
 
-	for _, e := range tr.Events {
+	for e := range tr.Events() {
 		switch e.Kind {
 		case trace.KLockAcq:
 			threads[e.TID] = threads[e.TID].Add(e.Lock, 0)

@@ -99,7 +99,7 @@ func renderOffline(t *testing.T, tr *trace.Trace, cfg hawkset.Config) []byte {
 func renderOnline(t *testing.T, tr *trace.Trace, cfg hawkset.Config) []byte {
 	t.Helper()
 	st := hawkset.NewStream(tr.Sites, cfg)
-	for _, e := range tr.Events {
+	for e := range tr.Events() {
 		if err := st.Feed(e); err != nil {
 			t.Fatalf("Feed: %v", err)
 		}

@@ -44,7 +44,7 @@ func ExampleStream() {
 	cfg := hawkset.DefaultConfig()
 	cfg.IRH = false
 	s := hawkset.NewStream(b.T.Sites, cfg)
-	for _, e := range b.T.Events {
+	for e := range b.T.Events() {
 		s.Feed(e) //nolint:errcheck // fresh stream: cannot fail before Finish
 	}
 	res, _ := s.Finish()

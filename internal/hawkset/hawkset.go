@@ -227,7 +227,7 @@ type Result struct {
 // unknown kind are skipped, as Stream.Feed rejects them.
 func Analyze(tr *trace.Trace, cfg Config) *Result {
 	s := NewStream(tr.Sites, cfg)
-	for _, e := range tr.Events {
+	for e := range tr.Events() {
 		s.Feed(e) //nolint:errcheck // only an unknown kind errors before Finish; it is skipped
 	}
 	res, _ := s.Finish() // first Finish on a fresh stream cannot fail

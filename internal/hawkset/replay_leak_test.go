@@ -53,7 +53,7 @@ func TestClosedStoreRetentionBounded(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Metrics = reg
 	s := NewStream(b.T.Sites, cfg)
-	for _, e := range b.T.Events {
+	for e := range b.T.Events() {
 		if err := s.Feed(e); err != nil {
 			t.Fatalf("Feed: %v", err)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hawkset/internal/trace"
@@ -17,7 +18,7 @@ func TestStreamMatchesOffline(t *testing.T) {
 		offline := Analyze(tr, DefaultConfig())
 
 		s := NewStream(tr.Sites, DefaultConfig())
-		for _, e := range tr.Events {
+		for e := range tr.Events() {
 			if err := s.Feed(e); err != nil {
 				t.Fatalf("seed %d: Feed: %v", seed, err)
 			}
@@ -49,13 +50,14 @@ func TestStreamLifecycle(t *testing.T) {
 	tr := trace.NewBuilder()
 	tr.Store(1, 0x100, 8, "s")
 	s := NewStream(tr.T.Sites, DefaultConfig())
-	if err := s.Feed(tr.T.Events[0]); err != nil {
+	ev := slices.Collect(tr.T.Events())[0]
+	if err := s.Feed(ev); err != nil {
 		t.Fatalf("Feed on live stream: %v", err)
 	}
 	if _, err := s.Finish(); err != nil {
 		t.Fatalf("first Finish: %v", err)
 	}
-	if err := s.Feed(tr.T.Events[0]); !errors.Is(err, ErrStreamFinished) {
+	if err := s.Feed(ev); !errors.Is(err, ErrStreamFinished) {
 		t.Fatalf("Feed after Finish: got %v, want ErrStreamFinished", err)
 	}
 	if res, err := s.Finish(); !errors.Is(err, ErrStreamFinished) || res != nil {
@@ -70,8 +72,8 @@ func TestStreamFeedUnknownKind(t *testing.T) {
 	want := Analyze(tr, DefaultConfig())
 
 	s := NewStream(tr.Sites, DefaultConfig())
-	mid := len(tr.Events) / 2
-	for i, e := range tr.Events {
+	mid := tr.Len() / 2
+	for i, e := range slices.Collect(tr.Events()) {
 		if i == mid {
 			bad := trace.Event{Kind: trace.Kind(200), TID: e.TID, Addr: e.Addr, Size: 8, Site: e.Site}
 			if err := s.Feed(bad); err == nil {

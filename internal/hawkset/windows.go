@@ -35,7 +35,7 @@ func Windows(tr *trace.Trace, cfg Config) []StoreWindow {
 	r := newReplayer(tr, cfg)
 	var ws []StoreWindow
 	r.onWindow = func(w StoreWindow) { ws = append(ws, w) }
-	for _, e := range tr.Events {
+	for e := range tr.Events() {
 		r.feed(e)
 	}
 	r.finish()

@@ -20,14 +20,17 @@ func TestWindows(t *testing.T) {
 	st := sites.NewTable()
 	s := st.Here(0)
 	const a, b = 0x0, 0x100
-	tr := &trace.Trace{Sites: st, Events: []trace.Event{
+	tr := &trace.Trace{Sites: st}
+	for _, e := range []trace.Event{
 		{Kind: trace.KStore, TID: 1, Addr: a, Size: 8, Site: s},
 		{Kind: trace.KFlush, TID: 1, Addr: a, Site: s},
 		{Kind: trace.KFence, TID: 1, Site: s},
 		{Kind: trace.KStore, TID: 1, Addr: b, Size: 8, Site: s},
 		{Kind: trace.KStore, TID: 2, Addr: b, Size: 8, Site: s},
 		{Kind: trace.KLoad, TID: 1, Addr: b, Size: 8, Site: s},
-	}}
+	} {
+		tr.Append(e)
+	}
 
 	ws := Windows(tr, Config{})
 	if len(ws) != 3 {

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,7 +147,7 @@ func streamTrace(t *testing.T, tr *trace.Trace, cfg pmcheckd.ClientConfig) []byt
 		t.Fatalf("NewClient: %v", err)
 	}
 	defer c.Close()
-	for _, e := range tr.Events {
+	for e := range tr.Events() {
 		c.Feed(e)
 	}
 	doc, err := c.Finish()
@@ -337,8 +338,9 @@ func TestServerRestartRecovery(t *testing.T) {
 	}
 	defer c.Close()
 
-	half := len(tr.Events) / 2
-	for _, e := range tr.Events[:half] {
+	events := slices.Collect(tr.Events())
+	half := len(events) / 2
+	for _, e := range events[:half] {
 		c.Feed(e)
 	}
 	if err := c.Err(); err != nil {
@@ -366,7 +368,7 @@ func TestServerRestartRecovery(t *testing.T) {
 	ts2 := startServer(t, dir, nil)
 	addr.Store(ts2.addr)
 
-	for _, e := range tr.Events[half:] {
+	for _, e := range events[half:] {
 		c.Feed(e)
 	}
 	got, err := c.Finish()
@@ -411,7 +413,7 @@ func TestBudgetIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer over.Close()
-	for _, e := range big.Events {
+	for e := range big.Events() {
 		over.Feed(e)
 	}
 	if _, err := over.Finish(); err == nil {
@@ -457,7 +459,7 @@ func TestManyTenantsBounded(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			for _, e := range tr.Events {
+			for e := range tr.Events() {
 				c.Feed(e)
 			}
 			doc, err := c.Finish()
@@ -517,8 +519,9 @@ func TestDrainCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	half := len(tr.Events) / 2
-	for _, e := range tr.Events[:half] {
+	events := slices.Collect(tr.Events())
+	half := len(events) / 2
+	for _, e := range events[:half] {
 		c.Feed(e)
 	}
 	// Sync is the checkpoint barrier: after it, every flushed segment is

@@ -3,6 +3,7 @@ package pmrt
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"hawkset/internal/obs"
@@ -132,7 +133,7 @@ func TestElideSites(t *testing.T) {
 	// The elided trace must be the baseline trace minus flush events at the
 	// elided site, with everything else in the same order.
 	var want []trace.Event
-	for _, e := range base.Trace.Events {
+	for e := range base.Trace.Events() {
 		if e.Kind == trace.KFlush {
 			fr := base.Trace.Sites.Lookup(e.Site)
 			if fmt.Sprintf("%s:%d", sites.ModuleRel(fr.File), fr.Line) == key {
@@ -141,10 +142,10 @@ func TestElideSites(t *testing.T) {
 		}
 		want = append(want, e)
 	}
-	if len(want) != len(elided.Trace.Events) {
-		t.Fatalf("elided trace has %d events, want %d", len(elided.Trace.Events), len(want))
+	if len(want) != elided.Trace.Len() {
+		t.Fatalf("elided trace has %d events, want %d", elided.Trace.Len(), len(want))
 	}
-	for i, e := range elided.Trace.Events {
+	for i, e := range slices.Collect(elided.Trace.Events()) {
 		w := want[i]
 		// Site IDs are interning-order-dependent; compare resolved frames.
 		if e.Kind != w.Kind || e.TID != w.TID || e.Addr != w.Addr || e.Size != w.Size ||

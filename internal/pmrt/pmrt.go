@@ -252,7 +252,7 @@ func (c *Ctx) lastSeq() int {
 	if c.r.cfg.NoTrace {
 		return -1
 	}
-	return len(c.r.Trace.Events) - 1
+	return c.r.Trace.Len() - 1
 }
 
 // journal appends a device op under Config.RecordOps. data is copied —

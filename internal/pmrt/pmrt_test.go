@@ -2,6 +2,7 @@ package pmrt
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestSiteCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	var found bool
-	for _, e := range r.Trace.Events {
+	for e := range r.Trace.Events() {
 		if e.Kind == trace.KStore {
 			fr := r.Trace.Sites.Lookup(e.Site)
 			if strings.HasSuffix(fr.File, "pmrt_test.go") && strings.Contains(fr.Func, "TestSiteCapture") {
@@ -342,7 +343,7 @@ func TestDeterministicTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.Trace.Events
+		return slices.Collect(r.Trace.Events())
 	}
 	a, b := run(7), run(7)
 	if len(a) != len(b) {
@@ -528,7 +529,7 @@ func TestBacktraceMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, e := range r.Trace.Events {
+	for e := range r.Trace.Events() {
 		if e.Kind == trace.KStore {
 			fr := r.Trace.Sites.Lookup(e.Site)
 			if strings.Contains(fr.Func, "storeThroughHelper") && strings.Contains(fr.Func, "TestBacktraceMode") {
@@ -617,10 +618,10 @@ func TestZeroEmitsNoTraceEvent(t *testing.T) {
 	r.EventSink = func(e trace.Event) { sunk++ }
 	err := r.Run(func(c *Ctx) {
 		a := c.Alloc(64)
-		before := len(r.Trace.Events)
+		before := r.Trace.Len()
 		beforeSunk := sunk
 		c.Zero(a, 64)
-		if got := len(r.Trace.Events) - before; got != 0 {
+		if got := r.Trace.Len() - before; got != 0 {
 			t.Errorf("Zero appended %d trace events, want 0", got)
 		}
 		if got := sunk - beforeSunk; got != 0 {

@@ -2,6 +2,7 @@ package pmrt
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"hawkset/internal/pmem"
@@ -41,7 +42,8 @@ func TestRecordOpsReplayRoundTrip(t *testing.T) {
 		t.Fatal("RecordOps produced no journal")
 	}
 
-	nev := len(rt.Trace.Events)
+	events := slices.Collect(rt.Trace.Events())
+	nev := len(events)
 	prev := -2
 	for _, op := range rt.Ops {
 		if op.Seq >= nev {
@@ -52,7 +54,7 @@ func TestRecordOpsReplayRoundTrip(t *testing.T) {
 				t.Fatalf("journal Seq not strictly increasing: %d after %d", op.Seq, prev)
 			}
 			prev = op.Seq
-			k := rt.Trace.Events[op.Seq].Kind
+			k := events[op.Seq].Kind
 			switch op.Kind {
 			case pmem.OpStore:
 				if k != trace.KStore {

@@ -492,7 +492,7 @@ func newBlockReader(br *bufio.Reader, compress bool, siteLimit sites.ID) *blockR
 // next yields the next event, loading blocks as needed.
 func (r *blockReader) next() (Event, error) {
 	for r.idx >= len(r.events) {
-		if _, err := r.fill(); err != nil {
+		if err := r.fill(); err != nil {
 			return Event{}, err
 		}
 	}
@@ -501,40 +501,47 @@ func (r *blockReader) next() (Event, error) {
 	return e, nil
 }
 
-// fill loads and decodes the next block, returning its events (valid until
-// the following fill call), or io.EOF after a well-formed terminator.
-func (r *blockReader) fill() ([]Event, error) {
+// fill decodes the next block into r.events, or returns io.EOF after a
+// well-formed terminator.
+func (r *blockReader) fill() error {
 	r.events = r.events[:0]
 	r.idx = 0
+	raw, nev, err := r.load()
+	if err != nil {
+		return err
+	}
+	if cap(r.events) < nev {
+		r.events = make([]Event, nev)
+	}
+	r.events = r.events[:nev]
+	return r.decodeBlock(raw, r.events)
+}
+
+// load reads the next block frame and returns its raw payload (valid until
+// the following load) with its event count, once the payload has
+// decompressed and passed its CRC check — or io.EOF after a well-formed
+// terminator. The caller sizes the block's event storage only after load
+// succeeds, so a corrupt frame never costs more than its own bytes.
+func (r *blockReader) load() (raw []byte, nev int, err error) {
 	if r.done {
-		return nil, io.EOF
+		return nil, 0, io.EOF
 	}
 	nev, rawLen, storedLen, crc, err := r.readFrameHeader()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if r.done {
-		return nil, io.EOF
+		return nil, 0, io.EOF
 	}
 	if cap(r.stored) < storedLen {
 		r.stored = make([]byte, storedLen)
 	}
 	r.stored = r.stored[:storedLen]
 	if _, err := io.ReadFull(r.br, r.stored); err != nil {
-		return nil, fmt.Errorf("trace: truncated block payload: %w", noEOF(err))
+		return nil, 0, fmt.Errorf("trace: truncated block payload: %w", noEOF(err))
 	}
-	raw, err := r.materialize(rawLen, r.stored, crc)
-	if err != nil {
-		return nil, err
-	}
-	if cap(r.events) < nev {
-		r.events = make([]Event, nev)
-	}
-	r.events = r.events[:nev]
-	if err := r.decodeBlock(raw, r.events); err != nil {
-		return nil, err
-	}
-	return r.events, nil
+	raw, err = r.materialize(rawLen, r.stored, crc)
+	return raw, nev, err
 }
 
 // noEOF maps a bare io.EOF to io.ErrUnexpectedEOF: inside a block frame,

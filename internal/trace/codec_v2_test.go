@@ -25,10 +25,10 @@ func bigTrace(n int) *Trace {
 		siteIDs[i] = tr.Sites.Named("site" + string(rune('a'+i%26)) + string(rune('0'+i/26)))
 	}
 	addrs := make([]uint64, 8)
-	for len(tr.Events) < n {
+	for tr.Len() < n {
 		tid := int32(rng.Intn(8))
 		// A scheduling stretch: one thread runs for a while.
-		for burst := rng.Intn(50) + 1; burst > 0 && len(tr.Events) < n; burst-- {
+		for burst := rng.Intn(50) + 1; burst > 0 && tr.Len() < n; burst-- {
 			site := siteIDs[rng.Intn(len(siteIDs))]
 			switch rng.Intn(10) {
 			case 0:
@@ -108,7 +108,7 @@ func TestStreamingEncodeDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range tr.Events {
+		for e := range tr.Events() {
 			if err := enc.Write(e); err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestStreamingEncodeDecode(t *testing.T) {
 		if dec.Version() != 2 {
 			t.Fatalf("Version = %d, want 2", dec.Version())
 		}
-		for i, want := range tr.Events {
+		for i, want := range events(tr) {
 			got, err := dec.Next()
 			if err != nil {
 				t.Fatalf("event %d (compress=%v): %v", i, compress, err)
@@ -166,7 +166,7 @@ func TestV2CorruptionDetected(t *testing.T) {
 				rejected++
 				continue
 			}
-			if !reflect.DeepEqual(got.Events, tr.Events) {
+			if !reflect.DeepEqual(events(got), events(tr)) {
 				t.Fatalf("flipping byte %d (mask %#02x) silently mis-decoded the event payload", i, flip)
 			}
 		}
@@ -214,7 +214,7 @@ func TestSegmentV1GoldenBytes(t *testing.T) {
 // of each without full decoding. The v1 side is pinned by the fixtures.
 func TestSegmentCrossVersion(t *testing.T) {
 	tr := bigTrace(5000)
-	seg := &Segment{Seq: 42, Frames: tr.Sites.Frames()[1:], Events: tr.Events}
+	seg := &Segment{Seq: 42, Frames: tr.Sites.Frames()[1:], Events: events(tr)}
 	for _, o := range []Options{{}, {Compress: true}} {
 		enc, err := EncodeSegmentWith(nil, seg, o)
 		if err != nil {

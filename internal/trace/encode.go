@@ -73,8 +73,8 @@ const (
 	// maxSites bounds the site table. Each decoded site consumes at least
 	// three input bytes, so this also bounds header-driven looping.
 	maxSites = 1 << 24
-	// maxEventPrealloc caps the event-slice preallocation; larger traces
-	// grow by append, paying only for events actually present.
+	// maxEventPrealloc caps a v1 segment's event preallocation; longer
+	// segments grow by append, paying only for events actually present.
 	maxEventPrealloc = 1 << 20
 	// maxString bounds a single decoded string (file or function name).
 	maxString = 1 << 20
@@ -91,7 +91,7 @@ func EncodeWith(w io.Writer, t *Trace, o Options) error {
 	if err != nil {
 		return err
 	}
-	for _, e := range t.Events {
+	for e := range t.Events() {
 		if err := enc.Write(e); err != nil {
 			return err
 		}
@@ -100,141 +100,44 @@ func EncodeWith(w io.Writer, t *Trace, o Options) error {
 }
 
 // Decode reads a binary trace in either format version, requiring the input
-// to end exactly after the last declared event.
+// to end exactly after the last declared event. v1 events are appended one
+// at a time; each v2 block decodes in bulk straight into the trace's chunk
+// storage, reserved only after the block's payload has passed its CRC.
 func Decode(r io.Reader) (*Trace, error) {
 	d, err := NewDecoder(r)
 	if err != nil {
 		return nil, err
 	}
 	t := &Trace{Sites: d.Sites()}
-	switch d.version {
-	case version1:
-		acc := newEventAccum(d.declared)
+	if d.version == version1 {
 		for {
 			e, err := d.Next()
 			if err == io.EOF {
-				t.Events = acc.events()
 				return t, nil
 			}
 			if err != nil {
-				return nil, fmt.Errorf("trace: event %d: %w", acc.len(), err)
+				return nil, fmt.Errorf("trace: event %d: %w", t.Len(), err)
 			}
-			acc.add(e)
+			t.Append(e)
 		}
-	default: // version2
-		// Slurp the stored block frames first: the headers reveal the exact
-		// event total before any payload is decoded, so each block decodes
-		// straight into its slice of a right-sized array — no per-event
-		// appends, no growth copies, no final concatenation. Holding the
-		// stored payloads costs at most the input size, a fraction of the
-		// decoded events they expand into.
-		type frameMeta struct {
-			nev, rawLen, off, n int
-			crc                 uint32
+	}
+	b := d.blocks
+	for {
+		raw, nev, err := b.load()
+		if err == io.EOF {
+			break
 		}
-		b := d.blocks
-		var metas []frameMeta
-		var slab []byte
-		for !b.done {
-			nev, rawLen, storedLen, crc, err := b.readFrameHeader()
-			if err != nil {
-				return nil, err
-			}
-			if b.done {
-				break
-			}
-			off := len(slab)
-			slab = append(slab, make([]byte, storedLen)...)
-			if _, err := io.ReadFull(d.br, slab[off:]); err != nil {
-				return nil, fmt.Errorf("trace: truncated block payload: %w", noEOF(err))
-			}
-			metas = append(metas, frameMeta{nev: nev, rawLen: rawLen, off: off, n: storedLen, crc: crc})
+		if err != nil {
+			return nil, fmt.Errorf("trace: event %d: %w", t.Len(), err)
 		}
-		if err := d.requireEOF(); err != nil {
-			return nil, err
+		if err := b.decodeBlock(raw, t.reserve(nev)); err != nil {
+			return nil, fmt.Errorf("trace: event %d: %w", t.Len()-nev, err)
 		}
-		acc := newEventAccum(b.claimed)
-		for _, m := range metas {
-			raw, err := b.materialize(m.rawLen, slab[m.off:m.off+m.n], m.crc)
-			if err != nil {
-				return nil, fmt.Errorf("trace: event %d: %w", acc.len(), err)
-			}
-			if err := b.decodeBlock(raw, acc.reserve(m.nev)); err != nil {
-				return nil, fmt.Errorf("trace: event %d: %w", acc.len(), err)
-			}
-		}
-		t.Events = acc.events()
-		return t, nil
 	}
-}
-
-// eventAccum accumulates a stream of events into geometrically growing
-// chunks, concatenating once at the end. Compared to a plain append loop it
-// bounds the copying at one extra pass over the data — append's repeated
-// growslice reallocations were ~45% of decode CPU on million-event traces —
-// while still never trusting a header-declared count for more than the
-// (capped) first-chunk preallocation.
-type eventAccum struct {
-	chunks [][]Event
-	cur    []Event
-	n      int // events in chunks (excluding cur)
-}
-
-func newEventAccum(hint uint64) *eventAccum {
-	if hint == 0 {
-		hint = 4096
+	if err := d.requireEOF(); err != nil {
+		return nil, err
 	}
-	if hint > maxEventPrealloc {
-		hint = maxEventPrealloc
-	}
-	return &eventAccum{cur: make([]Event, 0, hint)}
-}
-
-func (a *eventAccum) len() int { return a.n + len(a.cur) }
-
-// grow retires the current chunk and starts a new one with room for at
-// least min more events.
-func (a *eventAccum) grow(min int) {
-	a.n += len(a.cur)
-	a.chunks = append(a.chunks, a.cur)
-	next := a.n
-	if next > maxEventPrealloc {
-		next = maxEventPrealloc
-	}
-	if next < min {
-		next = min
-	}
-	a.cur = make([]Event, 0, next)
-}
-
-func (a *eventAccum) add(e Event) {
-	if len(a.cur) == cap(a.cur) {
-		a.grow(1)
-	}
-	a.cur = append(a.cur, e)
-}
-
-// reserve extends the accumulator by n events and returns the (contiguous,
-// uninitialized) slice for the caller to fill in place.
-func (a *eventAccum) reserve(n int) []Event {
-	if cap(a.cur)-len(a.cur) < n {
-		a.grow(n)
-	}
-	a.cur = a.cur[:len(a.cur)+n]
-	return a.cur[len(a.cur)-n:]
-}
-
-// events returns the accumulated slice, reusing the sole chunk when no
-// growth happened (the common case: a v1 trace within its declared count).
-func (a *eventAccum) events() []Event {
-	if len(a.chunks) == 0 {
-		return a.cur
-	}
-	out := make([]Event, 0, a.len())
-	for _, c := range a.chunks {
-		out = append(out, c...)
-	}
-	return append(out, a.cur...)
+	return t, nil
 }
 
 // Decoder streams a binary trace: the header and site table are read by

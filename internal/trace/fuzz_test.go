@@ -57,7 +57,7 @@ func FuzzDecode(f *testing.F) {
 			return // rejected: all the decoder promises for bad input
 		}
 		frames := len(tr.Sites.Frames())
-		for i, e := range tr.Events {
+		for i, e := range events(tr) {
 			if int(e.Site) >= frames || e.Site < 0 {
 				t.Fatalf("event %d: site %d outside decoded table (%d frames)", i, e.Site, frames)
 			}
@@ -74,7 +74,7 @@ func FuzzDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-decoding re-encoded trace (compress=%v): %v", o.Compress, err)
 			}
-			if !reflect.DeepEqual(again.Events, tr.Events) {
+			if !reflect.DeepEqual(events(again), events(tr)) {
 				t.Fatalf("re-encode round trip changed events (compress=%v)", o.Compress)
 			}
 		}

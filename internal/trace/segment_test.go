@@ -14,24 +14,26 @@ func TestSegmentRoundTrip(t *testing.T) {
 	frames := tr.Sites.Frames()
 
 	// Split the trace into three segments; frames ride with the first.
-	n := len(tr.Events)
+	all := events(tr)
+	n := len(all)
 	cuts := []int{0, n / 3, 2 * n / 3, n}
 	var segs []*Segment
 	for i := 0; i+1 < len(cuts); i++ {
-		seg := &Segment{Seq: uint64(i + 1), Events: tr.Events[cuts[i]:cuts[i+1]]}
+		seg := &Segment{Seq: uint64(i + 1), Events: all[cuts[i]:cuts[i+1]]}
 		if i == 0 {
 			seg.Frames = frames[1:] // reserved frame 0 never travels
 		}
 		segs = append(segs, seg)
 	}
 
-	got := New()
+	var got []Event
+	recv := sites.NewTable()
 	for _, seg := range segs {
 		enc, err := EncodeSegment(nil, seg)
 		if err != nil {
 			t.Fatalf("encode seq %d: %v", seg.Seq, err)
 		}
-		dec, err := DecodeSegment(enc, got.Sites.Len())
+		dec, err := DecodeSegment(enc, recv.Len())
 		if err != nil {
 			t.Fatalf("decode seq %d: %v", seg.Seq, err)
 		}
@@ -39,14 +41,14 @@ func TestSegmentRoundTrip(t *testing.T) {
 			t.Fatalf("seq: got %d want %d", dec.Seq, seg.Seq)
 		}
 		for _, f := range dec.Frames {
-			got.Sites.Append(f)
+			recv.Append(f)
 		}
-		got.Events = append(got.Events, dec.Events...)
+		got = append(got, dec.Events...)
 	}
-	if !reflect.DeepEqual(got.Events, tr.Events) {
+	if !reflect.DeepEqual(got, all) {
 		t.Fatalf("events differ after segment round trip")
 	}
-	if !reflect.DeepEqual(got.Sites.Frames(), frames) {
+	if !reflect.DeepEqual(recv.Frames(), frames) {
 		t.Fatalf("site tables differ after segment round trip")
 	}
 }

@@ -17,6 +17,7 @@ package trace
 
 import (
 	"fmt"
+	"iter"
 
 	"hawkset/internal/sites"
 )
@@ -95,11 +96,27 @@ func (e Event) String() string {
 }
 
 // Trace is a recorded execution: the ordered event list plus the site table
-// for resolving event locations.
+// for resolving event locations. The zero value with a site table,
+// &Trace{Sites: st}, is a valid empty trace.
+//
+// Events live in chunks that never move once allocated: appending fills the
+// last chunk and starts a new one when it is full, so a million-event
+// recording is never copied to grow, and the memory it holds stays within
+// one chunk of the events it keeps. Chunk capacity doubles from
+// firstChunk to maxChunk events and stays there.
 type Trace struct {
-	Events []Event
-	Sites  *sites.Table
+	Sites *sites.Table
+
+	full  [][]Event // filled chunks, in trace order
+	nfull int       // events in full
+	tail  []Event   // the chunk being filled; never grown past its capacity
 }
+
+// Chunk capacities, in events (Event is 40 bytes: 160 KiB to 2.5 MiB).
+const (
+	firstChunk = 4 << 10
+	maxChunk   = 64 << 10
+)
 
 // New returns an empty trace with a fresh site table.
 func New() *Trace {
@@ -107,30 +124,62 @@ func New() *Trace {
 }
 
 // Append adds an event.
-func (t *Trace) Append(e Event) { t.Events = append(t.Events, e) }
+func (t *Trace) Append(e Event) {
+	if len(t.tail) == cap(t.tail) {
+		t.grow(1)
+	}
+	t.tail = append(t.tail, e)
+}
+
+// reserve extends the trace by n events and returns them as one contiguous
+// slice for the caller to fill in place: the decoder writes each v2 block
+// straight into the trace.
+func (t *Trace) reserve(n int) []Event {
+	if cap(t.tail)-len(t.tail) < n {
+		t.grow(n)
+	}
+	t.tail = t.tail[:len(t.tail)+n]
+	return t.tail[len(t.tail)-n:]
+}
+
+// grow retires the current chunk and starts one with room for at least n
+// events. A chunk retired before it is full keeps its spare capacity unused.
+func (t *Trace) grow(n int) {
+	next := firstChunk
+	if t.tail != nil {
+		t.full = append(t.full, t.tail)
+		t.nfull += len(t.tail)
+		next = min(2*cap(t.tail), maxChunk)
+	}
+	t.tail = make([]Event, 0, max(next, n))
+}
 
 // Len returns the number of events.
-func (t *Trace) Len() int { return len(t.Events) }
+func (t *Trace) Len() int { return t.nfull + len(t.tail) }
+
+// Events yields the events in trace order.
+func (t *Trace) Events() iter.Seq[Event] {
+	return func(yield func(Event) bool) {
+		for _, c := range t.full {
+			for _, e := range c {
+				if !yield(e) {
+					return
+				}
+			}
+		}
+		for _, e := range t.tail {
+			if !yield(e) {
+				return
+			}
+		}
+	}
+}
 
 // Counts tallies events by kind (workload/coverage diagnostics).
 func (t *Trace) Counts() map[Kind]int {
 	m := make(map[Kind]int)
-	for _, e := range t.Events {
+	for e := range t.Events() {
 		m[e.Kind]++
 	}
 	return m
-}
-
-// Threads returns the number of distinct threads appearing in the trace.
-func (t *Trace) Threads() int {
-	max := int32(-1)
-	for _, e := range t.Events {
-		if e.TID > max {
-			max = e.TID
-		}
-		if (e.Kind == KThreadCreate || e.Kind == KThreadJoin) && e.Kid > max {
-			max = e.Kid
-		}
-	}
-	return int(max + 1)
 }

@@ -2,14 +2,21 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hawkset/internal/sites"
 )
+
+// events collects a trace's events for tests that index or compare them.
+func events(t *Trace) []Event { return slices.Collect(t.Events()) }
 
 func sampleTrace() *Trace {
 	b := NewBuilder()
@@ -33,9 +40,6 @@ func TestBuilderProducesEvents(t *testing.T) {
 		counts[KNTStore] != 1 || counts[KThreadCreate] != 1 || counts[KThreadJoin] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
-	if tr.Threads() != 2 {
-		t.Fatalf("Threads = %d, want 2", tr.Threads())
-	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -48,10 +52,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Events, tr.Events) {
-		t.Fatalf("events differ:\n got %v\nwant %v", got.Events, tr.Events)
+	if !reflect.DeepEqual(events(got), events(tr)) {
+		t.Fatalf("events differ:\n got %v\nwant %v", events(got), events(tr))
 	}
-	for _, e := range tr.Events {
+	for e := range tr.Events() {
 		want := tr.Sites.Lookup(e.Site).String()
 		if got := got.Sites.Lookup(e.Site).String(); got != want {
 			t.Fatalf("site %d = %q, want %q", e.Site, got, want)
@@ -85,7 +89,7 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 func TestEventString(t *testing.T) {
 	tr := sampleTrace()
 	var all []string
-	for _, e := range tr.Events {
+	for e := range tr.Events() {
 		all = append(all, e.String())
 	}
 	s := strings.Join(all, "\n")
@@ -126,7 +130,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(got.Events, tr.Events)
+		return reflect.DeepEqual(events(got), events(tr))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -157,7 +161,112 @@ func TestEncodeRejectsMissingReservedFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Events, ok.Events) {
-		t.Fatalf("round trip mismatch: %v != %v", got.Events, ok.Events)
+	if !reflect.DeepEqual(events(got), events(ok)) {
+		t.Fatalf("round trip mismatch: %v != %v", events(got), events(ok))
+	}
+}
+
+// seqTrace appends n events whose Addr is their position.
+func seqTrace(n int) *Trace {
+	tr := New()
+	for i := range n {
+		tr.Append(Event{Kind: KStore, TID: 1, Addr: uint64(i), Size: 8})
+	}
+	return tr
+}
+
+// TestChunkBoundaries: Len and iteration order hold at every chunk edge, and
+// a break stops the iteration there, in the first chunk or a later one.
+func TestChunkBoundaries(t *testing.T) {
+	// The sizes of the first four chunks, 4, 8, 16 and 32 Ki events, sum to
+	// 60 Ki; the fifth holds maxChunk.
+	for _, n := range []int{
+		0, 1,
+		firstChunk - 1, firstChunk, firstChunk + 1,
+		15*firstChunk - 1, 15 * firstChunk, 15*firstChunk + 1,
+		15*firstChunk + 3*maxChunk + 7,
+	} {
+		tr := seqTrace(n)
+		if tr.Len() != n {
+			t.Fatalf("n=%d: Len = %d", n, tr.Len())
+		}
+		i := 0
+		for e := range tr.Events() {
+			if e.Addr != uint64(i) {
+				t.Fatalf("n=%d: event %d has Addr %d", n, i, e.Addr)
+			}
+			i++
+		}
+		if i != n {
+			t.Fatalf("n=%d: iterated %d events", n, i)
+		}
+		for _, stop := range []int{0, firstChunk - 1, firstChunk, n - 1} {
+			if stop < 0 || stop >= n {
+				continue
+			}
+			seen := 0
+			for e := range tr.Events() {
+				seen++
+				if e.Addr == uint64(stop) {
+					break
+				}
+			}
+			if seen != stop+1 {
+				t.Fatalf("n=%d: break at %d after %d events", n, stop, seen)
+			}
+		}
+	}
+}
+
+// TestAppendDoesNotCopy: recording 2^20 events allocates little more than
+// the events themselves. Appending to one growing slice allocated about 5x,
+// every growth step copying all events so far.
+func TestAppendDoesNotCopy(t *testing.T) {
+	const n = 1 << 20
+	tr := New()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range n {
+		tr.Append(Event{Kind: KFence, TID: int32(i)})
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tr)
+	limit := 1.1 * n * float64(unsafe.Sizeof(Event{}))
+	if got := float64(after.TotalAlloc - before.TotalAlloc); got >= limit {
+		t.Fatalf("appending %d events allocated %.0f bytes, want < %.0f", n, got, limit)
+	}
+}
+
+// TestDecodeAcrossChunks: a v2 trace spanning several chunks decodes, in
+// bulk and one event at a time, to exactly the events recorded, with and
+// without flate.
+func TestDecodeAcrossChunks(t *testing.T) {
+	tr := bigTrace(15*firstChunk + 2*maxChunk + 3)
+	want := events(tr)
+	for _, o := range []Options{{}, {Compress: true}} {
+		var buf bytes.Buffer
+		if err := EncodeWith(&buf, tr, o); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("compress=%v: Decode: %v", o.Compress, err)
+		}
+		if got.Len() != len(want) || !slices.Equal(events(got), want) {
+			t.Fatalf("compress=%v: Decode returned %d events that differ from the %d recorded", o.Compress, got.Len(), len(want))
+		}
+		dec, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want {
+			e, err := dec.Next()
+			if err != nil || e != w {
+				t.Fatalf("compress=%v: Next event %d = %v, %v; want %v", o.Compress, i, e, err, w)
+			}
+		}
+		if _, err := dec.Next(); err != io.EOF {
+			t.Fatalf("compress=%v: after last event: %v, want io.EOF", o.Compress, err)
+		}
 	}
 }

@@ -98,8 +98,8 @@ func readFixture(t *testing.T, name string) []byte {
 
 func requireSameTrace(t *testing.T, what string, got, want *Trace) {
 	t.Helper()
-	if !reflect.DeepEqual(got.Events, want.Events) {
-		t.Fatalf("%s: events differ (%d vs %d)", what, len(got.Events), len(want.Events))
+	if !reflect.DeepEqual(events(got), events(want)) {
+		t.Fatalf("%s: events differ (%d vs %d)", what, got.Len(), want.Len())
 	}
 	if !reflect.DeepEqual(got.Sites.Frames(), want.Sites.Frames()) {
 		t.Fatalf("%s: site tables differ", what)

@@ -37,7 +37,7 @@ func siteGolden(t *testing.T, e *apps.Entry, fixed bool) []byte {
 	}
 	h := sha256.New()
 	var rec []byte
-	for _, ev := range rt.Trace.Events {
+	for ev := range rt.Trace.Events() {
 		rec = append(rec[:0], byte(ev.Kind))
 		rec = binary.LittleEndian.AppendUint32(rec, uint32(ev.TID))
 		rec = binary.LittleEndian.AppendUint64(rec, ev.Addr)
@@ -48,7 +48,7 @@ func siteGolden(t *testing.T, e *apps.Entry, fixed bool) []byte {
 		h.Write(rec)
 	}
 	var out bytes.Buffer
-	fmt.Fprintf(&out, "events %d sha256 %x\n", len(rt.Trace.Events), h.Sum(nil))
+	fmt.Fprintf(&out, "events %d sha256 %x\n", rt.Trace.Len(), h.Sum(nil))
 	for _, f := range rt.Trace.Sites.Frames()[1:] {
 		fmt.Fprintf(&out, "%s:%d:%s\n", sites.ModuleRel(f.File), f.Line, f.Func)
 	}

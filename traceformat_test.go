@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 
 	"hawkset/internal/apps"
@@ -93,14 +94,9 @@ func TestTraceFormatsYieldIdenticalReports(t *testing.T) {
 		st := hawkset.NewStream(recv, hawkset.DefaultConfig())
 		frames := rt.Trace.Sites.Frames()
 		sentFrames := 0
-		const batch = 1500
 		seq := uint64(1)
-		for off := 0; off < len(rt.Trace.Events); off += batch {
-			end := off + batch
-			if end > len(rt.Trace.Events) {
-				end = len(rt.Trace.Events)
-			}
-			seg := &trace.Segment{Seq: seq, Events: rt.Trace.Events[off:end]}
+		for batch := range slices.Chunk(slices.Collect(rt.Trace.Events()), 1500) {
+			seg := &trace.Segment{Seq: seq, Events: batch}
 			if sentFrames < len(frames)-1 {
 				seg.Frames = frames[1+sentFrames:]
 				sentFrames = len(frames) - 1
