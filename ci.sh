@@ -1,6 +1,7 @@
 #!/bin/sh
 # ci.sh — the checks a change must pass before merging.
 #
+#   gofmt       every Go file is gofmt-clean
 #   go vet      static checks
 #   go build    every package compiles
 #   go test     full unit + property + differential suite
@@ -46,6 +47,7 @@
 #               differential) green — pmopt exits 1 on any gate failure
 set -eux
 
+test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test ./...
@@ -60,9 +62,11 @@ go run ./cmd/pmlint -baseline pmlint.baseline ./...
 # Trace round-trip smoke: a stored trace must BE the trace. Capture once
 # plain and once flate-compressed, re-analyze the file through the streaming
 # decoder, and require the JSON report to be byte-identical to the in-process
-# analysis of the same run; dump the committed v1 fixture so the CLIs' v1
-# read path keeps running end to end; then one targeted iteration of the
-# codec benchmark so the decode path stays runnable under the harness.
+# analysis of the same run; dump the committed v1 fixtures so the CLIs' v1
+# read path keeps running end to end, and require the big one's summary
+# line (its thread IDs reach MaxInt32, so a thread count taken as the
+# largest ID plus one overflows); then one targeted iteration of the codec
+# benchmark so the decode path stays runnable under the harness.
 TRACE_TMP=$(mktemp -d)
 trap 'rm -rf "$TRACE_TMP"' EXIT
 for flags in "" "-trace-compress"; do
@@ -76,6 +80,8 @@ for flags in "" "-trace-compress"; do
     go run ./cmd/tracedump -head 3 "$TRACE_TMP/t.hwkt" > /dev/null
 done
 go run ./cmd/tracedump internal/trace/testdata/golden_v1.hwkt > /dev/null
+go run ./cmd/tracedump internal/trace/testdata/golden_v1_big.hwkt |
+    grep -F '2010 events, 9 threads'
 go test -run '^$' -bench 'BenchmarkTraceCodec/decode' -benchtime 1x .
 
 if go run ./cmd/pmcheck -app Fast-Fair -ops 800 -inject -budget 8 -deadline 60s; then

@@ -42,7 +42,8 @@ func main() {
 	// below the -head/-events cutoff. The trace is never held in memory.
 	listing := *events || *head > 0
 	counts := make(map[trace.Kind]int)
-	nevents, maxTID := 0, int32(-1)
+	threads := make(map[int32]struct{})
+	nevents := 0
 	for {
 		e, err := dec.Next()
 		if err == io.EOF {
@@ -56,11 +57,9 @@ func main() {
 		}
 		counts[e.Kind]++
 		nevents++
-		if e.TID > maxTID {
-			maxTID = e.TID
-		}
-		if (e.Kind == trace.KThreadCreate || e.Kind == trace.KThreadJoin) && e.Kid > maxTID {
-			maxTID = e.Kid
+		threads[e.TID] = struct{}{}
+		if e.Kind == trace.KThreadCreate || e.Kind == trace.KThreadJoin {
+			threads[e.Kid] = struct{}{}
 		}
 	}
 
@@ -68,7 +67,7 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Printf("trace: format v%d, %d events, %d threads, %d sites\n",
-		dec.Version(), nevents, maxTID+1, dec.Sites().Len()-1)
+		dec.Version(), nevents, len(threads), dec.Sites().Len()-1)
 	kinds := make([]trace.Kind, 0, len(counts))
 	for k := range counts {
 		kinds = append(kinds, k)
