@@ -15,8 +15,10 @@ package expmt
 import (
 	"fmt"
 	"math"
-	"runtime"
+	"os"
+	"runtime/debug"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -283,14 +285,17 @@ type Fig6Point struct {
 	App         string
 	Ops         int
 	TestingTime time.Duration
-	PeakMem     uint64 // bytes, heap high-water mark across run+analysis
-	Events      int
-	Reports     int
+	// PeakRSS is the process's resident-set high-water mark (VmHWM) over
+	// run+analysis, in bytes; 0 where /proc could not be read or reset,
+	// which FormatFig6 prints as n/a.
+	PeakRSS uint64
+	Events  int
+	Reports int
 }
 
 // Fig6 sweeps workload sizes across all applications, measuring the
 // end-to-end testing time (instrumented execution + analysis) and the peak
-// heap footprint, the two metrics of Figure 6a/6b. P-ART is capped at 1k
+// resident memory, the two metrics of Figure 6a/6b. P-ART is capped at 1k
 // operations, as in the paper.
 func Fig6(sizes []int, seed int64) ([]Fig6Point, error) {
 	var pts []Fig6Point
@@ -299,48 +304,75 @@ func Fig6(sizes []int, seed int64) ([]Fig6Point, error) {
 			if e.MaxOps > 0 && ops > e.MaxOps {
 				continue
 			}
-			runtime.GC()
-			var before runtime.MemStats
-			runtime.ReadMemStats(&before)
-
-			start := time.Now()
-			w := ycsb.Generate(e.Spec(ops), seed)
-			rt, err := apps.Run(e, w, apps.RunConfig{Seed: seed})
+			var (
+				elapsed time.Duration
+				res     *hawkset.Result
+				err     error
+			)
+			peak, _ := PeakRSS(func() {
+				start := time.Now()
+				w := ycsb.Generate(e.Spec(ops), seed)
+				rt, runErr := apps.Run(e, w, apps.RunConfig{Seed: seed})
+				if err = runErr; err != nil {
+					return
+				}
+				res = hawkset.Analyze(rt.Trace, analysisConfig())
+				elapsed = time.Since(start)
+			})
 			if err != nil {
 				return nil, fmt.Errorf("%s/%d: %w", e.Name, ops, err)
 			}
-			var mid runtime.MemStats
-			runtime.ReadMemStats(&mid)
-			res := hawkset.Analyze(rt.Trace, analysisConfig())
-			elapsed := time.Since(start)
-
-			var after runtime.MemStats
-			runtime.ReadMemStats(&after)
-			peak := mid.HeapAlloc
-			if after.HeapAlloc > peak {
-				peak = after.HeapAlloc
-			}
-			if peak > before.HeapAlloc {
-				peak -= before.HeapAlloc
-			}
 			pts = append(pts, Fig6Point{
 				App: e.Name, Ops: ops, TestingTime: elapsed,
-				PeakMem: peak, Events: res.Stats.Events, Reports: len(res.Reports),
+				PeakRSS: peak, Events: res.Stats.Events, Reports: len(res.Reports),
 			})
 		}
 	}
 	return pts, nil
 }
 
+// PeakRSS runs f and returns the process's resident-set high-water mark
+// (VmHWM, as benchmark/ reports peak_rss_mib) at its end, in bytes. Before
+// f it returns freed heap memory to the OS and resets the mark to the
+// current RSS by writing 5 to /proc/self/clear_refs, so earlier work in the
+// process does not count. Where /proc cannot be reset or read it returns
+// (0, false), and the caller reports n/a, never 0 bytes.
+func PeakRSS(f func()) (peak uint64, ok bool) {
+	debug.FreeOSMemory()
+	reset := os.WriteFile("/proc/self/clear_refs", []byte("5"), 0)
+	f()
+	if reset != nil {
+		return 0, false
+	}
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		if v, found := strings.CutPrefix(line, "VmHWM:"); found {
+			kib, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimSpace(v), " kB"), 10, 64)
+			if err != nil {
+				return 0, false
+			}
+			return kib << 10, true
+		}
+	}
+	return 0, false
+}
+
 // FormatFig6 renders the sweep as the two series of Figure 6.
 func FormatFig6(pts []Fig6Point) string {
 	var b strings.Builder
 	b.WriteString("Figure 6a — testing time / 6b — peak memory\n")
-	fmt.Fprintf(&b, "%-15s %-8s %-12s %-12s %-10s %s\n", "Application", "Ops", "Time", "PeakMem", "Events", "Reports")
+	fmt.Fprintf(&b, "%-15s %-8s %-12s %-12s %-10s %s\n", "Application", "Ops", "Time", "PeakRSS", "Events", "Reports")
 	for _, p := range pts {
+		peak := "n/a"
+		if p.PeakRSS > 0 {
+			peak = fmtBytes(p.PeakRSS)
+		}
 		fmt.Fprintf(&b, "%-15s %-8d %-12s %-12s %-10d %d\n",
 			p.App, p.Ops, p.TestingTime.Round(time.Millisecond),
-			fmtBytes(p.PeakMem), p.Events, p.Reports)
+			peak, p.Events, p.Reports)
 	}
 	return b.String()
 }
