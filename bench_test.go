@@ -7,10 +7,11 @@
 //
 //	go test -bench=. -benchmem
 //
-// The benchmarks report custom metrics alongside time:
-// races/op (reports), events/op (trace size), and for Figure 6b
-// peak-rss-B/op (the process's resident-set high-water mark, VmHWM). Paper-scale parameters are available through
-// cmd/experiments; the benches use laptop-scale sizes with the same shape.
+// The benchmarks report custom metrics alongside time: races/op (reports),
+// events/op (trace size), and for Figure 6b peak-rss-B/op (the process's
+// resident-set high-water mark, VmHWM). Paper-scale parameters are
+// available through cmd/experiments; the benches use laptop-scale sizes
+// with the same shape.
 package bench
 
 import (

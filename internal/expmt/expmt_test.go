@@ -2,6 +2,7 @@ package expmt
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -106,6 +107,38 @@ func TestFig6Shape(t *testing.T) {
 		}
 	}
 	t.Logf("\n%s", FormatFig6(pts))
+}
+
+// TestPeakRSSResets: the mark covers only the measured call. A 64 MiB
+// buffer touched in one call shows in that call's peak and, once freed,
+// not in the next call's.
+func TestPeakRSSResets(t *testing.T) {
+	const size = 64 << 20
+	big, ok := PeakRSS(func() {
+		b := make([]byte, size)
+		for i := 0; i < len(b); i += 4096 {
+			b[i] = 1
+		}
+		runtime.KeepAlive(b)
+	})
+	if !ok {
+		t.Skip("VmHWM cannot be reset or read here")
+	}
+	small, ok := PeakRSS(func() {})
+	if !ok {
+		t.Fatal("second PeakRSS could not measure")
+	}
+	if big < size || small > big-size/2 {
+		t.Fatalf("peak with a %d MiB buffer %d B, after freeing it %d B", size>>20, big, small)
+	}
+}
+
+// TestFormatFig6PeakNA: an unmeasured peak prints as n/a, never 0 bytes.
+func TestFormatFig6PeakNA(t *testing.T) {
+	out := FormatFig6([]Fig6Point{{App: "a", PeakRSS: 0}, {App: "b", PeakRSS: 3 << 20}})
+	if !strings.Contains(out, "n/a") || !strings.Contains(out, "3.00MiB") || strings.Contains(out, " 0B ") {
+		t.Fatalf("FormatFig6:\n%s", out)
+	}
 }
 
 // TestTable4Shape: the IRH prunes reports for every application, never

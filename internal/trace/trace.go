@@ -100,10 +100,9 @@ func (e Event) String() string {
 // &Trace{Sites: st}, is a valid empty trace.
 //
 // Events live in chunks that never move once allocated: appending fills the
-// last chunk and starts a new one when it is full, so a million-event
-// recording is never copied to grow, and the memory it holds stays within
-// one chunk of the events it keeps. Chunk capacity doubles from
-// firstChunk to maxChunk events and stays there.
+// last chunk and starts a new one when it is full, so a recording is never
+// copied to grow. Chunk capacity doubles from firstChunk to maxChunk events
+// and stays there.
 type Trace struct {
 	Sites *sites.Table
 
