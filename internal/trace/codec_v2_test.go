@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hawkset/internal/sites"
@@ -99,9 +100,12 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 }
 
 // TestStreamingEncodeDecode drives the streaming pair directly: Write one
-// event at a time, Next them back out, never materializing a []Event.
+// event at a time, Next them back out, never materializing a []Event. The
+// trace spans several chunks, and a bulk Decode of the same bytes, which
+// writes blocks straight into chunks, must return the same events.
 func TestStreamingEncodeDecode(t *testing.T) {
-	tr := bigTrace(30000)
+	tr := bigTrace(15*firstChunk + 2*maxChunk + 3)
+	all := events(tr)
 	for _, compress := range []bool{false, true} {
 		var buf bytes.Buffer
 		enc, err := NewEncoder(&buf, tr.Sites, Options{Compress: compress})
@@ -127,7 +131,7 @@ func TestStreamingEncodeDecode(t *testing.T) {
 		if dec.Version() != 2 {
 			t.Fatalf("Version = %d, want 2", dec.Version())
 		}
-		for i, want := range events(tr) {
+		for i, want := range all {
 			got, err := dec.Next()
 			if err != nil {
 				t.Fatalf("event %d (compress=%v): %v", i, compress, err)
@@ -141,6 +145,14 @@ func TestStreamingEncodeDecode(t *testing.T) {
 		}
 		if _, err := dec.Next(); err != io.EOF {
 			t.Fatalf("Next after EOF: %v, want io.EOF", err)
+		}
+
+		got, err := Decode(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("Decode (compress=%v): %v", compress, err)
+		}
+		if got.Len() != len(all) || !slices.Equal(events(got), all) {
+			t.Fatalf("Decode (compress=%v) returned %d events that differ from the %d written", compress, got.Len(), len(all))
 		}
 	}
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -234,39 +233,5 @@ func TestAppendDoesNotCopy(t *testing.T) {
 	limit := 1.1 * n * float64(unsafe.Sizeof(Event{}))
 	if got := float64(after.TotalAlloc - before.TotalAlloc); got >= limit {
 		t.Fatalf("appending %d events allocated %.0f bytes, want < %.0f", n, got, limit)
-	}
-}
-
-// TestDecodeAcrossChunks: a v2 trace spanning several chunks decodes, in
-// bulk and one event at a time, to exactly the events recorded, with and
-// without flate.
-func TestDecodeAcrossChunks(t *testing.T) {
-	tr := bigTrace(15*firstChunk + 2*maxChunk + 3)
-	want := events(tr)
-	for _, o := range []Options{{}, {Compress: true}} {
-		var buf bytes.Buffer
-		if err := EncodeWith(&buf, tr, o); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Decode(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("compress=%v: Decode: %v", o.Compress, err)
-		}
-		if got.Len() != len(want) || !slices.Equal(events(got), want) {
-			t.Fatalf("compress=%v: Decode returned %d events that differ from the %d recorded", o.Compress, got.Len(), len(want))
-		}
-		dec, err := NewDecoder(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, w := range want {
-			e, err := dec.Next()
-			if err != nil || e != w {
-				t.Fatalf("compress=%v: Next event %d = %v, %v; want %v", o.Compress, i, e, err, w)
-			}
-		}
-		if _, err := dec.Next(); err != io.EOF {
-			t.Fatalf("compress=%v: after last event: %v, want io.EOF", o.Compress, err)
-		}
 	}
 }
