@@ -218,8 +218,10 @@ type Result struct {
 	EpochSafe bool
 
 	Locksets *lockset.Table
-	VClocks  *vclock.Table
-	Sites    *sites.Table
+	// VClocks is indexed by dense thread index (first-seen order), not by
+	// TID; records and reports carry TIDs.
+	VClocks *vclock.Table
+	Sites   *sites.Table
 }
 
 // Analyze runs the full pipeline over a recorded trace. It is the offline

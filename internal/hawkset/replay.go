@@ -20,7 +20,6 @@ import (
 // applies alongside replay exactly as the paper's implementation does (§4).
 type replayer struct {
 	cfg Config
-	tr  *trace.Trace
 	ls  *lockset.Table
 	vc  *vclock.Table
 
@@ -114,6 +113,10 @@ type openStore struct {
 }
 
 type threadState struct {
+	// idx is the thread's dense index, its vector-clock component and epoch
+	// owner: assigned in first-seen order and kept when the TID is reused,
+	// so clocks grow with the number of TIDs, not with the largest one.
+	idx   int32
 	set   lockset.Set
 	clock uint32 // logical clock: bumped on every lock acquisition
 	vc    vclock.VC
@@ -246,10 +249,9 @@ func (t *loadTab) grew() {
 	}
 }
 
-func newReplayer(tr *trace.Trace, cfg Config) *replayer {
+func newReplayer(cfg Config) *replayer {
 	return &replayer{
 		cfg:         cfg,
-		tr:          tr,
 		ls:          lockset.NewTable(),
 		vc:          vclock.NewTable(),
 		threads:     make(map[int32]*threadState),
@@ -331,9 +333,9 @@ func (r *replayer) thread(tid int32) *threadState {
 	}
 	ts, ok := r.threads[tid]
 	if !ok {
-		ts = &threadState{}
-		ts.vc = vclock.VC{}.Bump(int(tid))
-		ts.vcID = r.vc.InternOwned(ts.vc, tid)
+		ts = &threadState{idx: int32(len(r.threads))}
+		ts.vc = vclock.VC{}.Bump(int(ts.idx))
+		ts.vcID = r.vc.InternOwned(ts.vc, ts.idx)
 		r.threads[tid] = ts
 	}
 	r.lastTID, r.lastTS = tid, ts
@@ -342,13 +344,13 @@ func (r *replayer) thread(tid int32) *threadState {
 
 // curVC applies any pending batched bump and returns the thread's interned
 // vector clock. Called at every VC-recording event (PM access or
-// window-closing fence). The interned clock is owned by tid: it is tid's
-// event clock at its current local tick, the precondition for the epoch
-// fast path (vclock.LeqID).
-func (r *replayer) curVC(tid int32, ts *threadState) vclock.ID {
+// window-closing fence). The interned clock is owned by the thread: it is
+// the thread's event clock at its current local tick, the precondition for
+// the epoch fast path (vclock.LeqID).
+func (r *replayer) curVC(ts *threadState) vclock.ID {
 	if ts.fresh {
-		ts.vc = ts.vc.Bump(int(tid))
-		ts.vcID = r.vc.InternOwned(ts.vc, tid)
+		ts.vc = ts.vc.Bump(int(ts.idx))
+		ts.vcID = r.vc.InternOwned(ts.vc, ts.idx)
 		ts.fresh = false
 	}
 	return ts.vcID
@@ -392,21 +394,23 @@ func (r *replayer) feed(e trace.Event) {
 		}
 	case trace.KThreadCreate:
 		parent := r.thread(e.TID)
-		if _, exists := r.threads[e.Kid]; exists {
+		idx := int32(len(r.threads))
+		if old, exists := r.threads[e.Kid]; exists {
 			// The TID is being reused while a state for it is live: clocks
 			// interned for the old incarnation share the component the new
 			// one will advance, so the per-component ownership the epoch
 			// compare relies on no longer holds. Fall back to full VCs.
 			r.epochSafe = false
+			idx = old.idx
 		}
-		parent.vc = parent.vc.Bump(int(e.TID))
+		parent.vc = parent.vc.Bump(int(parent.idx))
 		// Not an owned intern: parent.fresh forces another bump before the
 		// next recorded access, so this clock is never an event clock — it
 		// exists only to ship the post-create state to the child.
 		parent.vcID = r.vc.Intern(parent.vc)
-		child := &threadState{}
-		child.vc = parent.vc.Clone().Bump(int(e.Kid))
-		child.vcID = r.vc.InternOwned(child.vc, e.Kid)
+		child := &threadState{idx: idx}
+		child.vc = parent.vc.Clone().Bump(int(idx))
+		child.vcID = r.vc.InternOwned(child.vc, idx)
 		r.threads[e.Kid] = child
 		r.lastTS = nil
 		parent.fresh = true
@@ -490,7 +494,7 @@ func linesOf(addr uint64, size uint32, fn func(line uint64)) {
 func (r *replayer) store(e trace.Event, nt bool) {
 	r.stats.PMAccesses++
 	ts := r.thread(e.TID)
-	vcid := r.curVC(e.TID, ts)
+	vcid := r.curVC(ts)
 	r.touch(e.TID, e.Addr)
 
 	if r.cfg.EADR {
@@ -558,7 +562,7 @@ func (r *replayer) store(e trace.Event, nt bool) {
 func (r *replayer) load(e trace.Event) {
 	r.stats.PMAccesses++
 	ts := r.thread(e.TID)
-	vcid := r.curVC(e.TID, ts)
+	vcid := r.curVC(ts)
 	published := r.touch(e.TID, e.Addr)
 	if r.cfg.IRH && !published {
 		// Pre-publication loads are by the address's first thread only; any
@@ -636,7 +640,7 @@ func (r *replayer) fence(e trace.Event) {
 	if len(ts.pending) == 0 {
 		return
 	}
-	vcid := r.curVC(e.TID, ts)
+	vcid := r.curVC(ts)
 	for _, pf := range ts.pending {
 		for _, os := range pf.covered {
 			if !os.closed {

@@ -1,10 +1,12 @@
 package hawkset
 
 import (
+	"runtime"
 	"testing"
 
 	"hawkset/internal/obs"
 	"hawkset/internal/trace"
+	"hawkset/internal/vclock"
 )
 
 // TestClosedStoreRetentionBounded is the regression test for the streaming
@@ -123,5 +125,45 @@ func TestZeroSizeStoreClosable(t *testing.T) {
 	}
 	if res.Stats.UnpersistedAtEnd != 0 {
 		t.Fatalf("UnpersistedAtEnd = %d, want 0: the zero-size store was pinned open", res.Stats.UnpersistedAtEnd)
+	}
+}
+
+// TestHugeTIDBounded: replay memory follows the number of threads, not the
+// largest TID. Clocks indexed by raw TID made one store at TID 1<<24 grow
+// 64 MiB vector clocks, 439 MiB in all; a TID near MaxInt32 exhausted memory.
+func TestHugeTIDBounded(t *testing.T) {
+	b := trace.NewBuilder()
+	b.Store(1<<24, 0x100, 8, "store")
+	b.Load(0, 0x100, 8, "load")
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := Analyze(b.T, DefaultConfig())
+	runtime.ReadMemStats(&after)
+	if len(res.Reports) != 1 || res.Reports[0].StoreTID != 1<<24 || res.Reports[0].LoadTID != 0 {
+		t.Fatalf("reports = %v, want the T%d vs T0 race", res.Reports, 1<<24)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("analysis allocated %d bytes, want < 1 MiB", got)
+	}
+}
+
+// TestReusedTIDKeepsIndex: a re-created TID keeps its dense index, so a
+// trace that recycles one TID keeps clocks as wide as its distinct TIDs.
+func TestReusedTIDKeepsIndex(t *testing.T) {
+	b := trace.NewBuilder()
+	for range 100 {
+		b.Create(0, 1, "create")
+		b.Store(1, 0x100, 8, "store")
+		b.Join(0, 1, "join")
+	}
+	res := Analyze(b.T, DefaultConfig())
+	if res.EpochSafe {
+		t.Fatal("EpochSafe after TID reuse: the epoch fast path must be off")
+	}
+	for id := range res.VClocks.Len() {
+		if n := len(res.VClocks.Get(vclock.ID(id))); n > 2 {
+			t.Fatalf("clock %d has %d components, want at most 2 (TIDs 0 and 1)", id, n)
+		}
 	}
 }

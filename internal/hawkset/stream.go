@@ -47,8 +47,7 @@ type Stream struct {
 // NewStream creates an online analyzer. The site table must be the one the
 // event source uses (rt.Trace.Sites), so report frames resolve.
 func NewStream(st *sites.Table, cfg Config) *Stream {
-	rp := newReplayer(&trace.Trace{Sites: st}, cfg)
-	return &Stream{rp: rp, cfg: cfg, sites: st}
+	return &Stream{rp: newReplayer(cfg), cfg: cfg, sites: st}
 }
 
 // Feed consumes one event. After Finish it returns ErrStreamFinished and

@@ -32,7 +32,7 @@ type StoreWindow struct {
 // simulation-relevant knobs (EADR); lockset/IRH settings do not affect
 // which windows exist, only which become reports.
 func Windows(tr *trace.Trace, cfg Config) []StoreWindow {
-	r := newReplayer(tr, cfg)
+	r := newReplayer(cfg)
 	var ws []StoreWindow
 	r.onWindow = func(w StoreWindow) { ws = append(ws, w) }
 	for e := range tr.Events() {
