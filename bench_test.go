@@ -32,15 +32,7 @@ import (
 	"hawkset/internal/vclock"
 	"hawkset/internal/ycsb"
 
-	_ "hawkset/internal/apps/apex"
-	_ "hawkset/internal/apps/fastfair"
-	_ "hawkset/internal/apps/madfs"
-	_ "hawkset/internal/apps/memcachedpm"
-	_ "hawkset/internal/apps/part"
-	_ "hawkset/internal/apps/pclht"
-	_ "hawkset/internal/apps/pmasstree"
-	_ "hawkset/internal/apps/turbohash"
-	_ "hawkset/internal/apps/wipe"
+	_ "hawkset/internal/apps/all"
 )
 
 // ---------------------------------------------------------------- Table 2
@@ -51,13 +43,9 @@ func BenchmarkTable2BugDetection(b *testing.B) {
 	for _, e := range apps.All() {
 		e := e
 		b.Run(e.Name, func(b *testing.B) {
-			ops := 2000
-			if e.MaxOps > 0 && ops > e.MaxOps {
-				ops = e.MaxOps
-			}
 			var reports int
 			for i := 0; i < b.N; i++ {
-				res, err := apps.Detect(e, ops, 42, apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
+				res, err := apps.Detect(e, 2000, 42, apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -125,12 +113,10 @@ func BenchmarkFig6aTestingTime(b *testing.B) {
 			b.Run(benchName(e.Name, ops), func(b *testing.B) {
 				var events int
 				for i := 0; i < b.N; i++ {
-					w := ycsb.Generate(e.Spec(ops), 42)
-					rt, err := apps.Run(e, w, apps.RunConfig{Seed: 42})
+					res, err := apps.Detect(e, ops, 42, apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
 					if err != nil {
 						b.Fatal(err)
 					}
-					res := hawkset.Analyze(rt.Trace, hawkset.DefaultConfig())
 					events = res.Stats.Events
 				}
 				b.ReportMetric(float64(events), "events/op")
@@ -146,21 +132,13 @@ func BenchmarkFig6aTestingTime(b *testing.B) {
 func BenchmarkFig6bPeakMemory(b *testing.B) {
 	for _, e := range apps.All() {
 		e := e
-		ops := 10000
-		if e.MaxOps > 0 && ops > e.MaxOps {
-			ops = e.MaxOps
-		}
 		b.Run(e.Name, func(b *testing.B) {
 			var peak uint64
 			measured := true
 			for i := 0; i < b.N; i++ {
 				var err error
 				p, ok := expmt.PeakRSS(func() {
-					w := ycsb.Generate(e.Spec(ops), 42)
-					rt, runErr := apps.Run(e, w, apps.RunConfig{Seed: 42})
-					if err = runErr; err == nil {
-						_ = hawkset.Analyze(rt.Trace, hawkset.DefaultConfig())
-					}
+					_, err = apps.Detect(e, 10000, 42, apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -302,11 +280,7 @@ func BenchmarkParallelAnalysis(b *testing.B) {
 			b.Fatal(err)
 		}
 		ops := 100000
-		if e.MaxOps > 0 && ops > e.MaxOps {
-			ops = e.MaxOps
-		}
-		w := ycsb.Generate(e.Spec(ops), 42)
-		rt, err := apps.Run(e, w, apps.RunConfig{Seed: 42})
+		rt, err := apps.Run(e, e.Workload(ops, 42), apps.RunConfig{Seed: 42})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -423,11 +397,7 @@ func BenchmarkTraceCodec(b *testing.B) {
 			b.Fatal(err)
 		}
 		ops := 100000
-		if e.MaxOps > 0 && ops > e.MaxOps {
-			ops = e.MaxOps
-		}
-		w := ycsb.Generate(e.Spec(ops), 42)
-		rt, err := apps.Run(e, w, apps.RunConfig{Seed: 42})
+		rt, err := apps.Run(e, e.Workload(ops, 42), apps.RunConfig{Seed: 42})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -65,8 +65,10 @@ go run ./cmd/pmlint -baseline pmlint.baseline ./...
 # analysis of the same run; dump the committed v1 fixtures so the CLIs' v1
 # read path keeps running end to end, and require the big one's summary
 # line (its thread IDs reach MaxInt32, so a thread count taken as the
-# largest ID plus one overflows); then one targeted iteration of the codec
-# benchmark so the decode path stays runnable under the harness.
+# largest ID plus one overflows); analyze the big one too, which must finish
+# (replay memory follows the thread count, not the largest thread ID); then
+# one targeted iteration of the codec benchmark so the decode path stays
+# runnable under the harness.
 TRACE_TMP=$(mktemp -d)
 trap 'rm -rf "$TRACE_TMP"' EXIT
 for flags in "" "-trace-compress"; do
@@ -82,6 +84,8 @@ done
 go run ./cmd/tracedump internal/trace/testdata/golden_v1.hwkt > /dev/null
 go run ./cmd/tracedump internal/trace/testdata/golden_v1_big.hwkt |
     grep -F '2010 events, 9 threads'
+go run ./cmd/hawkset -trace-in internal/trace/testdata/golden_v1_big.hwkt |
+    grep -Fx 'loaded trace (format v1): 2010 events'
 go test -run '^$' -bench 'BenchmarkTraceCodec/decode' -benchtime 1x .
 
 if go run ./cmd/pmcheck -app Fast-Fair -ops 800 -inject -budget 8 -deadline 60s; then

@@ -25,15 +25,7 @@ import (
 	"hawkset/internal/trace"
 	"hawkset/internal/ycsb"
 
-	_ "hawkset/internal/apps/apex"
-	_ "hawkset/internal/apps/fastfair"
-	_ "hawkset/internal/apps/madfs"
-	_ "hawkset/internal/apps/memcachedpm"
-	_ "hawkset/internal/apps/part"
-	_ "hawkset/internal/apps/pclht"
-	_ "hawkset/internal/apps/pmasstree"
-	_ "hawkset/internal/apps/turbohash"
-	_ "hawkset/internal/apps/wipe"
+	_ "hawkset/internal/apps/all"
 )
 
 func main() {
@@ -110,8 +102,6 @@ func main() {
 		// Stream decode → analysis: events flow straight into the stage-①/②
 		// pipeline; the trace is never materialized as a []Event.
 		st := hawkset.NewStream(dec.Sites(), cfg)
-		nevents := 0
-		maxTID := int32(-1)
 		for {
 			e, err := dec.Next()
 			if err == io.EOF {
@@ -120,36 +110,26 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			nevents++
-			if e.TID > maxTID {
-				maxTID = e.TID
-			}
-			if (e.Kind == trace.KThreadCreate || e.Kind == trace.KThreadJoin) && e.Kid > maxTID {
-				maxTID = e.Kid
-			}
 			if err := st.Feed(e); err != nil {
 				fatal(err)
 			}
 		}
 		f.Close()
-		fmt.Printf("loaded trace (format v%d): %d events, %d threads\n", dec.Version(), nevents, maxTID+1)
 		if res, err = st.Finish(); err != nil {
 			fatal(err)
 		}
+		fmt.Printf("loaded trace (format v%d): %d events\n", dec.Version(), res.Stats.Events)
 		fmt.Printf("analysis: %v, %d store records, %d load records, %d pairs checked\n",
 			time.Since(start).Round(time.Millisecond),
 			res.Stats.StoreRecords, res.Stats.LoadRecords, res.Stats.PairsChecked)
 	} else {
-		var tr *trace.Trace
 		var err error
 		entry, err = apps.Lookup(*appName)
 		if err != nil {
 			fatal(err)
 		}
-		n := *ops
-		if entry.MaxOps > 0 && n > entry.MaxOps {
+		if entry.MaxOps > 0 && *ops > entry.MaxOps {
 			fmt.Printf("note: %s is capped at %d operations (§5)\n", entry.Name, entry.MaxOps)
-			n = entry.MaxOps
 		}
 		var w *ycsb.Workload
 		if *wlIn != "" {
@@ -165,7 +145,7 @@ func main() {
 			fmt.Printf("loaded workload %s: %d load ops, %d main ops, %d threads\n",
 				w.Name, len(w.Load), w.TotalOps(), len(w.Threads))
 		} else {
-			w = ycsb.Generate(entry.Spec(n), *seed)
+			w = entry.Workload(*ops, *seed)
 		}
 		if *wlOut != "" {
 			f, err := os.Create(*wlOut)
@@ -187,13 +167,12 @@ func main() {
 		}
 		fmt.Printf("executed %s: %d ops, %d trace events in %v\n",
 			entry.Name, w.TotalOps(), rt.Trace.Len(), time.Since(start).Round(time.Millisecond))
-		tr = rt.Trace
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
 			if err != nil {
 				fatal(err)
 			}
-			if err := trace.EncodeWith(f, tr, trace.Options{Compress: *traceZip}); err != nil {
+			if err := trace.EncodeWith(f, rt.Trace, trace.Options{Compress: *traceZip}); err != nil {
 				fatal(err)
 			}
 			if err := f.Close(); err != nil {
@@ -203,21 +182,20 @@ func main() {
 		}
 
 		start = time.Now()
-		res = hawkset.Analyze(tr, cfg)
+		res = hawkset.Analyze(rt.Trace, cfg)
 		fmt.Printf("analysis: %v, %d store records, %d load records, %d pairs checked\n",
 			time.Since(start).Round(time.Millisecond),
 			res.Stats.StoreRecords, res.Stats.LoadRecords, res.Stats.PairsChecked)
 	}
 
+	var classify report.Classifier
+	name := ""
+	if entry != nil {
+		name = entry.Name
+		classify = func(r hawkset.Report) string { return entry.Classify(r).String() }
+	}
+	doc := report.New(res, name, fmt.Sprintf("ycsb ops=%d seed=%d", *ops, *seed), classify)
 	if *jsonOut != "" {
-		var classify report.Classifier
-		workload := fmt.Sprintf("ycsb ops=%d seed=%d", *ops, *seed)
-		appName := ""
-		if entry != nil {
-			appName = entry.Name
-			classify = func(r hawkset.Report) string { return entry.Classify(r).String() }
-		}
-		doc := report.New(res, appName, workload, classify)
 		out := os.Stdout
 		if *jsonOut != "-" {
 			f, err := os.Create(*jsonOut)
@@ -235,13 +213,9 @@ func main() {
 		}
 	}
 
-	fmt.Printf("\n%d persistency-induced race report(s):\n", len(res.Reports))
-	for i, r := range res.Reports {
-		class := ""
-		if entry != nil {
-			class = " [" + entry.Classify(r).String() + "]"
-		}
-		fmt.Printf("%3d. %s%s\n", i+1, r, class)
+	fmt.Println()
+	if err := doc.WriteText(os.Stdout); err != nil {
+		fatal(err)
 	}
 	if entry != nil {
 		if found := apps.FoundBugs(entry, res); len(found) > 0 {

@@ -42,17 +42,8 @@ import (
 	"hawkset/internal/obscli"
 	"hawkset/internal/pmcheckd"
 	"hawkset/internal/report"
-	"hawkset/internal/ycsb"
 
-	_ "hawkset/internal/apps/apex"
-	_ "hawkset/internal/apps/fastfair"
-	_ "hawkset/internal/apps/madfs"
-	_ "hawkset/internal/apps/memcachedpm"
-	_ "hawkset/internal/apps/part"
-	_ "hawkset/internal/apps/pclht"
-	_ "hawkset/internal/apps/pmasstree"
-	_ "hawkset/internal/apps/turbohash"
-	_ "hawkset/internal/apps/wipe"
+	_ "hawkset/internal/apps/all"
 )
 
 func main() {
@@ -207,11 +198,7 @@ func runRemote(addr, tenant, appName string, ops int, seed int64, fixed, verify,
 	if err != nil {
 		return err
 	}
-	n := ops
-	if entry.MaxOps > 0 && n > entry.MaxOps {
-		n = entry.MaxOps
-	}
-	w := ycsb.Generate(entry.Spec(n), seed)
+	w := entry.Workload(ops, seed)
 	workload := fmt.Sprintf("ycsb ops=%d seed=%d", ops, seed)
 	if tenant == "" {
 		tenant = fmt.Sprintf("%s-seed%d", entry.Name, seed)

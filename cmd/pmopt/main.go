@@ -24,15 +24,7 @@ import (
 	"hawkset/internal/crashinject"
 	"hawkset/internal/pmopt"
 
-	_ "hawkset/internal/apps/apex"
-	_ "hawkset/internal/apps/fastfair"
-	_ "hawkset/internal/apps/madfs"
-	_ "hawkset/internal/apps/memcachedpm"
-	_ "hawkset/internal/apps/part"
-	_ "hawkset/internal/apps/pclht"
-	_ "hawkset/internal/apps/pmasstree"
-	_ "hawkset/internal/apps/turbohash"
-	_ "hawkset/internal/apps/wipe"
+	_ "hawkset/internal/apps/all"
 )
 
 func main() {

@@ -4,18 +4,13 @@ import (
 	"sort"
 
 	"hawkset/internal/hawkset"
-	"hawkset/internal/ycsb"
 )
 
 // Detect runs a generated workload against the application and analyzes the
 // trace with HawkSet, returning the analysis result. It is the
 // one-call-per-application path the experiments and tests share.
 func Detect(e *Entry, opCount int, seed int64, runCfg RunConfig, cfg hawkset.Config) (*hawkset.Result, error) {
-	if e.MaxOps > 0 && opCount > e.MaxOps {
-		opCount = e.MaxOps
-	}
-	w := ycsb.Generate(e.Spec(opCount), seed)
-	rt, err := Run(e, w, runCfg)
+	rt, err := Run(e, e.Workload(opCount, seed), runCfg)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestPutSearchEraseUpdate(t *testing.T) {
-	rt := pmrt.New(pmrt.Config{Seed: 1, PoolSize: 32 << 20})
+	rt := pmrt.New(pmrt.Config{Seed: 1})
 	x := New(rt, true).(*Index)
 	err := rt.Run(func(c *pmrt.Ctx) {
 		x.Setup(c)
@@ -46,7 +46,7 @@ func TestPutSearchEraseUpdate(t *testing.T) {
 // TestWritesPersistCorrectly: APEX's seeded races are reader-side; every
 // write must be fully persisted even in the buggy variant.
 func TestWritesPersistCorrectly(t *testing.T) {
-	rt := pmrt.New(pmrt.Config{Seed: 1, PoolSize: 32 << 20})
+	rt := pmrt.New(pmrt.Config{Seed: 1})
 	x := New(rt, false).(*Index)
 	err := rt.Run(func(c *pmrt.Ctx) {
 		x.Setup(c)

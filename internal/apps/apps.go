@@ -3,7 +3,8 @@
 // on the instrumented runtime (internal/pmrt), carrying the paper's reported
 // persistency-induced races as faithful seeded defects; constructing an app
 // with Fixed=true repairs every defect, giving tests and experiments a
-// correct-by-construction control.
+// correct-by-construction control. Each application registers itself from
+// its package's init; importing internal/apps/all registers all nine.
 package apps
 
 import (
@@ -13,7 +14,6 @@ import (
 	"hawkset/internal/hawkset"
 	"hawkset/internal/obs"
 	"hawkset/internal/pmrt"
-	"hawkset/internal/trace"
 	"hawkset/internal/ycsb"
 )
 
@@ -111,11 +111,12 @@ type Entry struct {
 	// Spec produces the workload specification for a main-phase size,
 	// matching §5's per-application benchmarks.
 	Spec func(opCount int) ycsb.Spec
-	// PoolSize overrides the default simulated device size, for the apps
+	// PoolSize overrides pmrt's default simulated device size, for the apps
 	// whose footprint needs it at 100k operations.
 	PoolSize uint64
 	// MaxOps caps the workload size (P-ART "hangs for workloads larger
-	// than 1k operations", §5 — reproduced as a documented cap).
+	// than 1k operations", §5 — reproduced as a documented cap); Workload
+	// applies it.
 	MaxOps int
 	// Recover, when set, drives the application's recovery path on a
 	// rebooted device: it re-attaches to the persistent structure the prev
@@ -125,6 +126,15 @@ type Entry struct {
 	// image — the crash-injection harness (internal/crashinject) guards
 	// both and converts them into inconsistent verdicts.
 	Recover func(c *pmrt.Ctx, prev App, fixed bool) error
+}
+
+// Workload generates the entry's workload for a main-phase size of ops,
+// capped at MaxOps.
+func (e *Entry) Workload(ops int, seed int64) *ycsb.Workload {
+	if e.MaxOps > 0 && ops > e.MaxOps {
+		ops = e.MaxOps
+	}
+	return ycsb.Generate(e.Spec(ops), seed)
 }
 
 // Classify assigns the Table 4 class to a report. Any unpersisted-window
@@ -188,42 +198,28 @@ type RunConfig struct {
 	EADR bool
 	// NoTrace disables trace recording (observation-based baselines).
 	NoTrace bool
-	// TrackWriters enables per-byte dirty-read attribution.
-	TrackWriters bool
 	// InstrumentAllocs records PM allocations in the trace (the §7
 	// extension; pairs with hawkset.Config.AllocAware).
 	InstrumentAllocs bool
 	// Metrics, when non-nil, receives the runtime's and device's side-band
 	// counters (see pmrt.Config.Metrics). Execution is unaffected.
 	Metrics *obs.Registry
-	// EventSink, when non-nil, receives every instrumented event as it is
-	// emitted (see pmrt.Runtime.EventSink) — the hookup for streaming the
-	// trace into a hawkset.Stream or a pmcheckd daemon, usually combined
-	// with NoTrace so no events are retained locally.
-	EventSink func(e trace.Event)
 }
 
 // NewRuntime builds the instrumented runtime an application instance runs
-// on, applying the entry's pool-size override. Exposed separately from Run
-// for callers that must interpose on the fresh runtime before execution —
-// the pmcheckd streaming client binds to rt.Trace.Sites and installs
-// itself as rt.EventSink between construction and RunOn.
+// on, with the entry's pool size. Exposed separately from Run for callers
+// that must interpose on the fresh runtime before execution — the pmcheckd
+// streaming client binds to rt.Trace.Sites and installs itself as
+// rt.EventSink between construction and RunOn.
 func NewRuntime(e *Entry, cfg RunConfig) *pmrt.Runtime {
-	poolSize := e.PoolSize
-	if poolSize == 0 {
-		poolSize = 32 << 20
-	}
-	rt := pmrt.New(pmrt.Config{
+	return pmrt.New(pmrt.Config{
 		Seed:             cfg.Seed,
-		PoolSize:         poolSize,
+		PoolSize:         e.PoolSize,
 		EADR:             cfg.EADR,
 		NoTrace:          cfg.NoTrace,
-		TrackWriters:     cfg.TrackWriters,
 		InstrumentAllocs: cfg.InstrumentAllocs,
 		Metrics:          cfg.Metrics,
 	})
-	rt.EventSink = cfg.EventSink
-	return rt
 }
 
 // Run executes a workload against a fresh instance of the application under

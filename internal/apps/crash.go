@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"hawkset/internal/pmem"
-	"hawkset/internal/pmrt"
-	"hawkset/internal/ycsb"
 )
 
 // CrashValidator is implemented by applications that can check their own
@@ -38,24 +36,13 @@ type CrashPointValidator interface {
 // validates the crash image at the worst possible moment: immediately after
 // the last operation, before any shutdown-time flushing. It returns the
 // violations (empty when the image is consistent) and errors if the
-// application does not implement CrashValidator.
+// application does not implement CrashValidator. The run records no trace;
+// cfg.Metrics receives its counters.
 func RunAndValidate(e *Entry, opCount int, seed int64, cfg RunConfig) ([]string, error) {
-	if e.MaxOps > 0 && opCount > e.MaxOps {
-		opCount = e.MaxOps
-	}
-	w := ycsb.Generate(e.Spec(opCount), seed)
-	poolSize := e.PoolSize
-	if poolSize == 0 {
-		poolSize = 32 << 20
-	}
-	rt := pmrt.New(pmrt.Config{
-		Seed:     cfg.Seed,
-		PoolSize: poolSize,
-		EADR:     cfg.EADR,
-		NoTrace:  true, // crash checking needs no trace
-	})
+	cfg.NoTrace = true // crash checking needs no trace
+	rt := NewRuntime(e, cfg)
 	app := e.Factory(rt, cfg.Fixed)
-	if err := RunOn(rt, app, w); err != nil {
+	if err := RunOn(rt, app, e.Workload(opCount, seed)); err != nil {
 		return nil, err
 	}
 	v, ok := app.(CrashValidator)

@@ -11,7 +11,7 @@ import (
 
 func newCache(t *testing.T, fixed bool) (*pmrt.Runtime, *Cache) {
 	t.Helper()
-	rt := pmrt.New(pmrt.Config{Seed: 1, PoolSize: 32 << 20})
+	rt := pmrt.New(pmrt.Config{Seed: 1})
 	return rt, New(rt, fixed).(*Cache)
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 func TestPutGetDelete(t *testing.T) {
-	rt := pmrt.New(pmrt.Config{Seed: 1, PoolSize: 32 << 20})
+	rt := pmrt.New(pmrt.Config{Seed: 1})
 	tr := New(rt, true).(*Tree)
 	err := rt.Run(func(c *pmrt.Ctx) {
 		tr.Setup(c)
@@ -46,7 +46,7 @@ func TestPutGetDelete(t *testing.T) {
 // TestLeafChainsStaySorted: inserting ascending and descending runs into one
 // slot must keep lookups exact across splits.
 func TestLeafChainsStaySorted(t *testing.T) {
-	rt := pmrt.New(pmrt.Config{Seed: 1, PoolSize: 32 << 20})
+	rt := pmrt.New(pmrt.Config{Seed: 1})
 	tr := New(rt, true).(*Tree)
 	err := rt.Run(func(c *pmrt.Ctx) {
 		tr.Setup(c)
@@ -80,7 +80,7 @@ func TestLeafChainsStaySorted(t *testing.T) {
 // header's cache line get persisted incidentally by the count flush, so the
 // test targets an entry beyond the first line (index ≥ 3).
 func TestBuggyPutLosesValueOnCrash(t *testing.T) {
-	rt := pmrt.New(pmrt.Config{Seed: 1, PoolSize: 32 << 20})
+	rt := pmrt.New(pmrt.Config{Seed: 1})
 	tr := New(rt, false).(*Tree)
 	var keys []uint64
 	err := rt.Run(func(c *pmrt.Ctx) {
@@ -114,7 +114,7 @@ func TestBuggyPutLosesValueOnCrash(t *testing.T) {
 
 // TestFixedPutSurvivesCrash is the control for the previous test.
 func TestFixedPutSurvivesCrash(t *testing.T) {
-	rt := pmrt.New(pmrt.Config{Seed: 1, PoolSize: 32 << 20})
+	rt := pmrt.New(pmrt.Config{Seed: 1})
 	tr := New(rt, true).(*Tree)
 	err := rt.Run(func(c *pmrt.Ctx) {
 		tr.Setup(c)
@@ -137,7 +137,7 @@ func TestFixedPutSurvivesCrash(t *testing.T) {
 
 // TestScan: chain scans return sorted in-slot results.
 func TestScan(t *testing.T) {
-	rt := pmrt.New(pmrt.Config{Seed: 1, PoolSize: 32 << 20})
+	rt := pmrt.New(pmrt.Config{Seed: 1})
 	tr := New(rt, true).(*Tree)
 	err := rt.Run(func(c *pmrt.Ctx) {
 		tr.Setup(c)
@@ -170,7 +170,7 @@ func TestScan(t *testing.T) {
 // key; the buggy variant (unpersisted puts) has lost data.
 func TestCrashRecovery(t *testing.T) {
 	for _, fixed := range []bool{true, false} {
-		rt := pmrt.New(pmrt.Config{Seed: 1, PoolSize: 32 << 20})
+		rt := pmrt.New(pmrt.Config{Seed: 1})
 		tr := New(rt, fixed).(*Tree)
 		const n = 400
 		err := rt.Run(func(c *pmrt.Ctx) {
@@ -183,7 +183,7 @@ func TestCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt.Pool.Reboot()
-		rt2 := pmrt.NewWithPool(pmrt.Config{Seed: 2, PoolSize: 32 << 20}, rt.Pool, rt.Heap)
+		rt2 := pmrt.NewWithPool(pmrt.Config{Seed: 2}, rt.Pool, rt.Heap)
 		rec := Attach(rt2, tr.Dir(), fixed)
 		missing := 0
 		err = rt2.Run(func(c *pmrt.Ctx) {

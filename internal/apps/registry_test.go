@@ -8,18 +8,11 @@ import (
 
 	"hawkset/internal/apps"
 	"hawkset/internal/hawkset"
+	"hawkset/internal/obs"
 	"hawkset/internal/ycsb"
 
 	// Register every evaluated application.
-	_ "hawkset/internal/apps/apex"
-	_ "hawkset/internal/apps/fastfair"
-	_ "hawkset/internal/apps/madfs"
-	_ "hawkset/internal/apps/memcachedpm"
-	_ "hawkset/internal/apps/part"
-	_ "hawkset/internal/apps/pclht"
-	_ "hawkset/internal/apps/pmasstree"
-	_ "hawkset/internal/apps/turbohash"
-	_ "hawkset/internal/apps/wipe"
+	_ "hawkset/internal/apps/all"
 )
 
 // detectOps is the per-app workload size used by the detection tests: big
@@ -258,6 +251,9 @@ func TestMaxOpsCap(t *testing.T) {
 	if e.MaxOps != 1000 {
 		t.Fatalf("P-ART MaxOps = %d, want the paper's 1k cap", e.MaxOps)
 	}
+	if n := e.Workload(5000, 1).TotalOps(); n != e.MaxOps {
+		t.Fatalf("P-ART Workload(5000) has %d main-phase ops, want the %d cap", n, e.MaxOps)
+	}
 }
 
 func dump(res *hawkset.Result) string {
@@ -294,6 +290,22 @@ func TestCrashValidation(t *testing.T) {
 				t.Fatalf("fixed variant's crash image is corrupt:\n%v", fixed)
 			}
 		})
+	}
+}
+
+// TestRunAndValidateRecordsMetrics: the validation run reports its
+// counters to RunConfig.Metrics, which pmcheck -metrics writes out.
+func TestRunAndValidateRecordsMetrics(t *testing.T) {
+	e, err := apps.Lookup("Fast-Fair")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	if _, err := apps.RunAndValidate(e, 300, 42, apps.RunConfig{Seed: 42, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Snapshot().Counter("pmrt.events"); n == 0 {
+		t.Fatal("pmrt.events = 0: the validation run dropped RunConfig.Metrics")
 	}
 }
 

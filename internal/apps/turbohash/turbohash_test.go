@@ -10,7 +10,7 @@ import (
 
 func newTable(t *testing.T, fixed bool) (*pmrt.Runtime, *Table) {
 	t.Helper()
-	rt := pmrt.New(pmrt.Config{Seed: 1, PoolSize: 32 << 20})
+	rt := pmrt.New(pmrt.Config{Seed: 1})
 	return rt, New(rt, fixed).(*Table)
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 func TestPutGetDelete(t *testing.T) {
-	rt := pmrt.New(pmrt.Config{Seed: 1, PoolSize: 32 << 20})
+	rt := pmrt.New(pmrt.Config{Seed: 1})
 	x := New(rt, true).(*Index)
 	err := rt.Run(func(c *pmrt.Ctx) {
 		x.Setup(c)
@@ -37,7 +37,7 @@ func TestPutGetDelete(t *testing.T) {
 // TestExpansion: overflowing a segment's buffer doubles it and keeps all
 // live entries reachable (tombstones compacted away).
 func TestExpansion(t *testing.T) {
-	rt := pmrt.New(pmrt.Config{Seed: 1, PoolSize: 32 << 20})
+	rt := pmrt.New(pmrt.Config{Seed: 1})
 	x := New(rt, true).(*Index)
 	err := rt.Run(func(c *pmrt.Ctx) {
 		x.Setup(c)
@@ -80,7 +80,7 @@ func TestExpansion(t *testing.T) {
 // TestBuggyExpandLosesPointerOnCrash: bug #18 — the buffer data persists but
 // the segment pointer swap does not.
 func TestBuggyExpandLosesPointerOnCrash(t *testing.T) {
-	rt := pmrt.New(pmrt.Config{Seed: 1, PoolSize: 32 << 20})
+	rt := pmrt.New(pmrt.Config{Seed: 1})
 	x := New(rt, false).(*Index)
 	var target uint64
 	var volatilePtr uint64

@@ -218,13 +218,9 @@ func probeBreakpoint(e *apps.Entry, w *ycsb.Workload, pr pair, k int, cfg Config
 }
 
 func newRuntime(e *apps.Entry, cfg Config, salt int64) *pmrt.Runtime {
-	poolSize := e.PoolSize
-	if poolSize == 0 {
-		poolSize = 32 << 20
-	}
 	return pmrt.New(pmrt.Config{
 		Seed:         cfg.Seed + salt*104729,
-		PoolSize:     poolSize,
+		PoolSize:     e.PoolSize,
 		NoTrace:      true,
 		TrackWriters: true,
 		EvictAfter:   cfg.EvictAfter,

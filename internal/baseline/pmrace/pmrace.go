@@ -104,13 +104,9 @@ func Detect(e *apps.Entry, w *ycsb.Workload, cfg Config) (*Result, error) {
 		if exec > 0 {
 			wl = ycsb.Mutate(w, cfg.Seed+int64(exec))
 		}
-		poolSize := e.PoolSize
-		if poolSize == 0 {
-			poolSize = 32 << 20
-		}
 		rt := pmrt.New(pmrt.Config{
 			Seed:         cfg.Seed + int64(exec)*7919,
-			PoolSize:     poolSize,
+			PoolSize:     e.PoolSize,
 			NoTrace:      true, // observation only; no trace, no analysis
 			TrackWriters: true,
 			EvictAfter:   cfg.EvictAfter,

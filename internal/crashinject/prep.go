@@ -67,15 +67,8 @@ type PrepOptions struct {
 
 // PrepareWith is Prepare with recording options.
 func PrepareWith(e *apps.Entry, opCount int, seed int64, fixed bool, opt PrepOptions) (*Prep, error) {
-	if e.MaxOps > 0 && opCount > e.MaxOps {
-		opCount = e.MaxOps
-	}
-	w := ycsb.Generate(e.Spec(opCount), seed)
-	poolSize := e.PoolSize
-	if poolSize == 0 {
-		poolSize = 32 << 20
-	}
-	rt := pmrt.New(pmrt.Config{Seed: seed, PoolSize: poolSize, RecordOps: true,
+	w := e.Workload(opCount, seed)
+	rt := pmrt.New(pmrt.Config{Seed: seed, PoolSize: e.PoolSize, RecordOps: true,
 		Metrics: opt.Metrics, ElideSites: opt.ElideSites})
 	app := e.Factory(rt, fixed)
 

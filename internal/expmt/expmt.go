@@ -311,12 +311,7 @@ func Fig6(sizes []int, seed int64) ([]Fig6Point, error) {
 			)
 			peak, _ := PeakRSS(func() {
 				start := time.Now()
-				w := ycsb.Generate(e.Spec(ops), seed)
-				rt, runErr := apps.Run(e, w, apps.RunConfig{Seed: seed})
-				if err = runErr; err != nil {
-					return
-				}
-				res = hawkset.Analyze(rt.Trace, analysisConfig())
+				res, err = apps.Detect(e, ops, seed, apps.RunConfig{Seed: seed}, analysisConfig())
 				elapsed = time.Since(start)
 			})
 			if err != nil {

@@ -7,15 +7,7 @@ import (
 	"testing"
 
 	// Register all applications.
-	_ "hawkset/internal/apps/apex"
-	_ "hawkset/internal/apps/fastfair"
-	_ "hawkset/internal/apps/madfs"
-	_ "hawkset/internal/apps/memcachedpm"
-	_ "hawkset/internal/apps/part"
-	_ "hawkset/internal/apps/pclht"
-	_ "hawkset/internal/apps/pmasstree"
-	_ "hawkset/internal/apps/turbohash"
-	_ "hawkset/internal/apps/wipe"
+	_ "hawkset/internal/apps/all"
 )
 
 // TestTable2AllBugsFound is the headline claim C1: every Table 2 race is

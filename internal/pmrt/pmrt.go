@@ -26,7 +26,7 @@ import (
 type Config struct {
 	// Seed drives the deterministic scheduler.
 	Seed int64
-	// PoolSize is the simulated PM device capacity in bytes.
+	// PoolSize is the simulated PM device capacity in bytes (0 = 32 MiB).
 	PoolSize uint64
 	// MaxSteps bounds scheduler decisions (0 = unbounded).
 	MaxSteps uint64
@@ -135,7 +135,7 @@ type Runtime struct {
 // pointer.
 func New(cfg Config) *Runtime {
 	if cfg.PoolSize == 0 {
-		cfg.PoolSize = 64 << 20
+		cfg.PoolSize = 32 << 20
 	}
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 1 << 34

@@ -7,7 +7,6 @@ import (
 
 	"hawkset/internal/apps"
 	"hawkset/internal/hawkset"
-	"hawkset/internal/ycsb"
 )
 
 // TestParallelAnalysisMatchesSequentialOnApps runs the full pipeline over
@@ -22,12 +21,7 @@ func TestParallelAnalysisMatchesSequentialOnApps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ops := 4000
-		if e.MaxOps > 0 && ops > e.MaxOps {
-			ops = e.MaxOps
-		}
-		w := ycsb.Generate(e.Spec(ops), 42)
-		rt, err := apps.Run(e, w, apps.RunConfig{Seed: 42})
+		rt, err := apps.Run(e, e.Workload(4000, 42), apps.RunConfig{Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}

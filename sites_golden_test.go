@@ -13,11 +13,10 @@ import (
 	"hawkset/internal/apps"
 	"hawkset/internal/obs"
 	"hawkset/internal/sites"
-	"hawkset/internal/ycsb"
 )
 
-// goldenOps is the workload size of the pinned site-capture runs (capped by
-// each app's MaxOps).
+// goldenOps is the workload size of the pinned site-capture runs (capped
+// per app by Entry.Workload).
 const goldenOps = 2000
 
 // siteGolden runs one app variant at seed 42 and renders what site capture
@@ -27,11 +26,7 @@ const goldenOps = 2000
 // checkout path, so the files under testdata/sites pin them byte for byte.
 func siteGolden(t *testing.T, e *apps.Entry, fixed bool) []byte {
 	t.Helper()
-	ops := goldenOps
-	if e.MaxOps > 0 && ops > e.MaxOps {
-		ops = e.MaxOps
-	}
-	rt, err := apps.Run(e, ycsb.Generate(e.Spec(ops), 42), apps.RunConfig{Seed: 42, Fixed: fixed})
+	rt, err := apps.Run(e, e.Workload(goldenOps, 42), apps.RunConfig{Seed: 42, Fixed: fixed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +93,7 @@ func TestSiteCaptureCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	rt, err := apps.Run(e, ycsb.Generate(e.Spec(1000), 42), apps.RunConfig{Seed: 42, Metrics: reg})
+	rt, err := apps.Run(e, e.Workload(1000, 42), apps.RunConfig{Seed: 42, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
