@@ -113,12 +113,12 @@ type openStore struct {
 }
 
 type threadState struct {
+	set   lockset.Set
+	clock uint32 // logical clock: bumped on every lock acquisition
 	// idx is the thread's dense index, its vector-clock component and epoch
 	// owner: assigned in first-seen order and kept when the TID is reused,
 	// so clocks grow with the number of TIDs, not with the largest one.
 	idx   int32
-	set   lockset.Set
-	clock uint32 // logical clock: bumped on every lock acquisition
 	vc    vclock.VC
 	vcID  vclock.ID
 	fresh bool // bump the VC at the next VC-recording event (batching, §4)
