@@ -8,10 +8,13 @@
 #   go test -race   the packages with concurrency: the sharded stage ③
 #                   analysis (internal/hawkset, exercised from the root
 #                   package's app-workload differential test), the
-#                   cooperative scheduler (internal/sched), the
-#                   ingestion daemon (internal/pmcheckd: concurrent
-#                   tenants, fault-injected reconnects, drain/recovery),
-#                   and the site table two goroutines share (internal/sites)
+#                   cooperative scheduler (internal/sched) and the runtime
+#                   state its coroutine handoffs must order (internal/pmrt),
+#                   the crash-injection campaign's guarded recovery probes
+#                   (internal/crashinject), the ingestion daemon
+#                   (internal/pmcheckd: concurrent tenants, fault-injected
+#                   reconnects, drain/recovery), and the site table two
+#                   goroutines share (internal/sites)
 #   benchmark   the pipeline benchmark's own module, which the root
 #               go test ./... does not reach
 #   arm64       vet and build for a non-amd64 target, so the fallback of
@@ -51,7 +54,7 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test ./...
-go test -race . ./internal/hawkset ./internal/sched ./internal/pmcheckd ./internal/sites
+go test -race . ./internal/hawkset ./internal/sched ./internal/pmrt ./internal/crashinject ./internal/pmcheckd ./internal/sites
 (cd benchmark && go test ./...)
 GOARCH=arm64 go vet ./internal/sites ./internal/pmrt
 GOARCH=arm64 go build ./...

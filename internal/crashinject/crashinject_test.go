@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -192,10 +193,10 @@ func TestRecoveryLivelockHitsStepBound(t *testing.T) {
 // scratch buffers but still finishes the remaining points.
 func TestRecoveryWallTimeout(t *testing.T) {
 	tg := syntheticTarget(3)
-	hangs := 0
+	// The abandoned probe goroutine and the next one both count.
+	var hangs atomic.Int32
 	tg.Recover = func(img *pmem.Pool, cfg Config) error {
-		hangs++
-		if hangs == 1 {
+		if hangs.Add(1) == 1 {
 			select {} // blocks forever; the probe goroutine is abandoned
 		}
 		return nil

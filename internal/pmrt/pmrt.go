@@ -187,7 +187,7 @@ func NewWithPool(cfg Config, pool *pmem.Pool, heap *pmem.Heap) *Runtime {
 // Run executes main as the root simulated thread and returns when all
 // threads have finished (or a deadlock/livelock error). The site-capture
 // counts of the run go to Config.Metrics as sites.fast, sites.slow and
-// sites.resolved.
+// sites.resolved, and the scheduler's as sched.steps and sched.switches.
 func (r *Runtime) Run(main func(c *Ctx)) error {
 	err := r.Sched.Run(func(t *sched.Thread) {
 		main(&Ctx{r: r, th: t})
@@ -196,6 +196,8 @@ func (r *Runtime) Run(main func(c *Ctx)) error {
 	r.cfg.Metrics.Counter("sites.fast").Add(n.Fast)
 	r.cfg.Metrics.Counter("sites.slow").Add(n.Slow)
 	r.cfg.Metrics.Counter("sites.resolved").Add(n.Resolved)
+	r.cfg.Metrics.Counter("sched.steps").Add(r.Sched.Steps())
+	r.cfg.Metrics.Counter("sched.switches").Add(r.Sched.Switches())
 	return err
 }
 

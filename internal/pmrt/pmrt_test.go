@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hawkset/internal/hawkset"
+	"hawkset/internal/obs"
 	"hawkset/internal/sites"
 	"hawkset/internal/trace"
 )
@@ -514,6 +515,36 @@ func TestEventSinkOnlineAnalysis(t *testing.T) {
 	}
 	if len(online.Reports) == 0 {
 		t.Fatal("online analysis missed the Figure 1c race")
+	}
+}
+
+// TestSchedCounters: Run reports the scheduler's step and switch counts as
+// side-band metrics.
+func TestSchedCounters(t *testing.T) {
+	reg := obs.NewRegistry()
+	r := New(Config{Seed: 1, PoolSize: 1 << 16, Metrics: reg})
+	err := r.Run(func(c *Ctx) {
+		a := c.Alloc(64)
+		th := c.Spawn(func(c *Ctx) {
+			for i := uint64(0); i < 8; i++ {
+				c.Store8(a+8*i, i)
+			}
+		})
+		for i := 0; i < 8; i++ {
+			c.Load8(a)
+		}
+		c.Join(th)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	steps, switches := snap.Counter("sched.steps"), snap.Counter("sched.switches")
+	if steps != r.Sched.Steps() {
+		t.Errorf("sched.steps = %d, want %d", steps, r.Sched.Steps())
+	}
+	if switches == 0 || switches > steps {
+		t.Errorf("sched.switches = %d, want 0 < switches <= sched.steps (%d)", switches, steps)
 	}
 }
 
