@@ -17,6 +17,7 @@ package bench
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -269,10 +270,10 @@ func BenchmarkAnalysisThroughput(b *testing.B) {
 	b.ReportMetric(float64(rt.Trace.Len()), "events/op")
 }
 
-// BenchmarkParallelAnalysis sweeps the stage-③ worker count on 100k-op
-// workloads. Workers=1 is the sequential reference path; the sharded runs
-// produce byte-identical reports (see parallel_test.go), so any speedup is
-// free accuracy-wise.
+// BenchmarkParallelAnalysis sweeps the stage-③ shard count, which follows
+// GOMAXPROCS, on 100k-op workloads. workers=1 is the sequential path; the
+// sharded runs produce byte-identical reports (see parallel_test.go), so any
+// speedup is free accuracy-wise.
 func BenchmarkParallelAnalysis(b *testing.B) {
 	for _, name := range []string{"Fast-Fair", "Memcached-pmem"} {
 		e, err := apps.Lookup(name)
@@ -285,31 +286,16 @@ func BenchmarkParallelAnalysis(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
-			workers := workers
 			b.Run(benchName(e.Name, ops)+"/workers="+strconv.Itoa(workers), func(b *testing.B) {
-				cfg := hawkset.DefaultConfig()
-				cfg.Workers = workers
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 				var reports int
 				for i := 0; i < b.N; i++ {
-					res := hawkset.Analyze(rt.Trace, cfg)
+					res := hawkset.Analyze(rt.Trace, hawkset.DefaultConfig())
 					reports = len(res.Reports)
 				}
 				b.ReportMetric(float64(reports), "races/op")
 			})
 		}
-		// The full-VC reference path (epochs off), single worker: the cost of
-		// the exact fallback the epoch fast path is measured against.
-		b.Run(benchName(e.Name, ops)+"/reference", func(b *testing.B) {
-			cfg := hawkset.DefaultConfig()
-			cfg.Workers = 1
-			cfg.Epochs = false
-			var reports int
-			for i := 0; i < b.N; i++ {
-				res := hawkset.Analyze(rt.Trace, cfg)
-				reports = len(res.Reports)
-			}
-			b.ReportMetric(float64(reports), "races/op")
-		})
 	}
 }
 
@@ -348,9 +334,11 @@ func BenchmarkVClockOps(b *testing.B) {
 			vclock.Leq(v1, v2)
 		}
 	})
-	b.Run("concurrent", func(b *testing.B) {
+	b.Run("leq-id", func(b *testing.B) {
+		tab := vclock.NewTable()
+		a, c := tab.InternOwned(v1, 0), tab.Intern(v2)
 		for i := 0; i < b.N; i++ {
-			vclock.Concurrent(v1, v2)
+			tab.LeqID(a, c)
 		}
 	})
 	b.Run("intern", func(b *testing.B) {

@@ -23,10 +23,12 @@
 #   go test -bench  one iteration of every benchmark — a smoke test that
 #                   the benchmark harness still compiles and runs, not a
 #                   performance measurement — plus a targeted iteration of
-#                   the stage-③ epoch fast path (workers=1) and the full-VC
-#                   reference path (Epochs off), so both analysis paths stay
-#                   runnable end to end (byte-identity between them is pinned
-#                   by TestDifferentialEpochVsReference)
+#                   the sequential stage ③ (workers=1, i.e. GOMAXPROCS=1),
+#                   so the single-shard path stays runnable end to end
+#   oracle fuzz  30 s of FuzzAnalyzeVsOracle beyond its seed corpus (which
+#                go test already runs): generated programs whose reports
+#                Analyze must match against the brute-force Definition-1
+#                oracle, which shares no code with the replayer
 #   pmlint      static PM-misuse checks over the pmrt API; the committed
 #               baseline records the intentional findings (the apps embed
 #               the paper's Table 2 bugs), so only NEW findings fail
@@ -59,7 +61,8 @@ go test -race . ./internal/hawkset ./internal/sched ./internal/pmrt ./internal/c
 GOARCH=arm64 go vet ./internal/sites ./internal/pmrt
 GOARCH=arm64 go build ./...
 go test -run '^$' -bench . -benchtime 1x ./...
-go test -run '^$' -bench 'BenchmarkParallelAnalysis/.*/(workers=1|reference)$' -benchtime 1x .
+go test -run '^$' -bench 'BenchmarkParallelAnalysis/.*/workers=1$' -benchtime 1x .
+go test -run '^$' -fuzz '^FuzzAnalyzeVsOracle$' -fuzztime 30s ./internal/hawkset
 go run ./cmd/pmlint -baseline pmlint.baseline ./...
 
 # Trace round-trip smoke: a stored trace must BE the trace. Capture once

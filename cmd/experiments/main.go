@@ -44,7 +44,6 @@ func main() {
 		seeds    = flag.Int("seeds", 240, "seed-corpus size for Table 3 (paper: 240)")
 		sizes    = flag.String("sizes", "1000,10000,100000", "workload sizes for Figure 6")
 		seed     = flag.Int64("seed", 42, "base seed")
-		wrk      = flag.Int("workers", 0, "stage ③ analysis goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical for any value")
 		progress = flag.Bool("progress", false, "print periodic crash-campaign progress lines to stderr")
 	)
 	var obsFlags obscli.Flags
@@ -54,7 +53,6 @@ func main() {
 		check(err)
 	}
 	metrics := obsFlags.Registry()
-	expmt.AnalysisWorkers = *wrk
 	expmt.Metrics = metrics
 	if !*t2 && !*t3 && !*t4 && !*f6 && !*dur && !*auto && !*crash && !*opt && !*all {
 		flag.Usage()

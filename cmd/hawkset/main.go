@@ -41,7 +41,6 @@ func main() {
 		ss       = flag.Bool("store-store", false, "experimental: also report write-write pairs (classic Eraser behavior; §3.1.1 explains why HawkSet does not)")
 		anaEADR  = flag.Bool("analysis-eadr", false, "analyze under eADR semantics (the §2.1 ablation: the race class is empty)")
 		eadr     = flag.Bool("eadr", false, "run the device with a persistent cache (eADR)")
-		workers  = flag.Int("workers", 0, "stage ③ analysis goroutines (0 = GOMAXPROCS, 1 = sequential); any value yields identical reports")
 		stats    = flag.Bool("stats", false, "print analysis statistics")
 		jsonOut  = flag.String("json", "", "write a machine-readable JSON report to this file (\"-\" for stdout)")
 		list     = flag.Bool("list", false, "list registered applications and exit")
@@ -74,7 +73,6 @@ func main() {
 	cfg.HBFilter = !*noHB
 	cfg.StoreStore = *ss
 	cfg.EADR = *anaEADR
-	cfg.Workers = *workers
 	cfg.Metrics = metrics
 
 	var entry *apps.Entry

@@ -92,7 +92,7 @@ func Analyze(tr *trace.Trace) *Result {
 		if size == 0 {
 			size = 1
 		}
-		for l := pmem.LineOf(r.addr); l <= pmem.LineOf(r.addr+uint64(size)-1); l++ {
+		for l, last := pmem.LineOf(r.addr), pmem.LineOf(pmem.LastByte(r.addr, uint64(size))); l <= last; l++ {
 			buckets[l] = append(buckets[l], r)
 		}
 	}
@@ -150,6 +150,9 @@ func Analyze(tr *trace.Trace) *Result {
 	return res
 }
 
+// overlaps reports whether two access ranges share a byte, counting a size-0
+// access as one byte. It compares in subtraction form: bAddr+bSize wraps
+// for a range that ends at the top of the address space.
 func overlaps(aAddr uint64, aSize uint32, bAddr uint64, bSize uint32) bool {
 	if aSize == 0 {
 		aSize = 1
@@ -157,7 +160,10 @@ func overlaps(aAddr uint64, aSize uint32, bAddr uint64, bSize uint32) bool {
 	if bSize == 0 {
 		bSize = 1
 	}
-	return aAddr < bAddr+uint64(bSize) && bAddr < aAddr+uint64(aSize)
+	if aAddr >= bAddr {
+		return aAddr-bAddr < uint64(bSize)
+	}
+	return bAddr-aAddr < uint64(aSize)
 }
 
 // Has reports whether a race between the two named sites (in either order)

@@ -106,3 +106,26 @@ func TestDedup(t *testing.T) {
 		t.Fatalf("Reports = %v, want one deduplicated report", res.Reports)
 	}
 }
+
+// TestRaceAtAddressSpaceTop: ranges at the top of the address space are
+// bucketed and compared like any other. Adding an address and a size there
+// wraps: the overlap test missed a pair covering the last 8 bytes, and the
+// bucket loop dropped a store running past the top.
+func TestRaceAtAddressSpaceTop(t *testing.T) {
+	const top = ^uint64(0)
+	b := trace.NewBuilder()
+	b.Store(1, top-7, 8, "t1.store.last8")
+	b.Load(2, top-7, 8, "t2.load.last8")
+	b.Store(1, top-3, 8, "t1.store.pasttop")
+	b.Load(2, top-3, 4, "t2.load.pasttop")
+
+	res := Analyze(b.T)
+	for _, pair := range [][2]string{
+		{"t1.store.last8", "t2.load.last8"},
+		{"t1.store.pasttop", "t2.load.pasttop"},
+	} {
+		if !res.Has(pair[0], pair[1]) {
+			t.Errorf("%s / %s missed; reports = %v", pair[0], pair[1], res.Reports)
+		}
+	}
+}

@@ -29,22 +29,16 @@ import (
 	"hawkset/internal/ycsb"
 )
 
-// AnalysisWorkers is the stage-③ worker count every experiment analyzes
-// with (hawkset.Config.Workers: 0 = GOMAXPROCS, 1 = sequential). The
-// results are identical for any value; only the analysis wall time moves.
-var AnalysisWorkers int
-
 // Metrics, when non-nil, is threaded into every analysis the experiments
 // run (hawkset.Config.Metrics). Side-band only: experiment rows are
-// identical with or without it. Like AnalysisWorkers it is a harness-wide
-// knob set once by cmd/experiments before any experiment runs.
+// identical with or without it. It is a harness-wide knob set once by
+// cmd/experiments before any experiment runs.
 var Metrics *obs.Registry
 
-// analysisConfig is the paper's configuration with the harness-wide worker
-// count applied.
+// analysisConfig is the paper's configuration with the harness-wide metrics
+// registry applied.
 func analysisConfig() hawkset.Config {
 	cfg := hawkset.DefaultConfig()
-	cfg.Workers = AnalysisWorkers
 	cfg.Metrics = Metrics
 	return cfg
 }

@@ -24,12 +24,12 @@ import (
 // locksets.
 //
 // The cache-line buckets are independent work units, so the pairing is
-// sharded across Config.Workers goroutines: the sorted bucket list is
+// sharded across GOMAXPROCS goroutines: the sorted bucket list is
 // partitioned into contiguous ranges, each worker runs with private memo
 // tables, a private report map and private counters, and the per-shard
 // results are merged in shard order. The merge reproduces the sequential
-// pair-processing order exactly, so the output is byte-identical to the
-// Workers=1 reference path for any worker count.
+// pair-processing order exactly, so the output is byte-identical to a
+// single-shard run for any GOMAXPROCS.
 func analyze(res *Result, cfg Config) {
 	// Buckets come from a block arena (most traces have thousands of
 	// single-record lines; one allocation per bucket was measurable), and the
@@ -72,12 +72,11 @@ func analyze(res *Result, cfg Config) {
 	sort.Slice(lineKeys, func(i, j int) bool { return lineKeys[i] < lineKeys[j] })
 
 	cfg.Metrics.Gauge("hawkset.analyze.buckets").Set(int64(len(lineKeys)))
-	shards := partitionLines(buckets, lineKeys, workerCount(cfg, len(lineKeys)), cfg.StoreStore)
+	shards := partitionLines(buckets, lineKeys, min(runtime.GOMAXPROCS(0), len(lineKeys)), cfg.StoreStore)
 	cfg.Metrics.Gauge("hawkset.analyze.shards").Set(int64(len(shards)))
 	outs := make([]*shardResult, len(shards))
 	if len(shards) == 1 {
-		// The sequential reference path (Workers=1, or a trace too small to
-		// split).
+		// The sequential path (GOMAXPROCS=1, or a trace too small to split).
 		stop := cfg.Metrics.Stage("hawkset.stage.analyze_shard")
 		outs[0] = analyzeShard(res, cfg, buckets, shards[0])
 		stop()
@@ -97,22 +96,6 @@ func analyze(res *Result, cfg Config) {
 	stopMerge := cfg.Metrics.Stage("hawkset.stage.merge")
 	mergeShards(res, outs)
 	stopMerge()
-}
-
-// workerCount resolves Config.Workers: 0 means GOMAXPROCS, and a shard needs
-// at least one bucket to be worth a goroutine.
-func workerCount(cfg Config, nLines int) int {
-	n := cfg.Workers
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > nLines {
-		n = nLines
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // partitionLines splits the sorted bucket list into at most workers
@@ -193,7 +176,7 @@ func analyzeShard(res *Result, cfg Config, buckets map[uint64]*storeLoadBucket, 
 		b := buckets[line]
 		memoHint += len(b.stores) + len(b.loads)
 	}
-	cmp := newComparer(res.Locksets, res.VClocks, cfg.Epochs && res.EpochSafe, memoHint)
+	cmp := newComparer(res.Locksets, res.VClocks, memoHint)
 	// ldScratch caches each load's last byte and spans-lines bit per bucket,
 	// computed once instead of once per store×load pair; the slice is reused
 	// across the shard's buckets.
@@ -299,7 +282,7 @@ func analyzeStoreStoreShard(res *Result, cfg Config, buckets map[uint64]*storeLo
 				// ends the earlier window exactly at the later store, so
 				// window-overlap reasoning would vacuously order every
 				// overwriting pair.
-				if cfg.HBFilter && (cmp.leq(st.Start, st2.Start) || cmp.leq(st2.Start, st.Start)) {
+				if cfg.HBFilter && (cmp.vc.LeqID(st.Start, st2.Start) || cmp.vc.LeqID(st2.Start, st.Start)) {
 					continue
 				}
 				if !cmp.disjoint(st.Eff, st2.Eff) {
@@ -337,7 +320,7 @@ func analyzeStoreStoreShard(res *Result, cfg Config, buckets map[uint64]*storeLo
 // shard 0's keys, then shard 1's, … visits reports in exactly the
 // first-appearance order of the sequential path, and applying a later
 // shard's aggregate is equivalent to replaying its pairs after the earlier
-// shard's — so the merged result is identical to the Workers=1 output.
+// shard's — so the merged result is identical to the single-shard output.
 func mergeShards(res *Result, outs []*shardResult) {
 	for _, o := range outs {
 		res.Stats.PairsChecked += o.stats.checked
@@ -422,37 +405,32 @@ type ldMeta struct {
 	spans bool
 }
 
-// comparer memoizes interned-ID comparisons. Each analysis shard owns one:
-// the memo maps are written during pairing, while the underlying interning
-// tables are read-only by then.
+// comparer memoizes lockset comparisons. Each analysis shard owns one: the
+// memo map is written during pairing, while the underlying interning tables
+// are read-only by then.
 //
-// With epochs enabled (Config.Epochs on a replay that kept the ownership
-// invariant), leq answers through the (tid, tick) epoch recorded for owned
-// clocks — one component read instead of a vector walk or a memo probe.
-// disjoint first intersects the precomputed lock signatures (zero proves
+// Happens-before queries go straight to the clock table's LeqID: one
+// component read for the owned event clocks every record carries. disjoint
+// first intersects the precomputed lock signatures (zero proves
 // disjointness) and walks small sets directly; only large inconclusive
 // pairs reach the memo.
 type comparer struct {
 	ls       *lockset.Table
 	vc       *vclock.Table
-	epochs   bool
 	disjMemo map[[2]lockset.ID]bool
-	leqMemo  map[[2]vclock.ID]bool
 }
 
-// newComparer builds a shard comparer. memoHint presizes the memo maps (the
+// newComparer builds a shard comparer. memoHint presizes the memo map (the
 // shard's record count is the natural bound: a shard cannot memoize more
 // distinct pairs than pairs it checks, and record counts cap those).
-func newComparer(ls *lockset.Table, vc *vclock.Table, epochs bool, memoHint int) *comparer {
+func newComparer(ls *lockset.Table, vc *vclock.Table, memoHint int) *comparer {
 	if memoHint > 1<<12 {
 		memoHint = 1 << 12
 	}
 	return &comparer{
 		ls:       ls,
 		vc:       vc,
-		epochs:   epochs,
 		disjMemo: make(map[[2]lockset.ID]bool, memoHint),
-		leqMemo:  make(map[[2]vclock.ID]bool, memoHint),
 	}
 }
 
@@ -485,24 +463,6 @@ func (c *comparer) disjoint(a, b lockset.ID) bool {
 	return v
 }
 
-func (c *comparer) leq(a, b vclock.ID) bool {
-	if a == b {
-		return true
-	}
-	if c.epochs {
-		if tid, tick, ok := c.vc.Epoch(a); ok {
-			return tick <= c.vc.Get(b).Get(int(tid))
-		}
-	}
-	key := [2]vclock.ID{a, b}
-	if v, ok := c.leqMemo[key]; ok {
-		return v
-	}
-	v := vclock.Leq(c.vc.Get(a), c.vc.Get(b))
-	c.leqMemo[key] = v
-	return v
-}
-
 // mayRace applies the inter-thread happens-before filter to a store window
 // and a load (§3.1.2). The load can fall inside the store's unpersisted
 // window unless it happens-before the store instruction or the window's
@@ -510,10 +470,10 @@ func (c *comparer) leq(a, b vclock.ID) bool {
 // the analysis catch Fig. 3's Store₃/Persist₃ case; checking the window
 // start as well additionally prunes loads that provably precede the store.
 func (c *comparer) mayRace(st *StoreData, ld *LoadData) bool {
-	if c.leq(ld.VC, st.Start) {
+	if c.vc.LeqID(ld.VC, st.Start) {
 		return false // load happens-before the store: it cannot read it
 	}
-	if st.End != NoVC && c.leq(st.End, ld.VC) {
+	if st.End != NoVC && c.vc.LeqID(st.End, ld.VC) {
 		return false // persisted (or overwritten) before the load could run
 	}
 	return true

@@ -176,22 +176,23 @@ func TestRaceAtAddressSpaceTopDetected(t *testing.T) {
 	}
 }
 
-// assertWorkersAgree analyzes the trace with the sequential reference
-// (Workers=1) and several parallel worker counts, requiring byte-identical
-// reports (content and order) and identical merged stats.
+// assertWorkersAgree analyzes the trace on one shard (GOMAXPROCS=1) and on
+// several shard counts, requiring byte-identical reports (content and order)
+// and identical merged stats.
 func assertWorkersAgree(t *testing.T, name string, tr *trace.Trace, cfg Config) {
 	t.Helper()
-	cfg.Workers = 1
+	procs := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(procs)
 	want := Analyze(tr, cfg)
-	for _, n := range []int{2, 7, runtime.GOMAXPROCS(0)} {
-		cfg.Workers = n
+	for _, n := range []int{2, 7, procs} {
+		runtime.GOMAXPROCS(n)
 		got := Analyze(tr, cfg)
 		if !reflect.DeepEqual(want.Reports, got.Reports) {
-			t.Errorf("%s: Workers=%d reports differ from sequential:\nseq: %+v\npar: %+v",
+			t.Errorf("%s: GOMAXPROCS=%d reports differ from sequential:\nseq: %+v\npar: %+v",
 				name, n, want.Reports, got.Reports)
 		}
 		if want.Stats != got.Stats {
-			t.Errorf("%s: Workers=%d stats differ:\nseq: %+v\npar: %+v", name, n, want.Stats, got.Stats)
+			t.Errorf("%s: GOMAXPROCS=%d stats differ:\nseq: %+v\npar: %+v", name, n, want.Stats, got.Stats)
 		}
 	}
 }

@@ -169,45 +169,3 @@ func TestDifferentialMetricsPopulated(t *testing.T) {
 		t.Error("hawkset.stage.replay never observed")
 	}
 }
-
-// TestDifferentialEpochVsReference: the epoch fast path is an exact
-// reduction, so {epochs on, epochs off (full-VC reference)} × {offline,
-// stream} × {workers 1, 3} must all produce byte-identical report documents.
-// The random traces include thread creates and joins, the events whose clock
-// propagation the epoch ownership argument is about, plus store-store
-// pairing so the write-write HB checks go through the epoch path too.
-func TestDifferentialEpochVsReference(t *testing.T) {
-	for _, storeStore := range []bool{false, true} {
-		storeStore := storeStore
-		f := func(seed int64) bool {
-			tr := randDiffTrace(rand.New(rand.NewSource(seed)))
-
-			ref := hawkset.DefaultConfig()
-			ref.Epochs = false
-			ref.StoreStore = storeStore
-			want := renderOffline(t, tr, ref)
-
-			epoch := ref
-			epoch.Epochs = true
-			for _, workers := range []int{1, 3} {
-				cfg := epoch
-				cfg.Workers = workers
-				if !bytes.Equal(want, renderOffline(t, tr, cfg)) {
-					return false
-				}
-				if !bytes.Equal(want, renderOnline(t, tr, cfg)) {
-					return false
-				}
-				cfgRef := ref
-				cfgRef.Workers = workers
-				if !bytes.Equal(want, renderOnline(t, tr, cfgRef)) {
-					return false
-				}
-			}
-			return true
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-			t.Fatalf("storeStore=%v: %v", storeStore, err)
-		}
-	}
-}

@@ -45,15 +45,6 @@ type Config struct {
 	// HBFilter prunes access pairs ordered by inter-thread happens-before
 	// (thread create/join vector clocks, §3.1.2).
 	HBFilter bool
-	// Epochs answers happens-before queries through the FastTrack-style
-	// (tid, tick) epoch summaries the replayer attaches to interned thread
-	// clocks: one component compare instead of a full vector walk. The
-	// reduction is exact, so reports, order and Stats are byte-identical
-	// with the switch on or off; off is the full-VC reference path the
-	// differential tests compare against. Ignored (full VCs used) when the
-	// trace broke the ownership invariant the reduction needs — see
-	// Result.EpochSafe.
-	Epochs bool
 	// StoreStore additionally reports store-store pairs. The paper
 	// deliberately does not (§3.1.1): store-store pairs cannot cause the
 	// causal load-side-effect dependency of a persistency-induced race.
@@ -68,13 +59,6 @@ type Config struct {
 	// original tool (it requires instrumenting non-standardized PM
 	// allocators). Traces without alloc events are unaffected.
 	AllocAware bool
-	// Workers is the number of goroutines the PM-Aware Lockset Analysis
-	// (stage ③) shards its cache-line buckets across: 0 uses GOMAXPROCS,
-	// 1 runs the sequential reference path. Every shard keeps private memo
-	// tables, reports and counters, and the shards are merged
-	// deterministically, so reports, their order and the merged Stats are
-	// byte-identical for any worker count.
-	Workers int
 	// Metrics, when non-nil, receives side-band observability data: a live
 	// event-throughput counter, the open-store retention gauges, per-stage
 	// timings (replay ①/② vs analyze ③ vs report sort, including per-shard
@@ -95,7 +79,7 @@ type Config struct {
 
 // DefaultConfig returns the configuration evaluated in the paper.
 func DefaultConfig() Config {
-	return Config{IRH: true, EffectiveLockset: true, Timestamps: true, HBFilter: true, Epochs: true}
+	return Config{IRH: true, EffectiveLockset: true, Timestamps: true, HBFilter: true}
 }
 
 // EndKind says how a store's unpersisted window ended.
@@ -210,12 +194,6 @@ type Result struct {
 	Stores  []StoreData
 	Loads   []LoadData
 	Stats   Stats
-
-	// EpochSafe reports whether the replay maintained the clock-ownership
-	// invariant the epoch fast path requires (no live-TID reuse). When
-	// false, the analysis used full vector-clock compares even under
-	// Config.Epochs.
-	EpochSafe bool
 
 	Locksets *lockset.Table
 	// VClocks is indexed by dense thread index (first-seen order), not by

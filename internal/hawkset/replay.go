@@ -66,13 +66,6 @@ type replayer struct {
 	// retires every persist cycle.
 	coveredPool [][]*openStore
 
-	// epochSafe records whether the trace maintained the ownership invariant
-	// the epoch fast path relies on: each thread's vector-clock component is
-	// advanced only by that thread. A duplicate thread-create (reusing a
-	// live TID) breaks it; the analysis then falls back to full-VC compares,
-	// which are always exact.
-	epochSafe bool
-
 	// onWindow, when set, receives every unpersisted window as it closes, in
 	// trace-event coordinates (see StoreWindow). It fires before the
 	// Initialization Removal Heuristic decides whether to keep the store:
@@ -260,7 +253,6 @@ func newReplayer(cfg Config) *replayer {
 		allocEpoch:  make(map[uint64]uint64),
 		stores:      make(map[storeKey]int32),
 		loadsSpill:  make(map[loadKey]int32),
-		epochSafe:   true,
 		mEvents:     cfg.Metrics.Counter("hawkset.replay.events"),
 		mOpenStores: cfg.Metrics.Gauge("hawkset.replay.open_stores"),
 		mLines:      cfg.Metrics.Gauge("hawkset.replay.lines"),
@@ -346,7 +338,7 @@ func (r *replayer) thread(tid int32) *threadState {
 // vector clock. Called at every VC-recording event (PM access or
 // window-closing fence). The interned clock is owned by the thread: it is
 // the thread's event clock at its current local tick, the precondition for
-// the epoch fast path (vclock.LeqID).
+// the epoch compare of vclock.LeqID.
 func (r *replayer) curVC(ts *threadState) vclock.ID {
 	if ts.fresh {
 		ts.vc = ts.vc.Bump(int(ts.idx))
@@ -399,8 +391,8 @@ func (r *replayer) feed(e trace.Event) {
 			// The TID is being reused while a state for it is live: clocks
 			// interned for the old incarnation share the component the new
 			// one will advance, so the per-component ownership the epoch
-			// compare relies on no longer holds. Fall back to full VCs.
-			r.epochSafe = false
+			// compare relies on no longer holds.
+			r.vc.Disown()
 			idx = old.idx
 		}
 		parent.vc = parent.vc.Bump(int(parent.idx))

@@ -80,13 +80,12 @@ func (s *Stream) Finish() (*Result, error) {
 		s.cfg.Metrics.Histogram("hawkset.stage.replay").Observe(time.Since(s.replayStart))
 	}
 	res := &Result{
-		Stores:    s.rp.storeList,
-		Loads:     s.rp.loadList,
-		Stats:     s.rp.stats,
-		EpochSafe: s.rp.epochSafe,
-		Locksets:  s.rp.ls,
-		VClocks:   s.rp.vc,
-		Sites:     s.sites,
+		Stores:   s.rp.storeList,
+		Loads:    s.rp.loadList,
+		Stats:    s.rp.stats,
+		Locksets: s.rp.ls,
+		VClocks:  s.rp.vc,
+		Sites:    s.sites,
 	}
 	res.Stats.LocksetsInterned = s.rp.ls.Len()
 	res.Stats.VClocksInterned = s.rp.vc.Len()

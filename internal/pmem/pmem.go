@@ -15,6 +15,7 @@
 package pmem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -289,7 +290,7 @@ func (p *Pool) Fence(tid int32) {
 			if end > p.Size() {
 				end = p.Size()
 			}
-			if equalBytes(p.volatile[base:end], p.persistent[base:end]) {
+			if bytes.Equal(p.volatile[base:end], p.persistent[base:end]) {
 				delete(p.dirty, l)
 			}
 		}
@@ -297,20 +298,11 @@ func (p *Pool) Fence(tid int32) {
 	p.mDirtyLines.Set(int64(len(p.dirty)))
 }
 
-func equalBytes(a, b []byte) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Persisted reports whether every byte of [addr, addr+size) is guaranteed to
 // be in the persistent domain (volatile and persistent views agree).
 func (p *Pool) Persisted(addr Addr, size uint64) bool {
 	p.check(addr, int(size))
-	return equalBytes(p.volatile[addr:addr+size], p.persistent[addr:addr+size])
+	return bytes.Equal(p.volatile[addr:addr+size], p.persistent[addr:addr+size])
 }
 
 // DirtyRead reports whether a load of [addr, addr+size) by tid would observe

@@ -260,10 +260,10 @@ func journalDiff(base, opt *crashinject.Prep, elide map[string]bool) error {
 	if ei != len(eops) {
 		return fmt.Errorf("journal differential: elided journal has %d unexpected trailing op(s)", len(eops)-ei)
 	}
-	if !bytesEqual(bs.per, os.per) {
+	if !bytes.Equal(bs.per, os.per) {
 		return fmt.Errorf("journal differential: final persistent images differ")
 	}
-	if !bytesEqual(bs.vol, os.vol) {
+	if !bytes.Equal(bs.vol, os.vol) {
 		return fmt.Errorf("journal differential: final volatile images differ")
 	}
 	return nil
@@ -278,7 +278,7 @@ func comparePer(a, b *shadowDev, lines map[uint64]bool, pos int) error {
 		if end > size {
 			end = size
 		}
-		if !bytesEqual(a.per[base:end], b.per[base:end]) {
+		if !bytes.Equal(a.per[base:end], b.per[base:end]) {
 			return fmt.Errorf("journal differential: persistent images diverge at line %d (baseline position %d)", l, pos)
 		}
 	}

@@ -12,6 +12,7 @@ package pmopt
 // uncommitted at run end.
 
 import (
+	"bytes"
 	"fmt"
 
 	"hawkset/internal/pmem"
@@ -154,7 +155,7 @@ func simulate(ops []pmem.Op, opSites []sites.ID, tab *sites.Table, poolSize uint
 				if e.nt || e.site != key {
 					ownOnly = false
 				}
-				changeless := bytesEqual(per[e.addr:e.addr+uint64(len(e.data))], e.data)
+				changeless := bytes.Equal(per[e.addr:e.addr+uint64(len(e.data))], e.data)
 				copy(per[e.addr:], e.data)
 				if e.nt {
 					continue
@@ -229,16 +230,4 @@ func priorNTOverlap(prior []pendEntry, lineBase uint64) bool {
 		}
 	}
 	return false
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -501,12 +501,31 @@ func (r *blockReader) next() (Event, error) {
 	return e, nil
 }
 
-// fill decodes the next block into r.events, or returns io.EOF after a
-// well-formed terminator.
+// fill reads the next block frame and decodes it into r.events, or returns
+// io.EOF after a well-formed terminator. The event storage is sized only
+// after the payload has decompressed and passed its CRC check, so a corrupt
+// frame never costs more than its own bytes.
 func (r *blockReader) fill() error {
 	r.events = r.events[:0]
 	r.idx = 0
-	raw, nev, err := r.load()
+	if r.done {
+		return io.EOF
+	}
+	nev, rawLen, storedLen, crc, err := r.readFrameHeader()
+	if err != nil {
+		return err
+	}
+	if r.done {
+		return io.EOF
+	}
+	if cap(r.stored) < storedLen {
+		r.stored = make([]byte, storedLen)
+	}
+	r.stored = r.stored[:storedLen]
+	if _, err := io.ReadFull(r.br, r.stored); err != nil {
+		return fmt.Errorf("trace: truncated block payload: %w", noEOF(err))
+	}
+	raw, err := r.materialize(rawLen, r.stored, crc)
 	if err != nil {
 		return err
 	}
@@ -515,33 +534,6 @@ func (r *blockReader) fill() error {
 	}
 	r.events = r.events[:nev]
 	return r.decodeBlock(raw, r.events)
-}
-
-// load reads the next block frame and returns its raw payload (valid until
-// the following load) with its event count, once the payload has
-// decompressed and passed its CRC check — or io.EOF after a well-formed
-// terminator. The caller sizes the block's event storage only after load
-// succeeds, so a corrupt frame never costs more than its own bytes.
-func (r *blockReader) load() (raw []byte, nev int, err error) {
-	if r.done {
-		return nil, 0, io.EOF
-	}
-	nev, rawLen, storedLen, crc, err := r.readFrameHeader()
-	if err != nil {
-		return nil, 0, err
-	}
-	if r.done {
-		return nil, 0, io.EOF
-	}
-	if cap(r.stored) < storedLen {
-		r.stored = make([]byte, storedLen)
-	}
-	r.stored = r.stored[:storedLen]
-	if _, err := io.ReadFull(r.br, r.stored); err != nil {
-		return nil, 0, fmt.Errorf("trace: truncated block payload: %w", noEOF(err))
-	}
-	raw, err = r.materialize(rawLen, r.stored, crc)
-	return raw, nev, err
 }
 
 // noEOF maps a bare io.EOF to io.ErrUnexpectedEOF: inside a block frame,

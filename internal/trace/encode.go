@@ -100,44 +100,24 @@ func EncodeWith(w io.Writer, t *Trace, o Options) error {
 }
 
 // Decode reads a binary trace in either format version, requiring the input
-// to end exactly after the last declared event. v1 events are appended one
-// at a time; each v2 block decodes in bulk straight into the trace's chunk
-// storage, reserved only after the block's payload has passed its CRC.
+// to end exactly after the last declared event: it appends what a Decoder
+// yields until Next reports io.EOF.
 func Decode(r io.Reader) (*Trace, error) {
 	d, err := NewDecoder(r)
 	if err != nil {
 		return nil, err
 	}
 	t := &Trace{Sites: d.Sites()}
-	if d.version == version1 {
-		for {
-			e, err := d.Next()
-			if err == io.EOF {
-				return t, nil
-			}
-			if err != nil {
-				return nil, fmt.Errorf("trace: event %d: %w", t.Len(), err)
-			}
-			t.Append(e)
-		}
-	}
-	b := d.blocks
 	for {
-		raw, nev, err := b.load()
+		e, err := d.Next()
 		if err == io.EOF {
-			break
+			return t, nil
 		}
 		if err != nil {
 			return nil, fmt.Errorf("trace: event %d: %w", t.Len(), err)
 		}
-		if err := b.decodeBlock(raw, t.reserve(nev)); err != nil {
-			return nil, fmt.Errorf("trace: event %d: %w", t.Len()-nev, err)
-		}
+		t.Append(e)
 	}
-	if err := d.requireEOF(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // Decoder streams a binary trace: the header and site table are read by

@@ -125,32 +125,20 @@ func New() *Trace {
 // Append adds an event.
 func (t *Trace) Append(e Event) {
 	if len(t.tail) == cap(t.tail) {
-		t.grow(1)
+		t.grow()
 	}
 	t.tail = append(t.tail, e)
 }
 
-// reserve extends the trace by n events and returns them as one contiguous
-// slice for the caller to fill in place: the decoder writes each v2 block
-// straight into the trace.
-func (t *Trace) reserve(n int) []Event {
-	if cap(t.tail)-len(t.tail) < n {
-		t.grow(n)
-	}
-	t.tail = t.tail[:len(t.tail)+n]
-	return t.tail[len(t.tail)-n:]
-}
-
-// grow retires the current chunk and starts one with room for at least n
-// events. A chunk retired before it is full keeps its spare capacity unused.
-func (t *Trace) grow(n int) {
+// grow retires the full current chunk and starts the next one.
+func (t *Trace) grow() {
 	next := firstChunk
 	if t.tail != nil {
 		t.full = append(t.full, t.tail)
 		t.nfull += len(t.tail)
 		next = min(2*cap(t.tail), maxChunk)
 	}
-	t.tail = make([]Event, 0, max(next, n))
+	t.tail = make([]Event, 0, next)
 }
 
 // Len returns the number of events.

@@ -66,13 +66,6 @@ func Leq(v, o VC) bool {
 	return true
 }
 
-// Concurrent reports whether v and o are incomparable: there are indices i,j
-// with v[i] < o[i] and v[j] > o[j] (§3.1.2). Equal clocks are not
-// concurrent.
-func Concurrent(v, o VC) bool {
-	return !Leq(v, o) && !Leq(o, v)
-}
-
 // String renders the clock as a tuple, e.g. "(3,0,1)".
 func (v VC) String() string {
 	var b strings.Builder
@@ -103,12 +96,15 @@ const NoOwner int32 = -1
 // owned clock a, happens-before reduces to one component compare:
 // Leq(a, b) ⇔ a[tid] ≤ b[tid], because a thread's component is advanced
 // only by that thread and propagates to other clocks only via create/join
-// edges that carry the whole clock. See LeqID.
+// edges that carry the whole clock. See LeqID. A construction that breaks
+// that premise calls Disown, and every compare is a full walk from then on.
 type Table struct {
 	byHash map[uint64][]ID
 	clocks []VC
 	owners []int32 // owning thread per ID (NoOwner when unknown)
 	ticks  []uint32
+	// disowned is set by Disown: InternOwned records no owner any more.
+	disowned bool
 }
 
 // NewTable returns a table whose ID 0 is the empty clock.
@@ -160,6 +156,9 @@ func (t *Table) Intern(v VC) ID {
 // different owner, the first one is kept (both are valid: either owner's
 // component works as an epoch for this value).
 func (t *Table) InternOwned(v VC, owner int32) ID {
+	if t.disowned {
+		owner = NoOwner
+	}
 	n := len(v)
 	for n > 0 && v[n-1] == 0 {
 		n--
@@ -192,19 +191,13 @@ func (t *Table) InternOwned(v VC, owner int32) ID {
 // Get resolves an ID to its clock. The returned slice must not be mutated.
 func (t *Table) Get(id ID) VC { return t.clocks[id] }
 
-// Epoch returns the (tid, tick) epoch of an owned clock, with ok=false when
-// the clock was interned without ownership.
-func (t *Table) Epoch(id ID) (tid int32, tick uint32, ok bool) {
-	tid = t.owners[id]
-	return tid, t.ticks[id], tid != NoOwner
-}
-
 // LeqID reports Leq(Get(a), Get(b)). When a is an owned clock the answer is
 // the O(1) epoch compare a[owner] ≤ b[owner]; otherwise it falls back to the
 // full component walk. The epoch reduction is exact — not an approximation —
 // for clocks produced by a create/join happens-before construction in which
 // each thread's component is advanced only by that thread (the replayer
-// guarantees this and interns with ownership only when the guarantee holds).
+// interns with ownership only at thread event clocks, and calls Disown when
+// a trace breaks the guarantee).
 func (t *Table) LeqID(a, b ID) bool {
 	if a == b {
 		return true
@@ -215,15 +208,18 @@ func (t *Table) LeqID(a, b ID) bool {
 	return Leq(t.clocks[a], t.clocks[b])
 }
 
+// Disown drops every ownership record, including those of clocks interned
+// later, so LeqID answers with the full component walk from now on. Call it
+// when a component stops being advanced by one thread only: a thread index
+// reused while its first holder's clocks are still in play gives two
+// threads one component, and the one-component compare would then order
+// clocks that full Leq leaves concurrent.
+func (t *Table) Disown() {
+	t.disowned = true
+	for i := range t.owners {
+		t.owners[i] = NoOwner
+	}
+}
+
 // Len returns the number of interned clocks.
 func (t *Table) Len() int { return len(t.clocks) }
-
-// ConcurrentID reports whether the clocks behind two IDs are concurrent,
-// short-circuiting on equal IDs (interning makes equality an integer
-// compare, the optimization HawkSet §4 describes).
-func (t *Table) ConcurrentID(a, b ID) bool {
-	if a == b {
-		return false
-	}
-	return Concurrent(t.clocks[a], t.clocks[b])
-}

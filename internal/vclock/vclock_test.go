@@ -38,19 +38,20 @@ func TestFigure3(t *testing.T) {
 	t3load := VC{5, 0, 1}   // T3 created at (5,0,0)
 	persist3 := VC{6, 0, 0} // T1 persists X after creating T3
 
-	if Concurrent(store1, t2load) {
+	concurrent := func(a, b VC) bool { return !Leq(a, b) && !Leq(b, a) }
+	if !Leq(store1, t2load) {
 		t.Error("Store1 must happen-before T2's load")
 	}
-	if Concurrent(store1, t3load) {
+	if !Leq(store1, t3load) {
 		t.Error("Store1 must happen-before T3's load")
 	}
-	if !Concurrent(t2load, t3load) {
+	if !concurrent(t2load, t3load) {
 		t.Error("T2 and T3 accesses must be concurrent")
 	}
-	if Concurrent(store3, t3load) {
+	if !Leq(store3, t3load) {
 		t.Error("Store3 alone is ordered before T3's creation")
 	}
-	if !Concurrent(persist3, t3load) {
+	if !concurrent(persist3, t3load) {
 		t.Error("Persist3 must be concurrent with T3's load (the race window)")
 	}
 }
@@ -91,22 +92,6 @@ func TestInternCanonical(t *testing.T) {
 	}
 }
 
-func TestConcurrentID(t *testing.T) {
-	tab := NewTable()
-	a := tab.Intern(VC{1, 0})
-	b := tab.Intern(VC{0, 1})
-	c := tab.Intern(VC{1, 1})
-	if !tab.ConcurrentID(a, b) {
-		t.Fatal("(1,0) and (0,1) must be concurrent")
-	}
-	if tab.ConcurrentID(a, c) {
-		t.Fatal("(1,0) happens-before (1,1)")
-	}
-	if tab.ConcurrentID(a, a) {
-		t.Fatal("a clock is not concurrent with itself")
-	}
-}
-
 func randVC(rng *rand.Rand) VC {
 	v := make(VC, rng.Intn(5))
 	for i := range v {
@@ -130,13 +115,6 @@ func TestPartialOrderProperties(t *testing.T) {
 		}
 		// Transitivity.
 		if Leq(a, b) && Leq(b, c) && !Leq(a, c) {
-			return false
-		}
-		// Concurrency is symmetric and irreflexive.
-		if Concurrent(a, b) != Concurrent(b, a) {
-			return false
-		}
-		if Concurrent(a, a) {
 			return false
 		}
 		// Join is an upper bound.
@@ -183,20 +161,23 @@ func TestString(t *testing.T) {
 // to a value first interned unowned, and the first owner wins on conflict.
 func TestEpochOwnership(t *testing.T) {
 	tab := NewTable()
+	epoch := func(id ID) (int32, uint32, bool) {
+		return tab.owners[id], tab.ticks[id], tab.owners[id] != NoOwner
+	}
 	a := tab.InternOwned(VC{2, 1}, 0)
-	if tid, tick, ok := tab.Epoch(a); !ok || tid != 0 || tick != 2 {
+	if tid, tick, ok := epoch(a); !ok || tid != 0 || tick != 2 {
 		t.Fatalf("Epoch = (%d,%d,%v), want (0,2,true)", tid, tick, ok)
 	}
 	// Unowned intern: no epoch.
 	b := tab.Intern(VC{1, 3})
-	if _, _, ok := tab.Epoch(b); ok {
+	if _, _, ok := epoch(b); ok {
 		t.Fatalf("unowned clock has an epoch")
 	}
 	// Ownership attaches on a later owned intern of the same value.
 	if id := tab.InternOwned(VC{1, 3}, 1); id != b {
 		t.Fatalf("re-intern changed ID: %d != %d", id, b)
 	}
-	if tid, tick, ok := tab.Epoch(b); !ok || tid != 1 || tick != 3 {
+	if tid, tick, ok := epoch(b); !ok || tid != 1 || tick != 3 {
 		t.Fatalf("attached Epoch = (%d,%d,%v), want (1,3,true)", tid, tick, ok)
 	}
 	// First owner wins: both owners are valid epochs for the same value, so
@@ -204,7 +185,7 @@ func TestEpochOwnership(t *testing.T) {
 	if id := tab.InternOwned(VC{2, 1}, 1); id != a {
 		t.Fatalf("re-intern changed ID")
 	}
-	if tid, _, _ := tab.Epoch(a); tid != 0 {
+	if tid, _, _ := epoch(a); tid != 0 {
 		t.Fatalf("owner overwritten: tid = %d, want 0", tid)
 	}
 }
@@ -243,5 +224,29 @@ func TestLeqIDMatchesLeq(t *testing.T) {
 	}
 	if !tab.LeqID(u1, u1) {
 		t.Fatalf("LeqID not reflexive")
+	}
+}
+
+// Disown turns every compare, for clocks interned before and after it, into
+// the full walk: a pair the epoch compare orders but Leq does not (the
+// pattern a reused thread index produces) is concurrent again.
+func TestDisown(t *testing.T) {
+	tab := NewTable()
+	// Owned by thread 1 at tick 1, yet not below (2,2): component 0 is ahead.
+	a := tab.InternOwned(VC{3, 1}, 1)
+	b := tab.InternOwned(VC{2, 2}, 1)
+	if !tab.LeqID(a, b) {
+		t.Fatal("the epoch compare should order the pair before Disown")
+	}
+	tab.Disown()
+	if tab.LeqID(a, b) {
+		t.Fatal("LeqID still uses the epoch after Disown")
+	}
+	c := tab.InternOwned(VC{4, 1}, 1)
+	if tab.LeqID(c, b) {
+		t.Fatal("a clock interned after Disown was given an owner")
+	}
+	if !tab.LeqID(b, b) || !tab.LeqID(tab.Intern(VC{1, 1}), b) {
+		t.Fatal("full compare lost an ordered pair")
 	}
 }
