@@ -366,6 +366,56 @@ func BenchmarkInstrumentation(b *testing.B) {
 	b.ReportMetric(float64(rt.Trace.Len()), "events")
 }
 
+// BenchmarkReplay measures replay ①/② alone: NewStream plus Feed of every
+// event of a captured trace, without Finish, so stage ③ is left out. The
+// inputs are those of the pipeline benchmark's reanalyze-memcached and
+// detect-fastfair workloads (Memcached-pmem/100k and Fast-Fair/18k at seed
+// 42). Each is captured, encoded and decoded to an event slice once, on the
+// sub-benchmark's first call and outside the timer.
+func BenchmarkReplay(b *testing.B) {
+	for _, in := range []struct {
+		app string
+		ops int
+	}{{"Memcached-pmem", 100000}, {"Fast-Fair", 18000}} {
+		var (
+			tr     *trace.Trace
+			events []trace.Event
+		)
+		b.Run(in.app, func(b *testing.B) {
+			if tr == nil {
+				e, err := apps.Lookup(in.app)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rt, err := apps.Run(e, ycsb.Generate(e.Spec(in.ops), 42), apps.RunConfig{Seed: 42})
+				if err != nil {
+					b.Fatal(err)
+				}
+				var enc bytes.Buffer
+				if err := trace.EncodeWith(&enc, rt.Trace, trace.Options{}); err != nil {
+					b.Fatal(err)
+				}
+				if tr, err = trace.Decode(&enc); err != nil {
+					b.Fatal(err)
+				}
+				for ev := range tr.Events() {
+					events = append(events, ev)
+				}
+				b.ResetTimer()
+			}
+			for i := 0; i < b.N; i++ {
+				st := hawkset.NewStream(tr.Sites, hawkset.DefaultConfig())
+				for _, ev := range events {
+					if err := st.Feed(ev); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(len(events)), "events/op")
+		})
+	}
+}
+
 // BenchmarkTraceCodec measures binary trace encode/decode throughput, plain
 // and flate-compressed, on the same 100k-op workloads
 // BenchmarkParallelAnalysis uses — the capture-once/analyze-many IO cost.

@@ -22,13 +22,17 @@
 #               on amd64 already checks the assembly's frame and arg sizes)
 #   go test -bench  one iteration of every benchmark — a smoke test that
 #                   the benchmark harness still compiles and runs, not a
-#                   performance measurement — plus a targeted iteration of
-#                   the sequential stage ③ (workers=1, i.e. GOMAXPROCS=1),
-#                   so the single-shard path stays runnable end to end
+#                   performance measurement; it includes BenchmarkReplay,
+#                   which captures its two traces once — plus a targeted
+#                   iteration of the sequential stage ③ (workers=1, i.e.
+#                   GOMAXPROCS=1), so the single-shard path stays runnable
+#                   end to end
 #   oracle fuzz  30 s of FuzzAnalyzeVsOracle beyond its seed corpus (which
-#                go test already runs): generated programs whose reports
-#                Analyze must match against the brute-force Definition-1
-#                oracle, which shares no code with the replayer
+#                go test already runs): generated programs, with PM
+#                allocations among their operations, whose reports Analyze
+#                must match against the brute-force Definition-1 oracle,
+#                which shares no code with the replayer, under the paper's
+#                configuration, its ablations, StoreStore, and AllocAware
 #   pmlint      static PM-misuse checks over the pmrt API; the committed
 #               baseline records the intentional findings (the apps embed
 #               the paper's Table 2 bugs), so only NEW findings fail

@@ -98,9 +98,12 @@ func oracle(tr *trace.Trace, cfg hawkset.Config) *oracleResult {
 		open    []*oWindow
 		windows []*oWindow
 		loads   []oLoad
-		// IRH publication state, keyed by an access's start address.
+		// IRH publication state, keyed by an access's start address. Under
+		// AllocAware, an allocation covering the line of an address's start
+		// makes its state stale: the next touch starts it afresh.
 		first     = map[uint64]int32{}
 		published = map[uint64]bool{}
+		stale     = map[uint64]bool{}
 	)
 	newStep := func(preds ...int) int {
 		n := len(anc)
@@ -123,6 +126,11 @@ func oracle(tr *trace.Trace, cfg hawkset.Config) *oracleResult {
 		return th
 	}
 	touch := func(tid int32, addr uint64) {
+		if stale[addr] {
+			delete(first, addr)
+			delete(published, addr)
+			delete(stale, addr)
+		}
 		if f, ok := first[addr]; !ok {
 			first[addr] = tid
 		} else if f != tid {
@@ -182,6 +190,15 @@ func oracle(tr *trace.Trace, cfg hawkset.Config) *oracleResult {
 			th.locks[e.Lock] = i
 		case trace.KLockRel:
 			delete(th.locks, e.Lock)
+		case trace.KAlloc:
+			if !cfg.AllocAware {
+				continue
+			}
+			for a := range first {
+				if e.Addr/64 <= a/64 && a/64 <= lastByte(e.Addr, e.Size)/64 {
+					stale[a] = true
+				}
+			}
 		case trace.KThreadCreate:
 			threads[e.Kid] = &oThread{step: newStep(th.step), locks: map[uint64]int{}}
 			th.step = newStep(th.step)
@@ -319,10 +336,12 @@ func overlap(a uint64, aSize uint32, b uint64, bSize uint32) bool {
 // The operations mix locked and unlocked stores and loads, persists inside
 // and outside critical sections, a lock released and reacquired between a
 // store and its persist (Fig. 2d), non-temporal stores, overwrites,
-// recursive locking, flushes of other threads' lines, and loads that their
-// own thread then persists. Accesses come from a small pool of addresses
-// with sub-line offsets, sometimes ending at the top of the address space,
-// and sizes from 0 to 200 bytes, so they overlap within and across lines.
+// recursive locking, flushes of other threads' lines, loads that their own
+// thread then persists, and allocations of accessed lines, some followed by
+// an initializing store and its persist. Accesses come from a small pool of
+// addresses with sub-line offsets, sometimes ending at the top of the
+// address space, and sizes from 0 to 200 bytes, so they overlap within and
+// across lines.
 func oracleTrace(rng *rand.Rand) *trace.Trace {
 	b := trace.NewBuilder()
 	n := 3 + rng.Intn(4) // main and 2–5 workers
@@ -352,7 +371,7 @@ func oracleTrace(rng *rand.Rand) *trace.Trace {
 		lock := uint64(1 + rng.Intn(nLocks))
 		site := func(kind string) string { return fmt.Sprintf("%s#%d", kind, rng.Intn(3)) }
 		var body op
-		switch rng.Intn(10) {
+		switch rng.Intn(11) {
 		case 0:
 			s := site("store")
 			body = func(tid int32) { b.Store(tid, addr, size, s) }
@@ -400,6 +419,15 @@ func oracleTrace(rng *rand.Rand) *trace.Trace {
 			return func(tid int32) { // recursive locking
 				b.Lock(tid, lock, "lock").Lock(tid, lock, "lock").Load(tid, addr, size, s)
 				b.Unlock(tid, lock, "unlock").Unlock(tid, lock, "unlock")
+			}
+		case 9:
+			s, p, reinit := site("store"), site("persist"), rng.Intn(2) == 0
+			body = func(tid int32) { // the lines are recycled, maybe reinitialized
+				b.Alloc(tid, addr/64*64, size, "alloc")
+				if reinit {
+					b.Store(tid, addr, size, s)
+					persist(tid, addr, size, p)
+				}
 			}
 		default:
 			s := site("load")
@@ -481,8 +509,9 @@ func oracleTrace(rng *rand.Rand) *trace.Trace {
 }
 
 // oracleConfigs are the configurations the oracle's corpus crosses with its
-// traces: the paper's, each pruning feature turned off, and store-store
-// checking with and without the happens-before filter.
+// traces: the paper's, each pruning feature turned off, store-store checking
+// with and without the happens-before filter, and the paper's with
+// AllocAware.
 func oracleConfigs() []hawkset.Config {
 	off := func(f func(*hawkset.Config)) hawkset.Config {
 		c := hawkset.DefaultConfig()
@@ -497,6 +526,7 @@ func oracleConfigs() []hawkset.Config {
 		off(func(c *hawkset.Config) { c.HBFilter = false }),
 		off(func(c *hawkset.Config) { c.StoreStore = true }),
 		off(func(c *hawkset.Config) { c.StoreStore, c.HBFilter = true, false }),
+		off(func(c *hawkset.Config) { c.AllocAware = true }),
 	}
 }
 
@@ -556,13 +586,17 @@ func checkOracle(t *testing.T, tr *trace.Trace, cfg hawkset.Config) *oracleResul
 
 // FuzzAnalyzeVsOracle holds Analyze to the oracle on generated programs.
 // The input picks the program and the configuration; the seed corpus runs
-// 40 programs under every configuration of oracleConfigs.
+// 40 programs under every configuration of oracleConfigs, plus program 56
+// under AllocAware: an allocation there covers a store's line inside its
+// window, and the store's persist still sees the publication the
+// allocation made stale, because publication resets only at the next touch.
 func FuzzAnalyzeVsOracle(f *testing.F) {
 	for seed := range int64(40) {
 		for c := range oracleConfigs() {
 			f.Add(seed, uint8(c))
 		}
 	}
+	f.Add(int64(56), uint8(len(oracleConfigs())-1))
 	f.Fuzz(func(t *testing.T, seed int64, c uint8) {
 		cfgs := oracleConfigs()
 		checkOracle(t, oracleTrace(rand.New(rand.NewSource(seed))), cfgs[int(c)%len(cfgs)])

@@ -1,6 +1,7 @@
 package hawkset
 
 import (
+	"math"
 	"sort"
 
 	"hawkset/internal/lockset"
@@ -29,34 +30,33 @@ type replayer struct {
 	// object is replaced (duplicate create).
 	lastTID int32
 	lastTS  *threadState
-	// lines maps a cache-line index to its open (visible-but-unpersisted)
-	// stores.
-	lines map[uint64][]*openStore
+	// lines holds, per cache line, the open (visible-but-unpersisted) stores
+	// and, under AllocAware, how many instrumented allocations have covered
+	// the line: publication state older than its line's current epoch is
+	// stale and resets on the next touch.
+	lines lineTab
 	// pub tracks, per access start address, which thread touched it first
-	// and whether a second thread has made it public (§3.1.3). Values, not
-	// pointers: the state is three words and transitions at most twice, so
-	// a pointer per address would only add an allocation and a cache miss
-	// to every access.
-	pub map[uint64]pubState
-	// allocEpoch tracks, per cache line, how many instrumented allocations
-	// have covered it (Config.AllocAware): publication state older than the
-	// line's current epoch is stale and resets on the next touch.
-	allocEpoch map[uint64]uint64
+	// and whether a second thread has made it public (§3.1.3). It is keyed
+	// by address, not by line, so it is a table of its own.
+	pub pubTab
 
-	// Dedup state. Records live in value slices (loadList/storeList) and the
-	// dedup maps hold int32 indices into them: the maps stay pointer-free
-	// (the GC never scans them) and the records are contiguous. Load keys
-	// whose fields fit the 64-bit packing go through loadsPacked — a 16-byte
-	// key hashed in one shot — fronted by a small direct-mapped cache that
-	// exploits the temporal locality of hot records (a tree root re-read on
-	// every operation dedups without touching the big map). Out-of-range
-	// fields (huge TIDs, >16KB loads, very long streams) spill to the exact
-	// struct-keyed map; a key deterministically belongs to exactly one map.
-	stores     map[storeKey]int32
-	loadsPack  loadTab
-	loadsSpill map[loadKey]int32
+	// Dedup state. Records live in value slices (storeList/loadList) and the
+	// tables hold int32 indices into them, so the records are contiguous and
+	// the tables are pointer-free arrays the GC never scans. A load whose key
+	// fields fit the 64-bit packing dedups in loads, whose entry holds the
+	// whole key and the record's later hits: a repeated load touches one
+	// table entry and not its record, and finish adds the hits to loadList.
+	// Stores, and loads with out-of-range fields (huge TIDs, >16KB loads,
+	// very long streams), dedup by a hash of the record's fields that is
+	// confirmed against the record itself. A load key deterministically
+	// belongs to exactly one of the two load tables.
+	stores     recTab
+	loads      loadTab
+	loadsSpill recTab
 	storeList  []StoreData
 	loadList   []LoadData
+	// effBuf is the buffer close computes effective locksets in.
+	effBuf lockset.Set
 
 	// osArena block-allocates openStore records: stage ① opens one per
 	// dynamic store, and allocating them individually made the allocator the
@@ -85,12 +85,6 @@ type replayer struct {
 	mLines      *obs.Gauge
 }
 
-type pubState struct {
-	first     int32
-	published bool
-	epoch     uint64
-}
-
 // openStore is a visible store whose persistence window is still open.
 type openStore struct {
 	tid   int32
@@ -115,9 +109,9 @@ type threadState struct {
 	vc    vclock.VC
 	vcID  vclock.ID
 	fresh bool // bump the VC at the next VC-recording event (batching, §4)
-	// lsID caches the interned, timestamp-stripped lockset of set; lsOK is
-	// cleared on every lock event so loads between lock transitions — the
-	// overwhelming majority — intern nothing.
+	// lsID caches the interned lock identities of set; lsOK is cleared on
+	// every lock event so loads between lock transitions — the overwhelming
+	// majority — intern nothing.
 	lsID lockset.ID
 	lsOK bool
 	// pending holds flush snapshots awaiting this thread's next fence.
@@ -129,31 +123,211 @@ type pendingFlush struct {
 	covered []*openStore
 }
 
-// storeKey dedups store records: two dynamic stores with identical shape
-// collapse into one StoreData with a count (the grouping optimization, §4).
-type storeKey struct {
-	tid     int32
-	addr    uint64
-	size    uint32
-	site    sites.ID
-	eff     lockset.ID
-	start   vclock.ID
-	end     vclock.ID
-	endKind EndKind
+// The replayer's tables are open-addressing hash tables with linear probing
+// over flat entry arrays. Every dynamic PM access probes several of them, so
+// a lookup is kept to one multiply-hash and, at the load factors kept here,
+// almost always one probe: no hash-function call, no bucket indirection.
+
+// hash2 mixes two words into a table hash.
+func hash2(a, b uint64) uint64 {
+	h := a*0x9E3779B97F4A7C15 ^ b*0xC2B2AE3D27D4EB4F
+	h ^= h >> 29
+	h *= 0xBF58476D1CE4E5B9
+	return h ^ h>>32
 }
 
-type loadKey struct {
-	tid  int32
-	addr uint64
-	size uint32
-	site sites.ID
-	ls   lockset.ID
-	vc   vclock.ID
+const tabInitBits = 10
+
+// rehash returns a table of n slots holding the live entries of old, each
+// placed by linear probing from its home slot. home returns an entry's hash
+// and whether the slot is in use.
+func rehash[E any](old []E, n int, home func(*E) (uint64, bool)) []E {
+	entries := make([]E, n)
+	mask := uint64(n - 1)
+	for k := range old {
+		h, live := home(&old[k])
+		if !live {
+			continue
+		}
+		for i := h & mask; ; i = (i + 1) & mask {
+			if _, used := home(&entries[i]); !used {
+				entries[i] = old[k]
+				break
+			}
+		}
+	}
+	return entries
+}
+
+// lineTab maps a cache line to its open stores and allocation epoch. It is
+// kept at most three-quarters full. A line left with no open store and
+// epoch 0 is deleted by backward shift, so the table holds only live lines
+// and needs no tombstones.
+type lineTab struct {
+	entries []lineEntry
+	used    int
+	open    int // lines holding open stores
+}
+
+type lineEntry struct {
+	key   uint64 // line + 1; 0 marks an empty slot
+	epoch uint64 // instrumented allocations that covered the line
+	open  []*openStore
+}
+
+// find returns the slot of line, or -1.
+func (t *lineTab) find(line uint64) int {
+	if t.used == 0 {
+		return -1
+	}
+	mask := uint64(len(t.entries) - 1)
+	for i := hash2(line, 0) & mask; ; i = (i + 1) & mask {
+		switch t.entries[i].key {
+		case line + 1:
+			return int(i)
+		case 0:
+			return -1
+		}
+	}
+}
+
+// insert returns the slot of line, adding an empty entry if it is absent.
+func (t *lineTab) insert(line uint64) int {
+	t.reserve(1)
+	mask := uint64(len(t.entries) - 1)
+	for i := hash2(line, 0) & mask; ; i = (i + 1) & mask {
+		switch t.entries[i].key {
+		case line + 1:
+			return int(i)
+		case 0:
+			t.entries[i].key = line + 1
+			t.used++
+			return int(i)
+		}
+	}
+}
+
+// reserve grows the table so that n more lines fit. A store spanning many
+// lines reserves them all at once, so the table is allocated at its final
+// size instead of through every doubling.
+func (t *lineTab) reserve(n int) {
+	size := max(len(t.entries), 1<<tabInitBits)
+	for 4*(t.used+n) > 3*size {
+		size *= 2
+	}
+	if size != len(t.entries) {
+		t.entries = rehash(t.entries, size, lineHome)
+	}
+}
+
+func lineHome(e *lineEntry) (uint64, bool) { return hash2(e.key-1, 0), e.key != 0 }
+
+// remove deletes slot i. Each later entry of the probe run whose home slot
+// does not lie between the hole and itself moves back into the hole, so
+// every remaining entry stays reachable from its home slot.
+func (t *lineTab) remove(i int) {
+	mask := len(t.entries) - 1
+	for j := (i + 1) & mask; t.entries[j].key != 0; j = (j + 1) & mask {
+		h, _ := lineHome(&t.entries[j])
+		if home := int(h) & mask; (j-home)&mask >= (j-i)&mask {
+			t.entries[i] = t.entries[j]
+			i = j
+		}
+	}
+	t.entries[i] = lineEntry{}
+	t.used--
+}
+
+// epoch returns the allocation epoch of line.
+func (t *lineTab) epoch(line uint64) uint64 {
+	if i := t.find(line); i >= 0 {
+		return t.entries[i].epoch
+	}
+	return 0
+}
+
+// pubTab maps an access start address to its publication state. Entries are
+// never deleted, and the table is kept at most half full.
+type pubTab struct {
+	entries []pubEntry
+	used    int
+}
+
+type pubEntry struct {
+	addr      uint64
+	epoch     uint64 // the start line's allocation epoch at the first touch
+	first     int32
+	published bool
+	live      bool // the slot is in use (address 0 is a valid key)
+}
+
+// lookup returns the entry for addr, or the empty slot where it belongs. The
+// caller fills the slot to insert and must then call grew().
+func (t *pubTab) lookup(addr uint64) *pubEntry {
+	if t.entries == nil {
+		t.entries = make([]pubEntry, 1<<tabInitBits)
+	}
+	mask := uint64(len(t.entries) - 1)
+	for i := hash2(addr, 0) & mask; ; i = (i + 1) & mask {
+		e := &t.entries[i]
+		if !e.live || e.addr == addr {
+			return e
+		}
+	}
+}
+
+// grew records an insertion and doubles the table at 50% occupancy.
+func (t *pubTab) grew() {
+	t.used++
+	if t.used*2 >= len(t.entries) {
+		t.entries = rehash(t.entries, 2*len(t.entries), func(e *pubEntry) (uint64, bool) {
+			return hash2(e.addr, 0), e.live
+		})
+	}
+}
+
+// recTab indexes records by a hash of their fields; the caller confirms a
+// hash match against the record. Entries are never deleted, and the table
+// is kept at most half full.
+type recTab struct {
+	entries []recEntry
+	used    int
+}
+
+type recEntry struct {
+	hash uint64
+	idx  int32 // record index + 1; 0 = empty slot
+}
+
+// lookup returns the entry whose hash is h and whose record satisfies same,
+// or the empty slot where such a record belongs. The caller fills the slot
+// to insert and must then call grew().
+func (t *recTab) lookup(h uint64, same func(idx int32) bool) *recEntry {
+	if t.entries == nil {
+		t.entries = make([]recEntry, 1<<tabInitBits)
+	}
+	mask := uint64(len(t.entries) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		e := &t.entries[i]
+		if e.idx == 0 || e.hash == h && same(e.idx-1) {
+			return e
+		}
+	}
+}
+
+// grew records an insertion and doubles the table at 50% occupancy.
+func (t *recTab) grew() {
+	t.used++
+	if t.used*2 >= len(t.entries) {
+		t.entries = rehash(t.entries, 2*len(t.entries), func(e *recEntry) (uint64, bool) {
+			return e.hash, e.idx != 0
+		})
+	}
 }
 
 // packLoad bit budget, low to high. The bounds cover every realistic trace
 // (the apps use tens of threads, sub-KB accesses, thousands of sites and
-// locksets); anything larger spills to the exact map.
+// locksets); anything larger dedups in loadsSpill.
 const (
 	packVCBits   = 12
 	packLSBits   = 14
@@ -178,13 +352,10 @@ func packLoad(tid int32, size uint32, site sites.ID, ls lockset.ID, vc vclock.ID
 		uint64(uint32(tid))<<(packVCBits+packLSBits+packSiteBits+packSizeBits), true
 }
 
-// loadTab is an open-addressing hash table from (addr, packed key) to a
-// loadList index. It replaces a runtime map on the single hottest lookup of
-// the whole pipeline (one probe per dynamic PM load): linear probing over a
-// flat entry array needs one multiply-hash and, at the 50% load factor
-// enforced here, almost always exactly one 24-byte probe — no hash-function
-// call, no 16-byte memequal, no bucket indirection. Entries are never
-// deleted, which is what makes the linear probe correct.
+// loadTab maps (addr, packed key) to a loadList index and the record's hits
+// since it was added. It serves the single hottest lookup of the whole
+// pipeline, one probe per dynamic PM load. Entries are never deleted, and
+// the table is kept at most half full.
 type loadTab struct {
 	entries []loadTabEntry
 	used    int
@@ -193,16 +364,8 @@ type loadTab struct {
 type loadTabEntry struct {
 	addr uint64
 	key  uint64
-	idx  int32 // loadList index + 1; 0 = empty slot
-}
-
-const loadTabInitBits = 13
-
-func loadTabHash(addr, key uint64) uint64 {
-	h := addr*0x9E3779B97F4A7C15 ^ key*0xC2B2AE3D27D4EB4F
-	h ^= h >> 29
-	h *= 0xBF58476D1CE4E5B9
-	return h ^ h>>32
+	idx  int32  // loadList index + 1; 0 = empty slot
+	hits uint32 // repeats not yet added to the record's Count
 }
 
 // lookup returns a pointer to the entry for (addr, key), or to the empty
@@ -210,10 +373,10 @@ func loadTabHash(addr, key uint64) uint64 {
 // must then call grew().
 func (t *loadTab) lookup(addr, key uint64) *loadTabEntry {
 	if t.entries == nil {
-		t.entries = make([]loadTabEntry, 1<<loadTabInitBits)
+		t.entries = make([]loadTabEntry, 1<<tabInitBits)
 	}
 	mask := uint64(len(t.entries) - 1)
-	for i := loadTabHash(addr, key) & mask; ; i = (i + 1) & mask {
+	for i := hash2(addr, key) & mask; ; i = (i + 1) & mask {
 		e := &t.entries[i]
 		if e.idx == 0 || (e.addr == addr && e.key == key) {
 			return e
@@ -221,24 +384,13 @@ func (t *loadTab) lookup(addr, key uint64) *loadTabEntry {
 	}
 }
 
-// grew records an insertion and rehashes at 50% occupancy.
+// grew records an insertion and doubles the table at 50% occupancy.
 func (t *loadTab) grew() {
 	t.used++
-	if t.used*2 < len(t.entries) {
-		return
-	}
-	old := t.entries
-	t.entries = make([]loadTabEntry, 2*len(old))
-	mask := uint64(len(t.entries) - 1)
-	for _, e := range old {
-		if e.idx == 0 {
-			continue
-		}
-		i := loadTabHash(e.addr, e.key) & mask
-		for t.entries[i].idx != 0 {
-			i = (i + 1) & mask
-		}
-		t.entries[i] = e
+	if t.used*2 >= len(t.entries) {
+		t.entries = rehash(t.entries, 2*len(t.entries), func(e *loadTabEntry) (uint64, bool) {
+			return hash2(e.addr, e.key), e.idx != 0
+		})
 	}
 }
 
@@ -248,11 +400,6 @@ func newReplayer(cfg Config) *replayer {
 		ls:          lockset.NewTable(),
 		vc:          vclock.NewTable(),
 		threads:     make(map[int32]*threadState),
-		lines:       make(map[uint64][]*openStore),
-		pub:         make(map[uint64]pubState),
-		allocEpoch:  make(map[uint64]uint64),
-		stores:      make(map[storeKey]int32),
-		loadsSpill:  make(map[loadKey]int32),
 		mEvents:     cfg.Metrics.Counter("hawkset.replay.events"),
 		mOpenStores: cfg.Metrics.Gauge("hawkset.replay.open_stores"),
 		mLines:      cfg.Metrics.Gauge("hawkset.replay.lines"),
@@ -286,37 +433,38 @@ func (r *replayer) putCovered(s []*openStore) {
 	r.coveredPool = append(r.coveredPool, s[:0])
 }
 
-// setLine writes a compacted line list back, keeping the retention gauges
-// honest: removed entries decrement mOpenStores, and emptied lines leave the
-// map instead of lingering as dead keys.
-func (r *replayer) setLine(line uint64, kept []*openStore, was int) {
-	if removed := was - len(kept); removed > 0 {
+// setOpen writes a compacted open list back to line slot i, keeping the
+// retention gauges honest: removed entries decrement mOpenStores, and a line
+// left with no open store (and no allocation epoch) leaves the table instead
+// of lingering as a dead entry.
+func (r *replayer) setOpen(i int, kept []*openStore) {
+	e := &r.lines.entries[i]
+	if removed := len(e.open) - len(kept); removed > 0 {
 		r.mOpenStores.Add(-int64(removed))
 	}
 	if len(kept) == 0 {
-		delete(r.lines, line)
-	} else {
-		r.lines[line] = kept
+		if len(e.open) > 0 {
+			r.lines.open--
+		}
+		kept = nil
 	}
-	r.mLines.Set(int64(len(r.lines)))
+	e.open = kept
+	if kept == nil && e.epoch == 0 {
+		r.lines.remove(i)
+	}
+	r.mLines.Set(int64(r.lines.open))
 }
 
-// compactLines sweeps closed entries out of every line covered by
-// [addr, addr+size).
-func (r *replayer) compactLines(addr uint64, size uint32) {
-	linesOf(addr, size, func(line uint64) {
-		open, ok := r.lines[line]
-		if !ok {
-			return
+// compactLine sweeps closed entries out of line slot i.
+func (r *replayer) compactLine(i int) {
+	open := r.lines.entries[i].open
+	kept := open[:0]
+	for _, os := range open {
+		if !os.closed {
+			kept = append(kept, os)
 		}
-		kept := open[:0]
-		for _, os := range open {
-			if !os.closed {
-				kept = append(kept, os)
-			}
-		}
-		r.setLine(line, kept, len(open))
-	})
+	}
+	r.setOpen(i, kept)
 }
 
 func (r *replayer) thread(tid int32) *threadState {
@@ -381,7 +529,7 @@ func (r *replayer) feed(e trace.Event) {
 	case trace.KAlloc:
 		if r.cfg.AllocAware {
 			linesOf(e.Addr, e.Size, func(line uint64) {
-				r.allocEpoch[line]++
+				r.lines.entries[r.lines.insert(line)].epoch++
 			})
 		}
 	case trace.KThreadCreate:
@@ -426,16 +574,19 @@ func (r *replayer) feed(e trace.Event) {
 func (r *replayer) touch(tid int32, addr uint64) bool {
 	var epoch uint64
 	if r.cfg.AllocAware {
-		epoch = r.allocEpoch[pmem.LineOf(addr)]
+		epoch = r.lines.epoch(pmem.LineOf(addr))
 	}
-	p, ok := r.pub[addr]
-	if !ok || p.epoch != epoch {
-		r.pub[addr] = pubState{first: tid, epoch: epoch}
+	p := r.pub.lookup(addr)
+	if !p.live || p.epoch != epoch {
+		fresh := !p.live
+		*p = pubEntry{addr: addr, epoch: epoch, first: tid, live: true}
+		if fresh {
+			r.pub.grew()
+		}
 		return false
 	}
 	if !p.published && p.first != tid {
 		p.published = true
-		r.pub[addr] = p
 	}
 	return p.published
 }
@@ -507,7 +658,11 @@ func (r *replayer) store(e trace.Event, nt bool) {
 	// and every later flush of those lines re-scanned it.
 	var closedSpanning []*openStore
 	linesOf(e.Addr, e.Size, func(line uint64) {
-		open := r.lines[line]
+		i := r.lines.find(line)
+		if i < 0 {
+			return
+		}
+		open := r.lines.entries[i].open
 		kept := open[:0]
 		for _, os := range open {
 			if !os.closed && overlaps(os.addr, os.size, e.Addr, e.Size) {
@@ -520,10 +675,14 @@ func (r *replayer) store(e trace.Event, nt bool) {
 				kept = append(kept, os)
 			}
 		}
-		r.setLine(line, kept, len(open))
+		r.setOpen(i, kept)
 	})
 	for _, os := range closedSpanning {
-		r.compactLines(os.addr, os.size)
+		linesOf(os.addr, os.size, func(line uint64) {
+			if i := r.lines.find(line); i >= 0 {
+				r.compactLine(i)
+			}
+		})
 	}
 
 	os := r.newOpenStore()
@@ -536,11 +695,16 @@ func (r *replayer) store(e trace.Event, nt bool) {
 		start:   vcid,
 		openIdx: r.stats.Events - 1,
 	}
+	r.lines.reserve(int(pmem.LineOf(lastAddrOf(e.Addr, e.Size)) - pmem.LineOf(e.Addr) + 1))
 	linesOf(e.Addr, e.Size, func(line uint64) {
-		r.lines[line] = append(r.lines[line], os)
+		le := &r.lines.entries[r.lines.insert(line)]
+		if len(le.open) == 0 {
+			r.lines.open++
+		}
+		le.open = append(le.open, os)
 		r.mOpenStores.Add(1)
 	})
-	r.mLines.Set(int64(len(r.lines)))
+	r.mLines.Set(int64(r.lines.open))
 	if nt {
 		// A non-temporal store bypasses the cache: it is already queued for
 		// persistence and needs only the thread's next fence.
@@ -564,31 +728,37 @@ func (r *replayer) load(e trace.Event) {
 	}
 	r.stats.DynamicLoads++
 	if !ts.lsOK {
-		ts.lsID = r.ls.Intern(ts.set.StripTS())
+		ts.lsID = r.ls.InternLocks(ts.set)
 		ts.lsOK = true
 	}
 	if packed, ok := packLoad(e.TID, e.Size, e.Site, ts.lsID, vcid); ok {
-		r.loadPacked(e, packed, ts.lsID, vcid)
+		slot := r.loads.lookup(e.Addr, packed)
+		if slot.idx == 0 {
+			*slot = loadTabEntry{addr: e.Addr, key: packed, idx: r.appendLoad(e, ts.lsID, vcid) + 1}
+			r.loads.grew()
+			return
+		}
+		slot.hits++
+		if slot.hits == math.MaxUint32 {
+			r.loadList[slot.idx-1].Count += uint64(slot.hits)
+			slot.hits = 0
+		}
 		return
 	}
-	key := loadKey{tid: e.TID, addr: e.Addr, size: e.Size, site: e.Site, ls: ts.lsID, vc: vcid}
-	if idx, ok := r.loadsSpill[key]; ok {
-		r.loadList[idx].Count++
-	} else {
-		r.loadsSpill[key] = r.appendLoad(e, ts.lsID, vcid)
-	}
-}
-
-// loadPacked dedups a load whose key fits the packed form against the
-// open-addressing table.
-func (r *replayer) loadPacked(e trace.Event, packed uint64, ls lockset.ID, vc vclock.ID) {
-	slot := r.loadsPack.lookup(e.Addr, packed)
+	want := LoadData{TID: e.TID, Addr: e.Addr, Size: e.Size, Site: e.Site, LS: ts.lsID, VC: vcid, Count: 1}
+	h := hash2(hash2(e.Addr, uint64(e.Size)<<32|uint64(uint32(e.TID))),
+		hash2(uint64(uint32(e.Site))<<32|uint64(uint32(ts.lsID)), uint64(uint32(vcid))))
+	slot := r.loadsSpill.lookup(h, func(i int32) bool {
+		d := r.loadList[i]
+		d.Count = 1
+		return d == want
+	})
 	if slot.idx != 0 {
 		r.loadList[slot.idx-1].Count++
 		return
 	}
-	*slot = loadTabEntry{addr: e.Addr, key: packed, idx: r.appendLoad(e, ls, vc) + 1}
-	r.loadsPack.grew()
+	*slot = recEntry{hash: h, idx: r.appendLoad(e, ts.lsID, vcid) + 1}
+	r.loadsSpill.grew()
 }
 
 func (r *replayer) appendLoad(e trace.Event, ls lockset.ID, vc vclock.ID) int32 {
@@ -601,16 +771,17 @@ func (r *replayer) appendLoad(e trace.Event, ls lockset.ID, vc vclock.ID) int32 
 func (r *replayer) flush(e trace.Event) {
 	ts := r.thread(e.TID)
 	line := pmem.LineOf(e.Addr)
-	open := r.lines[line]
-	if len(open) == 0 {
+	i := r.lines.find(line)
+	if i < 0 || len(r.lines.entries[i].open) == 0 {
 		return
 	}
 	// Snapshot semantics: the flush covers the stores visible now; stores
 	// issued after the flush are not persisted by it. Closed entries are
 	// swept here even when nothing is left to cover: an all-closed line
 	// never enqueues a pendingFlush, so fence's compaction never reaches it
-	// and its dead entries (and map key) would otherwise be retained for
+	// and its dead entries (and table entry) would otherwise be retained for
 	// the rest of the session.
+	open := r.lines.entries[i].open
 	covered := r.getCovered(len(open))
 	kept := open[:0]
 	for _, os := range open {
@@ -619,7 +790,7 @@ func (r *replayer) flush(e trace.Event) {
 			kept = append(kept, os)
 		}
 	}
-	r.setLine(line, kept, len(open))
+	r.setOpen(i, kept)
 	if len(covered) > 0 {
 		ts.pending = append(ts.pending, pendingFlush{line: line, covered: covered})
 	} else {
@@ -640,15 +811,9 @@ func (r *replayer) fence(e trace.Event) {
 			}
 		}
 		r.putCovered(pf.covered)
-		// Compact the line's open list.
-		open := r.lines[pf.line]
-		kept := open[:0]
-		for _, os := range open {
-			if !os.closed {
-				kept = append(kept, os)
-			}
+		if i := r.lines.find(pf.line); i >= 0 {
+			r.compactLine(i)
 		}
-		r.setLine(pf.line, kept, len(open))
 	}
 	ts.pending = ts.pending[:0]
 }
@@ -664,6 +829,14 @@ func (r *replayer) close(os *openStore, kind EndKind, endTID int32, endTS *threa
 			Start: os.openIdx, End: r.stats.Events - 1, EndKind: kind,
 		})
 	}
+	if kind == EndPersist && r.cfg.IRH {
+		if p := r.pub.lookup(os.addr); !p.live || !p.published {
+			// Explicitly persisted before the address became visible to a
+			// second thread: initialization, not a race candidate (§3.1.3).
+			r.stats.IRHDroppedStores++
+			return
+		}
+	}
 	var eff lockset.Set
 	switch {
 	case !r.cfg.EffectiveLockset:
@@ -674,56 +847,62 @@ func (r *replayer) close(os *openStore, kind EndKind, endTID int32, endTS *threa
 	case os.tid == endTID:
 		// Same thread: timestamps distinguish distinct critical sections of
 		// the same lock (Fig. 2d).
-		eff = lockset.IntersectExact(os.set, endTS.set)
+		eff = lockset.AppendIntersectExact(r.effBuf[:0], os.set, endTS.set)
+		r.effBuf = eff
 	default:
 		// The window is ended by another thread (cross-thread flush+fence
 		// helping, or an overwrite). Timestamps are thread-local and cannot
 		// be compared, so the intersection considers lock identity only —
 		// the paper's definition with its within-thread timestamp extension
 		// inapplicable.
-		eff = lockset.IntersectLocks(os.set, endTS.set)
-	}
-	if kind == EndPersist && r.cfg.IRH {
-		if p, ok := r.pub[os.addr]; !ok || !p.published {
-			// Explicitly persisted before the address became visible to a
-			// second thread: initialization, not a race candidate (§3.1.3).
-			r.stats.IRHDroppedStores++
-			return
-		}
+		eff = lockset.AppendIntersectLocks(r.effBuf[:0], os.set, endTS.set)
+		r.effBuf = eff
 	}
 	r.record(os, kind, eff, endVC)
 }
 
+// record adds a closed window to the store records: dynamic stores of
+// identical shape collapse into one StoreData with a count (the grouping
+// optimization, §4).
 func (r *replayer) record(os *openStore, kind EndKind, eff lockset.Set, endVC vclock.ID) {
-	effID := r.ls.Intern(eff.StripTS())
-	key := storeKey{
-		tid: os.tid, addr: os.addr, size: os.size, site: os.site,
-		eff: effID, start: os.start, end: endVC, endKind: kind,
+	want := StoreData{
+		TID: os.tid, Addr: os.addr, Size: os.size, Site: os.site,
+		Eff: r.ls.InternLocks(eff), Start: os.start, End: endVC, EndKind: kind, Count: 1,
 	}
-	if idx, ok := r.stores[key]; ok {
-		r.storeList[idx].Count++
+	h := hash2(hash2(os.addr, uint64(os.size)<<32|uint64(uint32(os.tid))),
+		hash2(uint64(uint32(os.site))<<32|uint64(uint32(want.Eff)),
+			uint64(uint32(os.start))<<32|uint64(uint32(endVC)))^uint64(kind))
+	slot := r.stores.lookup(h, func(i int32) bool {
+		d := r.storeList[i]
+		d.Count = 1
+		return d == want
+	})
+	if slot.idx != 0 {
+		r.storeList[slot.idx-1].Count++
 	} else {
-		r.stores[key] = int32(len(r.storeList))
-		r.storeList = append(r.storeList, StoreData{
-			TID: os.tid, Addr: os.addr, Size: os.size, Site: os.site,
-			Eff: effID, Start: os.start, End: endVC, EndKind: kind, Count: 1,
-		})
+		r.storeList = append(r.storeList, want)
+		*slot = recEntry{hash: h, idx: int32(len(r.storeList))}
+		r.stores.grew()
 	}
 	r.stats.DynamicStores++
 }
 
 // finish closes every store still unpersisted when the trace ends: their
 // windows are unbounded, so no lock protects them (a crash at any later
-// point loses the value) and their effective lockset is empty.
+// point loses the value) and their effective lockset is empty. It also adds
+// the load table's pending hits to their records.
 func (r *replayer) finish() {
 	// Deterministic record order: walk still-open lines in address order.
-	lineKeys := make([]uint64, 0, len(r.lines))
-	for line := range r.lines {
-		lineKeys = append(lineKeys, line)
+	slots := make([]int, 0, r.lines.open)
+	for i, le := range r.lines.entries {
+		if len(le.open) > 0 {
+			slots = append(slots, i)
+		}
 	}
-	sort.Slice(lineKeys, func(i, j int) bool { return lineKeys[i] < lineKeys[j] })
-	for _, line := range lineKeys {
-		for _, os := range r.lines[line] {
+	lines := r.lines.entries
+	sort.Slice(slots, func(i, j int) bool { return lines[slots[i]].key < lines[slots[j]].key })
+	for _, i := range slots {
+		for _, os := range lines[i].open {
 			if os.closed {
 				continue
 			}
@@ -740,6 +919,11 @@ func (r *replayer) finish() {
 				eff = os.set
 			}
 			r.record(os, EndNone, eff, NoVC)
+		}
+	}
+	for _, e := range r.loads.entries {
+		if e.idx != 0 {
+			r.loadList[e.idx-1].Count += uint64(e.hits)
 		}
 	}
 	r.stats.StoreRecords = len(r.storeList)

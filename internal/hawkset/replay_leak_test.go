@@ -63,12 +63,12 @@ func TestClosedStoreRetentionBounded(t *testing.T) {
 
 	// Every window above is closed, so nothing may be retained: the line
 	// map must be empty (small slack for implementation drift, not growth).
-	if got := len(s.rp.lines); got > 2 {
+	if got := s.rp.lines.used; got > 2 {
 		t.Fatalf("replayer retains %d cache-line entries after %d fully-closed iterations; closed stores are not being swept", got, 2*iters)
 	}
 	retained := 0
-	for _, open := range s.rp.lines {
-		retained += len(open)
+	for _, le := range s.rp.lines.entries {
+		retained += len(le.open)
 	}
 	if retained > 2 {
 		t.Fatalf("replayer retains %d open-store entries, want ~0", retained)

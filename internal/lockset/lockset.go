@@ -7,7 +7,6 @@ package lockset
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 )
@@ -74,8 +73,11 @@ func (s Set) Holds(lock uint64) bool {
 // identity AND timestamp. This is the effective-lockset intersection within
 // one thread: a lock released and reacquired between the store and the
 // persistency has different timestamps and drops out (§3.1.2).
-func IntersectExact(a, b Set) Set {
-	var out Set
+func IntersectExact(a, b Set) Set { return AppendIntersectExact(nil, a, b) }
+
+// AppendIntersectExact appends IntersectExact(a, b) to dst, so a caller can
+// reuse one buffer across intersections.
+func AppendIntersectExact(dst, a, b Set) Set {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -85,13 +87,13 @@ func IntersectExact(a, b Set) Set {
 			j++
 		default:
 			if a[i].TS == b[j].TS {
-				out = append(out, a[i])
+				dst = append(dst, a[i])
 			}
 			i++
 			j++
 		}
 	}
-	return out
+	return dst
 }
 
 // IntersectLocks returns the entries whose lock identity appears in both
@@ -99,8 +101,10 @@ func IntersectExact(a, b Set) Set {
 // intersections (Algorithm 1 line 18) must ignore them (§3.1.2: "the
 // timestamp of the effective lockset is ignored since it is only meaningful
 // in the thread-local context"). Entries from a are returned.
-func IntersectLocks(a, b Set) Set {
-	var out Set
+func IntersectLocks(a, b Set) Set { return AppendIntersectLocks(nil, a, b) }
+
+// AppendIntersectLocks appends IntersectLocks(a, b) to dst.
+func AppendIntersectLocks(dst, a, b Set) Set {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -109,12 +113,12 @@ func IntersectLocks(a, b Set) Set {
 		case a[i].Lock > b[j].Lock:
 			j++
 		default:
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 			j++
 		}
 	}
-	return out
+	return dst
 }
 
 // DisjointLocks reports whether the two sets share no lock identity — the
@@ -160,15 +164,21 @@ type ID int32
 // lock, position derived from a hash of the lock ID). Signatures give a
 // walk-free sufficient test for disjointness: if two signatures share no
 // bit, the sets share no lock. See Sig and SigOf.
+//
+// The index is an open-addressing hash table of IDs with linear probing,
+// kept at most half full. A lookup hashes the set in place and compares
+// candidates entry by entry, so interning a set already in the table
+// allocates nothing.
 type Table struct {
-	byHash map[uint64][]ID
 	sets   []Set
 	sigs   []uint64
+	hashes []uint64 // hashes[id]: hashSet of sets[id], for rehashing
+	slots  []ID     // 0 = empty; the empty set (ID 0) is never indexed
 }
 
 // NewTable returns a table whose ID 0 is the empty set.
 func NewTable() *Table {
-	return &Table{byHash: make(map[uint64][]ID), sets: []Set{nil}, sigs: []uint64{0}}
+	return &Table{sets: []Set{nil}, sigs: []uint64{0}, hashes: []uint64{0}, slots: make([]ID, 16)}
 }
 
 // SigOf computes the lock-identity signature of a set: the union of one bit
@@ -188,27 +198,32 @@ func SigOf(s Set) uint64 {
 // Sig returns the precomputed signature of an interned set.
 func (t *Table) Sig(id ID) uint64 { return t.sigs[id] }
 
-func hashSet(s Set) uint64 {
-	h := fnv.New64a()
-	var b [12]byte
+// hashSet hashes s, with every timestamp read as zero when strip is set.
+func hashSet(s Set, strip bool) uint64 {
+	h := uint64(len(s))
 	for _, e := range s {
-		for k := 0; k < 8; k++ {
-			b[k] = byte(e.Lock >> (8 * k))
+		ts := e.TS
+		if strip {
+			ts = 0
 		}
-		for k := 0; k < 4; k++ {
-			b[8+k] = byte(e.TS >> (8 * k))
-		}
-		h.Write(b[:]) //nolint:errcheck // fnv never errors
+		h = (h ^ e.Lock) * 0x9E3779B97F4A7C15
+		h = (h ^ uint64(ts)) * 0xBF58476D1CE4E5B9
+		h ^= h >> 31
 	}
-	return h.Sum64()
+	return h
 }
 
-func equalSet(a, b Set) bool {
-	if len(a) != len(b) {
+// equalSet reports whether stored equals s, with s's timestamps read as zero
+// when strip is set.
+func equalSet(stored, s Set, strip bool) bool {
+	if len(stored) != len(s) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i, e := range s {
+		if strip {
+			e.TS = 0
+		}
+		if stored[i] != e {
 			return false
 		}
 	}
@@ -216,21 +231,57 @@ func equalSet(a, b Set) bool {
 }
 
 // Intern returns the canonical ID for s, copying it if new.
-func (t *Table) Intern(s Set) ID {
+func (t *Table) Intern(s Set) ID { return t.intern(s, false) }
+
+// InternLocks returns the ID of s's lock identities: s with every
+// acquisition timestamp zeroed, copied only if new. Timestamps exist only to
+// compute effective locksets within one thread (store vs persist); once an
+// access record is produced, inter-thread comparisons ignore them (§3.1.2),
+// so records intern timestamp-free sets — otherwise every critical
+// section's monotonically growing clock would make every lockset unique and
+// defeat the sharing that §4's optimizations rely on.
+func (t *Table) InternLocks(s Set) ID { return t.intern(s, true) }
+
+func (t *Table) intern(s Set, strip bool) ID {
 	if len(s) == 0 {
 		return 0
 	}
-	h := hashSet(s)
-	for _, id := range t.byHash[h] {
-		if equalSet(t.sets[id], s) {
+	h := hashSet(s, strip)
+	mask := uint64(len(t.slots) - 1)
+	i := h & mask
+	for ; t.slots[i] != 0; i = (i + 1) & mask {
+		if id := t.slots[i]; t.hashes[id] == h && equalSet(t.sets[id], s, strip) {
 			return id
 		}
 	}
 	id := ID(len(t.sets))
-	t.sets = append(t.sets, s.Clone())
-	t.sigs = append(t.sigs, SigOf(s))
-	t.byHash[h] = append(t.byHash[h], id)
+	c := s.Clone()
+	if strip {
+		for k := range c {
+			c[k].TS = 0
+		}
+	}
+	t.sets = append(t.sets, c)
+	t.sigs = append(t.sigs, SigOf(c))
+	t.hashes = append(t.hashes, h)
+	t.slots[i] = id
+	if 2*len(t.sets) > len(t.slots) {
+		t.rehash()
+	}
 	return id
+}
+
+// rehash doubles the index.
+func (t *Table) rehash() {
+	t.slots = make([]ID, 2*len(t.slots))
+	mask := uint64(len(t.slots) - 1)
+	for id := 1; id < len(t.sets); id++ {
+		i := t.hashes[id] & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = ID(id)
+	}
 }
 
 // Get resolves an ID. The returned set must not be mutated.
@@ -238,26 +289,3 @@ func (t *Table) Get(id ID) Set { return t.sets[id] }
 
 // Len returns the number of interned sets.
 func (t *Table) Len() int { return len(t.sets) }
-
-// StripTS returns the set with every acquisition timestamp zeroed.
-// Timestamps exist only to compute effective locksets within one thread
-// (store vs persist); once an access record is produced, inter-thread
-// comparisons ignore them (§3.1.2), so records intern timestamp-free sets —
-// otherwise every critical section's monotonically growing clock would make
-// every lockset unique and defeat the sharing that §4's optimizations rely
-// on.
-func (s Set) StripTS() Set {
-	if len(s) == 0 {
-		return nil
-	}
-	for _, e := range s {
-		if e.TS != 0 {
-			out := make(Set, len(s))
-			for i, e := range s {
-				out[i] = Entry{Lock: e.Lock}
-			}
-			return out
-		}
-	}
-	return s
-}

@@ -166,7 +166,7 @@ func TestInternProperty(t *testing.T) {
 		}
 		for i := range sets {
 			for j := range sets {
-				if (ids[i] == ids[j]) != equalSet(sets[i], sets[j]) {
+				if (ids[i] == ids[j]) != equalSet(sets[i], sets[j], false) {
 					return false
 				}
 			}
@@ -241,5 +241,40 @@ func TestTableSig(t *testing.T) {
 	}
 	if tab.Sig(0) != 0 {
 		t.Fatalf("empty set signature = %#x, want 0", tab.Sig(0))
+	}
+}
+
+// InternLocks(s) is Intern of s with every timestamp zeroed, whichever of
+// the two meets a set first, and interning a set the table already holds
+// allocates nothing.
+func TestInternLocksMatchesStripped(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tab := NewTable()
+	for range 2000 {
+		s := randSet(rng)
+		stripped := make(Set, len(s))
+		for i, e := range s {
+			stripped[i] = Entry{Lock: e.Lock}
+		}
+		var got, want ID
+		if rng.Intn(2) == 0 {
+			got, want = tab.InternLocks(s), tab.Intern(stripped)
+		} else {
+			want, got = tab.Intern(stripped), tab.InternLocks(s)
+		}
+		if got != want {
+			t.Fatalf("InternLocks(%v) = %d, Intern(%v) = %d", s, got, stripped, want)
+		}
+		tab.Intern(s)
+	}
+
+	s := Set{}.Add(3, 7).Add(9, 2)
+	tab.InternLocks(s)
+	tab.Intern(s)
+	if n := testing.AllocsPerRun(100, func() { tab.InternLocks(s) }); n != 0 {
+		t.Errorf("InternLocks hit allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { tab.Intern(s) }); n != 0 {
+		t.Errorf("Intern hit allocates %v times, want 0", n)
 	}
 }

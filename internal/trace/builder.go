@@ -62,6 +62,12 @@ func (b *Builder) Unlock(tid int32, lock uint64, label string) *Builder {
 	return b
 }
 
+// Alloc appends a PM allocation event covering [addr, addr+size).
+func (b *Builder) Alloc(tid int32, addr uint64, size uint32, label string) *Builder {
+	b.T.Append(Event{Kind: KAlloc, TID: tid, Addr: addr, Size: size, Site: b.T.Sites.Named(label)})
+	return b
+}
+
 // Create appends a thread-create event.
 func (b *Builder) Create(parent, child int32, label string) *Builder {
 	b.T.Append(Event{Kind: KThreadCreate, TID: parent, Kid: child, Site: b.T.Sites.Named(label)})
