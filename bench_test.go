@@ -366,6 +366,49 @@ func BenchmarkInstrumentation(b *testing.B) {
 	b.ReportMetric(float64(rt.Trace.Len()), "events")
 }
 
+// capturedTrace is one captured benchmark input: the trace, encoded and
+// decoded, and its events as a slice.
+type capturedTrace struct {
+	tr     *trace.Trace
+	events []trace.Event
+}
+
+// capture runs app for ops operations at seed 42, the pipeline benchmark's
+// seed, and returns the decoded trace and its events.
+func capture(b *testing.B, app string, ops int) *capturedTrace {
+	e, err := apps.Lookup(app)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt, err := apps.Run(e, ycsb.Generate(e.Spec(ops), 42), apps.RunConfig{Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var enc bytes.Buffer
+	if err := trace.EncodeWith(&enc, rt.Trace, trace.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	c := &capturedTrace{}
+	if c.tr, err = trace.Decode(&enc); err != nil {
+		b.Fatal(err)
+	}
+	for ev := range c.tr.Events() {
+		c.events = append(c.events, ev)
+	}
+	return c
+}
+
+// replay feeds every event of c to a new stream.
+func (c *capturedTrace) replay(b *testing.B) *hawkset.Stream {
+	st := hawkset.NewStream(c.tr.Sites, hawkset.DefaultConfig())
+	for _, ev := range c.events {
+		if err := st.Feed(ev); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return st
+}
+
 // BenchmarkReplay measures replay ①/② alone: NewStream plus Feed of every
 // event of a captured trace, without Finish, so stage ③ is left out. The
 // inputs are those of the pipeline benchmark's reanalyze-memcached and
@@ -377,41 +420,50 @@ func BenchmarkReplay(b *testing.B) {
 		app string
 		ops int
 	}{{"Memcached-pmem", 100000}, {"Fast-Fair", 18000}} {
-		var (
-			tr     *trace.Trace
-			events []trace.Event
-		)
+		var c *capturedTrace
 		b.Run(in.app, func(b *testing.B) {
-			if tr == nil {
-				e, err := apps.Lookup(in.app)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rt, err := apps.Run(e, ycsb.Generate(e.Spec(in.ops), 42), apps.RunConfig{Seed: 42})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var enc bytes.Buffer
-				if err := trace.EncodeWith(&enc, rt.Trace, trace.Options{}); err != nil {
-					b.Fatal(err)
-				}
-				if tr, err = trace.Decode(&enc); err != nil {
-					b.Fatal(err)
-				}
-				for ev := range tr.Events() {
-					events = append(events, ev)
-				}
-				b.ResetTimer()
+			if c == nil {
+				c = capture(b, in.app, in.ops)
 			}
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st := hawkset.NewStream(tr.Sites, hawkset.DefaultConfig())
-				for _, ev := range events {
-					if err := st.Feed(ev); err != nil {
-						b.Fatal(err)
-					}
-				}
+				c.replay(b)
 			}
-			b.ReportMetric(float64(len(events)), "events/op")
+			b.ReportMetric(float64(len(c.events)), "events/op")
+		})
+	}
+}
+
+// BenchmarkAnalyze measures stage ③: each iteration replays a captured
+// trace with the timer stopped and times Finish, which closes the windows
+// still open, pairs the records and sorts the reports. The inputs are those
+// of the pipeline benchmark's reanalyze-memcached and capture-madfs-posix
+// workloads (Memcached-pmem/100k and MadFS-POSIX/108k at seed 42), captured
+// once as in BenchmarkReplay. pairs/op counts the checked record pairs; run
+// it with -benchmem, whose figures count only the timed Finish.
+func BenchmarkAnalyze(b *testing.B) {
+	for _, in := range []struct {
+		app string
+		ops int
+	}{{"Memcached-pmem", 100000}, {"MadFS-POSIX", 108000}} {
+		var c *capturedTrace
+		b.Run(in.app, func(b *testing.B) {
+			if c == nil {
+				c = capture(b, in.app, in.ops)
+			}
+			var pairs uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st := c.replay(b)
+				b.StartTimer()
+				res, err := st.Finish()
+				if err != nil {
+					b.Fatal(err)
+				}
+				pairs = res.Stats.PairsChecked
+			}
+			b.ReportMetric(float64(pairs), "pairs/op")
 		})
 	}
 }

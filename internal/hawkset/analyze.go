@@ -2,7 +2,7 @@ package hawkset
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"hawkset/internal/lockset"
@@ -19,66 +19,30 @@ import (
 //
 // The implementation applies the optimizations of §4: accesses are grouped
 // by cache line, records are deduplicated shapes with counts (built during
-// replay), lockset-disjointness and vector-clock comparisons are memoized by
-// interned ID pairs, and intersections short-circuit on empty or equal
-// locksets.
+// replay), and locksets and clocks are compared by interned ID, with
+// intersections short-circuiting on empty or equal locksets and on disjoint
+// lock signatures. The grouping is a flat bucketIndex of the lines a load
+// covers. Pairing a bucket copies its loads into packed columns and resolves
+// each store's clocks and lockset signature once, so a pair costs integer
+// compares, the vclock epoch compare in each happens-before direction, and
+// one array read to find its report.
 //
-// The cache-line buckets are independent work units, so the pairing is
-// sharded across GOMAXPROCS goroutines: the sorted bucket list is
-// partitioned into contiguous ranges, each worker runs with private memo
-// tables, a private report map and private counters, and the per-shard
-// results are merged in shard order. The merge reproduces the sequential
-// pair-processing order exactly, so the output is byte-identical to a
-// single-shard run for any GOMAXPROCS.
+// The buckets are independent work units, so the pairing is sharded across
+// GOMAXPROCS goroutines: the bucket list is partitioned into contiguous
+// ranges, each worker runs with a private report map, report cache and
+// counters, and the per-shard results are merged in shard order. The merge
+// reproduces the sequential pair-processing order exactly, so the output is
+// byte-identical to a single-shard run for any GOMAXPROCS.
 func analyze(res *Result, cfg Config) {
-	// Buckets come from a block arena (most traces have thousands of
-	// single-record lines; one allocation per bucket was measurable), and the
-	// map is presized from the record counts.
-	buckets := make(map[uint64]*storeLoadBucket, (len(res.Stores)+len(res.Loads))/4+1)
-	var bkArena []storeLoadBucket
-	get := func(line uint64) *storeLoadBucket {
-		if b, ok := buckets[line]; ok {
-			return b
-		}
-		if len(bkArena) == 0 {
-			bkArena = make([]storeLoadBucket, 64)
-		}
-		b := &bkArena[0]
-		bkArena = bkArena[1:]
-		buckets[line] = b
-		return b
-	}
-	for i := range res.Stores {
-		st := &res.Stores[i]
-		linesOf(st.Addr, st.Size, func(line uint64) {
-			b := get(line)
-			b.stores = append(b.stores, st)
-		})
-	}
-	for i := range res.Loads {
-		ld := &res.Loads[i]
-		linesOf(ld.Addr, ld.Size, func(line uint64) {
-			b := get(line)
-			b.loads = append(b.loads, ld)
-		})
-	}
-
-	// Iterate buckets in address order so report example fields (address,
-	// thread pair, end kind) are deterministic for a given trace.
-	lineKeys := make([]uint64, 0, len(buckets))
-	for line := range buckets {
-		lineKeys = append(lineKeys, line)
-	}
-	sort.Slice(lineKeys, func(i, j int) bool { return lineKeys[i] < lineKeys[j] })
-
-	cfg.Metrics.Gauge("hawkset.analyze.buckets").Set(int64(len(lineKeys)))
-	shards := partitionLines(buckets, lineKeys, min(runtime.GOMAXPROCS(0), len(lineKeys)), cfg.StoreStore)
+	bx := indexBuckets(res, cfg.StoreStore)
+	cfg.Metrics.Gauge("hawkset.analyze.buckets").Set(int64(len(bx.lines)))
+	shards := partitionLines(bx, min(runtime.GOMAXPROCS(0), len(bx.lines)), cfg.StoreStore)
 	cfg.Metrics.Gauge("hawkset.analyze.shards").Set(int64(len(shards)))
 	outs := make([]*shardResult, len(shards))
 	if len(shards) == 1 {
 		// The sequential path (GOMAXPROCS=1, or a trace too small to split).
 		stop := cfg.Metrics.Stage("hawkset.stage.analyze_shard")
-		outs[0] = analyzeShard(res, cfg, buckets, shards[0])
+		outs[0] = analyzeShard(res, cfg, bx, shards[0])
 		stop()
 	} else {
 		var wg sync.WaitGroup
@@ -87,7 +51,7 @@ func analyze(res *Result, cfg Config) {
 			go func(i int) {
 				defer wg.Done()
 				stop := cfg.Metrics.Stage("hawkset.stage.analyze_shard")
-				outs[i] = analyzeShard(res, cfg, buckets, shards[i])
+				outs[i] = analyzeShard(res, cfg, bx, shards[i])
 				stop()
 			}(i)
 		}
@@ -98,45 +62,138 @@ func analyze(res *Result, cfg Config) {
 	stopMerge()
 }
 
-// partitionLines splits the sorted bucket list into at most workers
-// contiguous ranges of roughly equal pairing cost (Σ stores×loads per
-// bucket, plus the store-store pairs when those are enabled). Contiguity
+// bucketIndex groups the records by cache line as flat index ranges. Bucket
+// b covers line lines[b], in ascending line order; its store records are
+// stores[storeOff[b]:storeOff[b+1]] and its load records
+// loads[loadOff[b]:loadOff[b+1]], both in record order.
+type bucketIndex struct {
+	lines             []uint64
+	storeOff, loadOff []int
+	stores, loads     []int32
+}
+
+// indexBuckets builds the bucket index. A line becomes a bucket only where a
+// load covers it, because a store pairs with nothing elsewhere (under
+// StoreStore, a line a store covers is one too). The distinct lines are
+// collected through a map and sorted. A record's buckets are then
+// consecutive, from the first one at or after its start line, which a store
+// finds by binary search when no load covers its start line; so a long store
+// costs nothing on the lines no load touches.
+func indexBuckets(res *Result, storeStore bool) *bucketIndex {
+	ordinal := make(map[uint64]int32)
+	addLine := func(line uint64) { ordinal[line] = 0 }
+	for i := range res.Loads {
+		linesOf(res.Loads[i].Addr, res.Loads[i].Size, addLine)
+	}
+	if storeStore {
+		for i := range res.Stores {
+			linesOf(res.Stores[i].Addr, res.Stores[i].Size, addLine)
+		}
+	}
+	bx := &bucketIndex{lines: make([]uint64, 0, len(ordinal))}
+	for line := range ordinal {
+		bx.lines = append(bx.lines, line)
+	}
+	slices.Sort(bx.lines)
+	for b, line := range bx.lines {
+		ordinal[line] = int32(b)
+	}
+
+	// span returns the buckets [lo, hi) of the record at addr.
+	span := func(addr uint64, size uint32) (lo, hi int) {
+		line, last := pmem.LineOf(addr), pmem.LineOf(lastAddrOf(addr, size))
+		if b, ok := ordinal[line]; ok {
+			lo = int(b)
+		} else {
+			lo, _ = slices.BinarySearch(bx.lines, line)
+		}
+		hi = lo
+		for hi < len(bx.lines) && bx.lines[hi] <= last {
+			hi++
+		}
+		return lo, hi
+	}
+	bx.storeOff, bx.stores = fillBuckets(len(bx.lines), len(res.Stores), func(i int) (int, int) {
+		return span(res.Stores[i].Addr, res.Stores[i].Size)
+	})
+	bx.loadOff, bx.loads = fillBuckets(len(bx.lines), len(res.Loads), func(i int) (int, int) {
+		return span(res.Loads[i].Addr, res.Loads[i].Size)
+	})
+	return bx
+}
+
+// fillBuckets lays out one record kind's bucket ranges by counting sort over
+// n buckets, where record i falls in the buckets span(i). It returns the
+// range offsets (bucket b is idx[off[b]:off[b+1]]) and the record indices,
+// in record order within each bucket: the fill runs over the records
+// backwards, moving each bucket's offset from its end down to its start.
+func fillBuckets(n, records int, span func(i int) (lo, hi int)) (off []int, idx []int32) {
+	off = make([]int, n+1)
+	for i := range records {
+		lo, hi := span(i)
+		for b := lo; b < hi; b++ {
+			off[b]++
+		}
+	}
+	total := 0
+	for b := range n {
+		total += off[b]
+		off[b] = total
+	}
+	off[n] = total
+	idx = make([]int32, total)
+	for i := records - 1; i >= 0; i-- {
+		lo, hi := span(i)
+		for b := lo; b < hi; b++ {
+			off[b]--
+			idx[off[b]] = int32(i)
+		}
+	}
+	return off, idx
+}
+
+// bucketCost is bucket b's pairing cost: stores×loads, plus the store-store
+// pairs when those are enabled, plus one for the bucket itself.
+func (bx *bucketIndex) bucketCost(b int, storeStore bool) uint64 {
+	n := uint64(bx.storeOff[b+1] - bx.storeOff[b])
+	c := n*uint64(bx.loadOff[b+1]-bx.loadOff[b]) + 1
+	if storeStore {
+		// n stores pair as n(n-1)/2, not n²/2: the n/2 overcharge per
+		// bucket made thousands of single-store buckets (0 real pairs,
+		// charged ½ each) look as expensive as genuine pairing work and
+		// skewed the shard boundaries toward them.
+		c += n * (n - 1) / 2
+	}
+	return c
+}
+
+// partitionLines splits the buckets into at most workers contiguous ranges
+// [lo, hi) of bucket ordinals with roughly equal pairing cost. Contiguity
 // keeps the merge a simple in-order concatenation; cost weighting keeps a
 // few dense buckets from serializing the whole analysis.
-func partitionLines(buckets map[uint64]*storeLoadBucket, lineKeys []uint64, workers int, storeStore bool) [][]uint64 {
-	if workers <= 1 || len(lineKeys) <= 1 {
-		return [][]uint64{lineKeys}
+func partitionLines(bx *bucketIndex, workers int, storeStore bool) [][2]int {
+	n := len(bx.lines)
+	if workers <= 1 || n <= 1 {
+		return [][2]int{{0, n}}
 	}
 	var total uint64
-	costs := make([]uint64, len(lineKeys))
-	for i, line := range lineKeys {
-		b := buckets[line]
-		c := uint64(len(b.stores))*uint64(len(b.loads)) + 1
-		if storeStore {
-			// n stores pair as n(n-1)/2, not n²/2: the n/2 overcharge per
-			// bucket made thousands of single-store buckets (0 real pairs,
-			// charged ½ each) look as expensive as genuine pairing work and
-			// skewed the shard boundaries toward them.
-			n := uint64(len(b.stores))
-			c += n * (n - 1) / 2
-		}
-		costs[i] = c
-		total += c
+	for b := range n {
+		total += bx.bucketCost(b, storeStore)
 	}
 	target := total/uint64(workers) + 1
-	parts := make([][]uint64, 0, workers)
+	parts := make([][2]int, 0, workers)
 	start := 0
 	var acc uint64
-	for i := range lineKeys {
-		acc += costs[i]
+	for b := range n {
+		acc += bx.bucketCost(b, storeStore)
 		if acc >= target && len(parts) < workers-1 {
-			parts = append(parts, lineKeys[start:i+1])
-			start = i + 1
+			parts = append(parts, [2]int{start, b + 1})
+			start = b + 1
 			acc = 0
 		}
 	}
-	if start < len(lineKeys) {
-		parts = append(parts, lineKeys[start:])
+	if start < n {
+		parts = append(parts, [2]int{start, n})
 	}
 	return parts
 }
@@ -166,96 +223,164 @@ type pairStats struct {
 	checked, hbFiltered, lockFiltered uint64
 }
 
-// analyzeShard runs the pairing loops of Algorithm 1 over one contiguous
-// range of cache-line buckets. It touches only shard-private state plus the
-// read-only interning tables, so shards run concurrently without locks.
-func analyzeShard(res *Result, cfg Config, buckets map[uint64]*storeLoadBucket, lines []uint64) *shardResult {
-	out := &shardResult{reports: make(map[reportKey]*Report)}
-	memoHint := 0
-	for _, line := range lines {
-		b := buckets[line]
-		memoHint += len(b.stores) + len(b.loads)
+// report returns the shard's report for key, creating it from its first
+// pair's example fields.
+func (o *shardResult) report(res *Result, key reportKey, addr uint64, storeTID, loadTID int32, end EndKind) *Report {
+	if rep := o.reports[key]; rep != nil {
+		return rep
 	}
-	cmp := newComparer(res.Locksets, res.VClocks, memoHint)
-	// ldScratch caches each load's last byte and spans-lines bit per bucket,
-	// computed once instead of once per store×load pair; the slice is reused
-	// across the shard's buckets.
-	var ldScratch []ldMeta
-	for _, line := range lines {
-		b := buckets[line]
-		if cap(ldScratch) < len(b.loads) {
-			ldScratch = make([]ldMeta, len(b.loads))
+	rep := &Report{
+		StoreSite:  key.store,
+		LoadSite:   key.load,
+		StoreFrame: res.Sites.Lookup(key.store),
+		LoadFrame:  res.Sites.Lookup(key.load),
+		Addr:       addr,
+		StoreTID:   storeTID,
+		LoadTID:    loadTID,
+		EndKind:    end,
+		StoreStore: key.storeStore,
+	}
+	o.reports[key] = rep
+	if key.storeStore {
+		o.orderSS = append(o.orderSS, key)
+	} else {
+		o.orderSL = append(o.orderSL, key)
+	}
+	return rep
+}
+
+// reportCacheSize is the number of load sites a shard's report cache maps
+// without collision.
+const reportCacheSize = 1 << 10
+
+// loadCol is one load record's pairing fields, copied into a bucket's packed
+// columns before the bucket's stores are paired with it.
+type loadCol struct {
+	addr, last uint64
+	sig        uint64 // lockset signature
+	count      uint64
+	ep         vclock.Epoch
+	tid        int32
+	ls         lockset.ID
+	site       sites.ID
+	// cont marks a load that starts on an earlier line. A pair is processed
+	// in the first line both records cover, so a store that also starts
+	// earlier met this load in an earlier bucket.
+	cont bool
+}
+
+// analyzeShard runs the pairing loops of Algorithm 1 over one contiguous
+// range of buckets. It touches only shard-private state plus the read-only
+// records and interning tables, so shards run concurrently without locks.
+func analyzeShard(res *Result, cfg Config, bx *bucketIndex, part [2]int) *shardResult {
+	out := &shardResult{reports: make(map[reportKey]*Report)}
+	cmp := &comparer{ls: res.Locksets, disjMemo: make(map[[2]lockset.ID]bool)}
+	vc, hb := res.VClocks, cfg.HBFilter
+	maxLoads := 0
+	for b := part[0]; b < part[1]; b++ {
+		if bx.storeOff[b] < bx.storeOff[b+1] {
+			maxLoads = max(maxLoads, bx.loadOff[b+1]-bx.loadOff[b])
 		}
-		lds := ldScratch[:len(b.loads)]
-		for i, ld := range b.loads {
-			lds[i] = ldMeta{last: lastAddrOf(ld.Addr, ld.Size), spans: spansLines(ld.Addr, ld.Size)}
+	}
+	cols := make([]loadCol, 0, maxLoads)
+	// cache holds, by load site, the report of the last store site that
+	// raced with that load site. Site IDs index the site table, so the
+	// cache is direct-mapped by the ID's low bits, and a report for another
+	// site pair is a miss that looks the pair up in the shard's map.
+	var cache [reportCacheSize]*Report
+	var stats pairStats
+	for b := part[0]; b < part[1]; b++ {
+		stores := bx.stores[bx.storeOff[b]:bx.storeOff[b+1]]
+		if len(stores) == 0 {
+			continue
 		}
-		for _, st := range b.stores {
-			stLast := lastAddrOf(st.Addr, st.Size)
-			stSpans := spansLines(st.Addr, st.Size)
-			for i, ld := range b.loads {
+		line := bx.lines[b]
+		lds := cols[:0]
+		for _, li := range bx.loads[bx.loadOff[b]:bx.loadOff[b+1]] {
+			ld := &res.Loads[li]
+			lds = append(lds, loadCol{
+				addr:  ld.Addr,
+				last:  lastAddrOf(ld.Addr, ld.Size),
+				sig:   res.Locksets.Sig(ld.LS),
+				count: ld.Count,
+				ep:    vc.Epoch(ld.VC),
+				tid:   ld.TID,
+				ls:    ld.LS,
+				site:  ld.Site,
+				cont:  pmem.LineOf(ld.Addr) < line,
+			})
+		}
+		for _, si := range stores {
+			s := &res.Stores[si]
+			last := lastAddrOf(s.Addr, s.Size)
+			cont := pmem.LineOf(s.Addr) < line
+			sig := res.Locksets.Sig(s.Eff)
+			unpersisted := s.EndKind != EndPersist
+			var start vclock.VC
+			var end vclock.Epoch
+			hasEnd := hb && s.End != NoVC
+			if hb {
+				start = vc.Get(s.Start)
+			}
+			if hasEnd {
+				end = vc.Epoch(s.End)
+			}
+			for i := range lds {
+				ld := &lds[i]
 				// A record spanning several lines appears in several
 				// buckets. Process the pair only in the first bucket the two
 				// records share: that counts it exactly once for any
-				// sharding of the bucket list, without the cross-bucket
-				// dedup map the sequential code used to carry (buckets are
-				// walked in ascending line order, so "first common line"
-				// and "first encounter" coincide).
-				if (stSpans || lds[i].spans) && firstCommonLine(st.Addr, ld.Addr) != line {
+				// sharding of the bucket list.
+				if cont && ld.cont {
 					continue
 				}
-
-				out.stats.checked++
-				if st.TID == ld.TID { // Algorithm 1 line 16
+				stats.checked++
+				// Algorithm 1 line 16, then line 15's overlap as an
+				// inclusive-last interval test.
+				if ld.tid == s.TID || s.Addr > ld.last || ld.addr > last {
 					continue
 				}
-				// Inclusive-last interval test, equivalent to overlaps()
-				// with the hoisted last-byte addresses. (Algorithm 1 line 15)
-				if st.Addr > lds[i].last || ld.Addr > stLast {
+				// Line 17, the happens-before filter (§3.1.2): the load can
+				// fall inside the store's unpersisted window unless it
+				// happens-before the store instruction or the window's end
+				// (persist or overwrite) happens-before the load. Using the
+				// window end clock is what lets the analysis catch Fig. 3's
+				// Store₃/Persist₃ case.
+				if hb && (ld.ep.Leq(start) || hasEnd && end.Leq(ld.ep.Clock())) {
+					stats.hbFiltered++
 					continue
 				}
-				if cfg.HBFilter && !cmp.mayRace(st, ld) { // line 17
-					out.stats.hbFiltered++
+				// Line 18. A zero signature AND proves disjointness, and
+				// equal non-empty IDs are never disjoint.
+				if sig&ld.sig != 0 && (s.Eff == ld.ls || !cmp.disjoint(s.Eff, ld.ls)) {
+					stats.lockFiltered++
 					continue
 				}
-				if !cmp.disjoint(st.Eff, ld.LS) { // line 18
-					out.stats.lockFiltered++
-					continue
-				}
-				key := reportKey{store: st.Site, load: ld.Site}
-				rep := out.reports[key]
-				if rep == nil {
-					rep = &Report{
-						StoreSite:  st.Site,
-						LoadSite:   ld.Site,
-						StoreFrame: res.Sites.Lookup(st.Site),
-						LoadFrame:  res.Sites.Lookup(ld.Site),
-						Addr:       st.Addr,
-						StoreTID:   st.TID,
-						LoadTID:    ld.TID,
-						EndKind:    st.EndKind,
-					}
-					out.reports[key] = rep
-					out.orderSL = append(out.orderSL, key)
+				c := &cache[ld.site&(reportCacheSize-1)]
+				rep := *c
+				if rep == nil || rep.StoreSite != s.Site || rep.LoadSite != ld.site {
+					rep = out.report(res, reportKey{store: s.Site, load: ld.site}, s.Addr, s.TID, ld.tid, s.EndKind)
+					*c = rep
 				}
 				rep.Pairs++
-				rep.Weight += st.Count * ld.Count
-				if st.EndKind != EndPersist {
+				rep.Weight += s.Count * ld.count
+				if unpersisted {
 					rep.Unpersisted = true
-					rep.EndKind = st.EndKind
+					rep.EndKind = s.EndKind
 					// Keep the example fields describing one real pair: a
 					// report downgraded to a non-persist end kind must point
 					// at the access pair that exhibits it, not at the first
 					// (possibly persisted) pair's location.
-					rep.Addr = st.Addr
-					rep.StoreTID = st.TID
-					rep.LoadTID = ld.TID
+					rep.Addr = s.Addr
+					rep.StoreTID = s.TID
+					rep.LoadTID = ld.tid
 				}
 			}
 		}
 	}
+	out.stats = stats
 	if cfg.StoreStore {
-		analyzeStoreStoreShard(res, cfg, buckets, lines, cmp, out)
+		analyzeStoreStoreShard(res, cfg, bx, part, cmp, out)
 	}
 	return out
 }
@@ -265,16 +390,19 @@ func analyzeShard(res *Result, cfg Config, buckets map[uint64]*storeLoadBucket, 
 // omits (§3.1.1). Two windows race if they can overlap in time (neither
 // window end happens-before the other's start) and their effective locksets
 // are disjoint.
-func analyzeStoreStoreShard(res *Result, cfg Config, buckets map[uint64]*storeLoadBucket, lines []uint64, cmp *comparer, out *shardResult) {
-	for _, line := range lines {
-		b := buckets[line]
-		for i, st := range b.stores {
-			for _, st2 := range b.stores[i+1:] {
+func analyzeStoreStoreShard(res *Result, cfg Config, bx *bucketIndex, part [2]int, cmp *comparer, out *shardResult) {
+	for b := part[0]; b < part[1]; b++ {
+		line := bx.lines[b]
+		stores := bx.stores[bx.storeOff[b]:bx.storeOff[b+1]]
+		for i, si := range stores {
+			st := &res.Stores[si]
+			for _, sj := range stores[i+1:] {
+				st2 := &res.Stores[sj]
 				if st.TID == st2.TID || !overlaps(st.Addr, st.Size, st2.Addr, st2.Size) {
 					continue
 				}
-				if (spansLines(st.Addr, st.Size) || spansLines(st2.Addr, st2.Size)) &&
-					firstCommonLine(st.Addr, st2.Addr) != line {
+				// The pair is processed in the first line both cover.
+				if pmem.LineOf(st.Addr) < line && pmem.LineOf(st2.Addr) < line {
 					continue
 				}
 				// Write-write racing is judged at the store instructions
@@ -282,29 +410,13 @@ func analyzeStoreStoreShard(res *Result, cfg Config, buckets map[uint64]*storeLo
 				// ends the earlier window exactly at the later store, so
 				// window-overlap reasoning would vacuously order every
 				// overwriting pair.
-				if cfg.HBFilter && (cmp.vc.LeqID(st.Start, st2.Start) || cmp.vc.LeqID(st2.Start, st.Start)) {
+				if cfg.HBFilter && (res.VClocks.LeqID(st.Start, st2.Start) || res.VClocks.LeqID(st2.Start, st.Start)) {
 					continue
 				}
 				if !cmp.disjoint(st.Eff, st2.Eff) {
 					continue
 				}
-				key := reportKey{store: st.Site, load: st2.Site, storeStore: true}
-				rep := out.reports[key]
-				if rep == nil {
-					rep = &Report{
-						StoreSite:  st.Site,
-						LoadSite:   st2.Site,
-						StoreFrame: res.Sites.Lookup(st.Site),
-						LoadFrame:  res.Sites.Lookup(st2.Site),
-						Addr:       st.Addr,
-						StoreTID:   st.TID,
-						LoadTID:    st2.TID,
-						EndKind:    st.EndKind,
-						StoreStore: true,
-					}
-					out.reports[key] = rep
-					out.orderSS = append(out.orderSS, key)
-				}
+				rep := out.report(res, reportKey{store: st.Site, load: st2.Site, storeStore: true}, st.Addr, st.TID, st2.TID, st.EndKind)
 				rep.Pairs++
 				rep.Weight += st.Count * st2.Count
 				if st.EndKind != EndPersist || st2.EndKind != EndPersist {
@@ -375,63 +487,16 @@ func mergeShards(res *Result, outs []*shardResult) {
 	}
 }
 
-// storeLoadBucket groups the records of one cache line.
-type storeLoadBucket struct {
-	stores []*StoreData
-	loads  []*LoadData
-}
-
-// firstCommonLine returns the lowest cache line covered by both access
-// ranges starting at aAddr and bAddr — the one bucket in which a
-// multi-line pair is processed.
-func firstCommonLine(aAddr, bAddr uint64) uint64 {
-	la, lb := pmem.LineOf(aAddr), pmem.LineOf(bAddr)
-	if lb > la {
-		return lb
-	}
-	return la
-}
-
-func spansLines(addr uint64, size uint32) bool {
-	if size == 0 {
-		return false
-	}
-	return pmem.LineOf(addr) != pmem.LineOf(lastAddrOf(addr, size))
-}
-
-// ldMeta is a load record's hoisted per-bucket pairing metadata.
-type ldMeta struct {
-	last  uint64
-	spans bool
-}
-
 // comparer memoizes lockset comparisons. Each analysis shard owns one: the
-// memo map is written during pairing, while the underlying interning tables
-// are read-only by then.
+// memo map is written during pairing, while the underlying interning table
+// is read-only by then.
 //
-// Happens-before queries go straight to the clock table's LeqID: one
-// component read for the owned event clocks every record carries. disjoint
-// first intersects the precomputed lock signatures (zero proves
+// disjoint first intersects the precomputed lock signatures (zero proves
 // disjointness) and walks small sets directly; only large inconclusive
 // pairs reach the memo.
 type comparer struct {
 	ls       *lockset.Table
-	vc       *vclock.Table
 	disjMemo map[[2]lockset.ID]bool
-}
-
-// newComparer builds a shard comparer. memoHint presizes the memo map (the
-// shard's record count is the natural bound: a shard cannot memoize more
-// distinct pairs than pairs it checks, and record counts cap those).
-func newComparer(ls *lockset.Table, vc *vclock.Table, memoHint int) *comparer {
-	if memoHint > 1<<12 {
-		memoHint = 1 << 12
-	}
-	return &comparer{
-		ls:       ls,
-		vc:       vc,
-		disjMemo: make(map[[2]lockset.ID]bool, memoHint),
-	}
 }
 
 // disjoint reports whether the two interned locksets share no lock
@@ -461,20 +526,4 @@ func (c *comparer) disjoint(a, b lockset.ID) bool {
 	c.disjMemo[key] = v
 	c.disjMemo[[2]lockset.ID{b, a}] = v
 	return v
-}
-
-// mayRace applies the inter-thread happens-before filter to a store window
-// and a load (§3.1.2). The load can fall inside the store's unpersisted
-// window unless it happens-before the store instruction or the window's
-// persist happens-before the load. Using the window end clock is what lets
-// the analysis catch Fig. 3's Store₃/Persist₃ case; checking the window
-// start as well additionally prunes loads that provably precede the store.
-func (c *comparer) mayRace(st *StoreData, ld *LoadData) bool {
-	if c.vc.LeqID(ld.VC, st.Start) {
-		return false // load happens-before the store: it cannot read it
-	}
-	if st.End != NoVC && c.vc.LeqID(st.End, ld.VC) {
-		return false // persisted (or overwritten) before the load could run
-	}
-	return true
 }

@@ -2,14 +2,14 @@ package hawkset
 
 import "testing"
 
-// pairCost is the true pairing cost of one bucket: stores×loads store-load
+// pairCost is the true pairing cost of bucket b: stores×loads store-load
 // pairs plus n(n-1)/2 store-store pairs, plus the constant bucket overhead —
 // the model partitionLines must balance.
-func pairCost(b *storeLoadBucket, storeStore bool) uint64 {
-	c := uint64(len(b.stores))*uint64(len(b.loads)) + 1
+func pairCost(bx *bucketIndex, b int, storeStore bool) uint64 {
+	stores := uint64(bx.storeOff[b+1] - bx.storeOff[b])
+	c := stores*uint64(bx.loadOff[b+1]-bx.loadOff[b]) + 1
 	if storeStore {
-		n := uint64(len(b.stores))
-		c += n * (n - 1) / 2
+		c += stores * (stores - 1) / 2
 	}
 	return c
 }
@@ -24,53 +24,46 @@ func pairCost(b *storeLoadBucket, storeStore bool) uint64 {
 // it and left the final shard with a third of the store buckets plus the
 // whole load tail — measurably past the bound this test pins.
 func TestPartitionLinesSkewedSpread(t *testing.T) {
-	mkBucket := func(stores, loads int) *storeLoadBucket {
-		b := &storeLoadBucket{}
-		for i := 0; i < stores; i++ {
-			b.stores = append(b.stores, &StoreData{})
-		}
-		for i := 0; i < loads; i++ {
-			b.loads = append(b.loads, &LoadData{})
-		}
-		return b
-	}
-
-	buckets := make(map[uint64]*storeLoadBucket)
-	var lineKeys []uint64
-	addLine := func(line uint64, b *storeLoadBucket) {
-		buckets[line] = b
-		lineKeys = append(lineKeys, line)
+	bx := &bucketIndex{storeOff: []int{0}, loadOff: []int{0}}
+	addLine := func(line uint64, stores, loads int) {
+		bx.lines = append(bx.lines, line)
+		bx.stores = append(bx.stores, make([]int32, stores)...)
+		bx.loads = append(bx.loads, make([]int32, loads)...)
+		bx.storeOff = append(bx.storeOff, len(bx.stores))
+		bx.loadOff = append(bx.loadOff, len(bx.loads))
 	}
 	for i := 0; i < 200; i++ {
-		addLine(uint64(i), mkBucket(2, 0)) // true cost 2, old model said 3
+		addLine(uint64(i), 2, 0) // true cost 2, old model said 3
 	}
 	for i := 0; i < 400; i++ {
-		addLine(uint64(1000+i), mkBucket(0, 1)) // cost 1 in both models
+		addLine(uint64(1000+i), 0, 1) // cost 1 in both models
 	}
 
 	const workers = 2
-	parts := partitionLines(buckets, lineKeys, workers, true)
+	parts := partitionLines(bx, workers, true)
 	if len(parts) > workers {
 		t.Fatalf("partition produced %d shards for %d workers", len(parts), workers)
 	}
 
-	// The partition must be exactly the input key list, contiguously.
+	// The partition must be exactly the bucket list, contiguously.
 	var flat []uint64
 	for _, p := range parts {
-		flat = append(flat, p...)
+		for b := p[0]; b < p[1]; b++ {
+			flat = append(flat, bx.lines[b])
+		}
 	}
-	if len(flat) != len(lineKeys) {
-		t.Fatalf("partition covers %d lines, want %d", len(flat), len(lineKeys))
+	if len(flat) != len(bx.lines) {
+		t.Fatalf("partition covers %d lines, want %d", len(flat), len(bx.lines))
 	}
 	for i := range flat {
-		if flat[i] != lineKeys[i] {
-			t.Fatalf("partition reordered lines at %d: %d != %d", i, flat[i], lineKeys[i])
+		if flat[i] != bx.lines[i] {
+			t.Fatalf("partition reordered lines at %d: %d != %d", i, flat[i], bx.lines[i])
 		}
 	}
 
 	var total, maxBucket uint64
-	for _, line := range lineKeys {
-		c := pairCost(buckets[line], true)
+	for b := range bx.lines {
+		c := pairCost(bx, b, true)
 		total += c
 		if c > maxBucket {
 			maxBucket = c
@@ -79,8 +72,8 @@ func TestPartitionLinesSkewedSpread(t *testing.T) {
 	var maxShard uint64
 	for _, p := range parts {
 		var c uint64
-		for _, line := range p {
-			c += pairCost(buckets[line], true)
+		for b := p[0]; b < p[1]; b++ {
+			c += pairCost(bx, b, true)
 		}
 		if c > maxShard {
 			maxShard = c

@@ -1,13 +1,16 @@
 package hawkset
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hawkset/internal/pmem"
 	"hawkset/internal/pmrt"
+	"hawkset/internal/sites"
 	"hawkset/internal/trace"
 )
 
@@ -232,6 +235,15 @@ func TestParallelDifferentialQuickstart(t *testing.T) {
 // two buckets sharing a record, the pair must still be counted exactly once
 // and reported identically.
 func TestParallelDifferentialSpanningStores(t *testing.T) {
+	cfg := cfgNoIRH()
+	assertWorkersAgree(t, "spanning", spanningTrace(), cfg)
+	cfg.StoreStore = true
+	assertWorkersAgree(t, "spanning+store-store", spanningTrace(), cfg)
+}
+
+// spanningTrace has three threads store, load and store 8 bytes across each
+// of 24 cache-line boundaries.
+func spanningTrace() *trace.Trace {
 	b := trace.NewBuilder()
 	b.Create(0, 1, "c1").Create(0, 2, "c2").Create(0, 3, "c3")
 	base := uint64(0x100)
@@ -242,11 +254,7 @@ func TestParallelDifferentialSpanningStores(t *testing.T) {
 		b.Store(3, addr, 8, "t3.store")
 	}
 	b.Join(0, 1, "j").Join(0, 2, "j").Join(0, 3, "j")
-
-	cfg := cfgNoIRH()
-	assertWorkersAgree(t, "spanning", b.T, cfg)
-	cfg.StoreStore = true
-	assertWorkersAgree(t, "spanning+store-store", b.T, cfg)
+	return b.T
 }
 
 // TestParallelDifferentialRandomTraces fuzzes worker-count equivalence over
@@ -258,5 +266,253 @@ func TestParallelDifferentialRandomTraces(t *testing.T) {
 		cfg := cfgNoIRH()
 		cfg.StoreStore = true
 		assertWorkersAgree(t, "rand/store-store", tr, cfg)
+	}
+}
+
+// replayed replays tr under cfg and returns its records, not yet analyzed.
+func replayed(tr *trace.Trace, cfg Config) *Result {
+	s := NewStream(tr.Sites, cfg)
+	for e := range tr.Events() {
+		s.Feed(e) //nolint:errcheck // builder traces hold known kinds only
+	}
+	return s.records()
+}
+
+// TestLongStoreAnalyzeBounded: a decoded event may claim a size up to
+// 2^32-1. One store of 16 or 64 MiB and one 8-byte load inside it must cost
+// stage ③ under 1 MiB of allocation: only lines a load covers are buckets,
+// so the store's other lines cost nothing (a bucket per line the store
+// covered allocated 36.8 and 146.4 MiB). The race must still be reported.
+func TestLongStoreAnalyzeBounded(t *testing.T) {
+	for _, size := range []uint32{16 << 20, 64 << 20} {
+		b := trace.NewBuilder()
+		b.Store(1, 0x1000, size, "long.store")
+		b.Load(2, 0x1000+uint64(size)/2, 8, "load")
+		res := replayed(b.T, cfgNoIRH())
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		analyze(res, cfgNoIRH())
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%d MiB store: stage ③ allocated %d B, want under 1 MiB", size>>20, alloc)
+		}
+		if !hasReport(res, "long.store", "load") {
+			t.Errorf("%d MiB store: race missed; reports = %v", size>>20, reportStrings(res))
+		}
+	}
+}
+
+// orderedRandTrace is a random trace whose accesses happens-before orders:
+// the main thread accesses the lines before it creates the workers and
+// after it joins them, and the first worker creates and joins a third one
+// midway.
+func orderedRandTrace(rng *rand.Rand) *trace.Trace {
+	b := trace.NewBuilder()
+	access := func(tid int32) {
+		addr := uint64(0x100 + 64*rng.Intn(3))
+		lock := uint64(1 + rng.Intn(2))
+		locked := rng.Intn(2) == 0
+		if locked {
+			b.Lock(tid, lock, "lock")
+		}
+		switch rng.Intn(3) {
+		case 0:
+			b.Store(tid, addr, 8, "store")
+		case 1:
+			b.Store(tid, addr, 8, "store")
+			b.Persist(tid, addr, 8, "persist")
+		default:
+			b.Load(tid, addr, 8, "load")
+		}
+		if locked {
+			b.Unlock(tid, lock, "unlock")
+		}
+	}
+	for range 3 {
+		access(0)
+	}
+	b.Create(0, 1, "main.create").Create(0, 2, "main.create")
+	for range 2 + rng.Intn(4) {
+		access(1)
+		access(2)
+	}
+	b.Create(1, 3, "t1.create")
+	for range 2 + rng.Intn(4) {
+		access(3)
+		access(2)
+	}
+	b.Join(1, 3, "t1.join")
+	access(1)
+	b.Join(0, 1, "main.join").Join(0, 2, "main.join")
+	for range 3 {
+		access(0)
+	}
+	return b.T
+}
+
+// TestDisownedClocksAgree: stage ③ prunes by the epoch compare on owned
+// clocks and by the full component walk on unowned ones, which otherwise
+// only a reused live TID reaches. Each trace is replayed once and its
+// records are analyzed twice: as replayed, and after Disown makes every
+// clock unowned. Reports and the pair counters must match.
+func TestDisownedClocksAgree(t *testing.T) {
+	type input struct {
+		name string
+		tr   *trace.Trace
+	}
+	inputs := []input{{"spanning", spanningTrace()}}
+	for seed := int64(0); seed < 20; seed++ {
+		inputs = append(inputs,
+			input{"rand", randTrace(rand.New(rand.NewSource(seed)))},
+			input{"ordered", orderedRandTrace(rand.New(rand.NewSource(seed)))})
+	}
+	storeStore := DefaultConfig()
+	storeStore.StoreStore = true
+	var hbFiltered uint64
+	for _, cfg := range []Config{DefaultConfig(), storeStore} {
+		for i, in := range inputs {
+			res := replayed(in.tr, cfg)
+			owned, disowned := *res, *res
+			analyze(&owned, cfg)
+			res.VClocks.Disown()
+			analyze(&disowned, cfg)
+			if !reflect.DeepEqual(owned.Reports, disowned.Reports) {
+				t.Errorf("%s #%d, store-store %v: reports differ after Disown:\nowned:    %+v\ndisowned: %+v",
+					in.name, i, cfg.StoreStore, owned.Reports, disowned.Reports)
+			}
+			o, d := owned.Stats, disowned.Stats
+			if o.PairsChecked != d.PairsChecked || o.PairsHBFiltered != d.PairsHBFiltered || o.PairsLockFiltered != d.PairsLockFiltered {
+				t.Errorf("%s #%d, store-store %v: pair counters differ after Disown: %d/%d/%d, want %d/%d/%d",
+					in.name, i, cfg.StoreStore, d.PairsChecked, d.PairsHBFiltered, d.PairsLockFiltered,
+					o.PairsChecked, o.PairsHBFiltered, o.PairsLockFiltered)
+			}
+			hbFiltered += o.PairsHBFiltered
+		}
+	}
+	if hbFiltered == 0 {
+		t.Fatal("no pair was pruned by happens-before: the differential compared nothing")
+	}
+}
+
+// TestReportCacheCollision: a shard's report cache holds load sites by the
+// low bits of their IDs, so two load sites reportCacheSize apart share a
+// slot. Their interleaved loads, racing with one store site, must still
+// count into two reports.
+func TestReportCacheCollision(t *testing.T) {
+	const X = 0x100
+	b := trace.NewBuilder()
+	b.Create(0, 1, "c1").Create(0, 2, "c2")
+	b.Store(1, X, 16, "st")
+	b.Load(2, X, 8, "ld.a")
+	for id := b.T.Sites.Named("ld.a") + reportCacheSize; sites.ID(b.T.Sites.Len()) < id; {
+		b.T.Sites.Named(fmt.Sprint("pad", b.T.Sites.Len()))
+	}
+	b.Load(2, X, 8, "ld.b")
+	b.Load(2, X+8, 8, "ld.a")
+	b.Join(0, 1, "j").Join(0, 2, "j")
+	if a, c := b.T.Sites.Named("ld.a"), b.T.Sites.Named("ld.b"); c-a != reportCacheSize {
+		t.Fatalf("load sites %d and %d do not collide", a, c)
+	}
+
+	res := Analyze(b.T, cfgNoIRH())
+	pairs := map[string]int{}
+	for _, r := range res.Reports {
+		pairs[r.StoreFrame.String()+"/"+r.LoadFrame.String()] = r.Pairs
+	}
+	if want := map[string]int{"st/ld.a": 2, "st/ld.b": 1}; !reflect.DeepEqual(pairs, want) {
+		t.Fatalf("report pairs = %v, want %v", pairs, want)
+	}
+}
+
+// TestIndexBucketsMatchesBruteForce checks the bucket index against a
+// line-by-line construction: the buckets are the lines a load covers (and,
+// under StoreStore, a store covers), ascending, and each bucket lists every
+// record covering its line in record order. The records are random ranges,
+// some spanning lines, some of size 0, and a few long stores.
+func TestIndexBucketsMatchesBruteForce(t *testing.T) {
+	covers := func(addr uint64, size uint32, line uint64) bool {
+		return pmem.LineOf(addr) <= line && line <= pmem.LineOf(lastAddrOf(addr, size))
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		res := &Result{}
+		randRange := func() (uint64, uint32) {
+			addr := uint64(rng.Intn(64 * 40))
+			if rng.Intn(10) == 0 {
+				return addr, uint32(rng.Intn(64 * 30))
+			}
+			return addr, uint32(rng.Intn(100))
+		}
+		for range rng.Intn(30) {
+			addr, size := randRange()
+			res.Stores = append(res.Stores, StoreData{Addr: addr, Size: size})
+		}
+		for range rng.Intn(30) {
+			addr, size := randRange()
+			res.Loads = append(res.Loads, LoadData{Addr: addr, Size: size})
+		}
+		for _, storeStore := range []bool{false, true} {
+			bx := indexBuckets(res, storeStore)
+			var lines []uint64
+			for line := uint64(0); line < 80; line++ {
+				bucket := false
+				for _, ld := range res.Loads {
+					bucket = bucket || covers(ld.Addr, ld.Size, line)
+				}
+				for _, st := range res.Stores {
+					bucket = bucket || storeStore && covers(st.Addr, st.Size, line)
+				}
+				if bucket {
+					lines = append(lines, line)
+				}
+			}
+			if !slices.Equal(bx.lines, lines) {
+				t.Fatalf("seed %d, store-store %v: lines %v, want %v", seed, storeStore, bx.lines, lines)
+			}
+			for b, line := range lines {
+				var stores, loads []int32
+				for i, st := range res.Stores {
+					if covers(st.Addr, st.Size, line) {
+						stores = append(stores, int32(i))
+					}
+				}
+				for i, ld := range res.Loads {
+					if covers(ld.Addr, ld.Size, line) {
+						loads = append(loads, int32(i))
+					}
+				}
+				if got := bx.stores[bx.storeOff[b]:bx.storeOff[b+1]]; !slices.Equal(got, stores) {
+					t.Fatalf("seed %d, store-store %v, line %d: stores %v, want %v", seed, storeStore, line, got, stores)
+				}
+				if got := bx.loads[bx.loadOff[b]:bx.loadOff[b+1]]; !slices.Equal(got, loads) {
+					t.Fatalf("seed %d, store-store %v, line %d: loads %v, want %v", seed, storeStore, line, got, loads)
+				}
+			}
+		}
+	}
+}
+
+// TestSharedLockAmongOthersPrunes: the store's effective lockset {A, B} and
+// the load's lockset {A} are different sets sharing lock A, so the pair is
+// protected — the case neither the empty-set nor the equal-ID shortcut
+// decides.
+func TestSharedLockAmongOthersPrunes(t *testing.T) {
+	const X, A, B = 0x100, 1, 2
+	b := trace.NewBuilder()
+	b.Create(0, 1, "c1").Create(0, 2, "c2")
+	b.Lock(1, A, "t1.lock.a").Lock(1, B, "t1.lock.b")
+	b.Store(1, X, 8, "t1.store")
+	b.Persist(1, X, 8, "t1.persist")
+	b.Unlock(1, B, "t1.unlock.b").Unlock(1, A, "t1.unlock.a")
+	b.Lock(2, A, "t2.lock.a")
+	b.Load(2, X, 8, "t2.load")
+	b.Unlock(2, A, "t2.unlock.a")
+	b.Join(0, 1, "j").Join(0, 2, "j")
+
+	res := Analyze(b.T, cfgNoIRH())
+	if len(res.Reports) != 0 || res.Stats.PairsLockFiltered != 1 {
+		t.Fatalf("reports = %v, lock-filtered pairs = %d; want none and 1",
+			reportStrings(res), res.Stats.PairsLockFiltered)
 	}
 }

@@ -634,6 +634,15 @@ func linesOf(addr uint64, size uint32, fn func(line uint64)) {
 	}
 }
 
+// spansLines reports whether [addr, addr+size) covers more than one cache
+// line.
+func spansLines(addr uint64, size uint32) bool {
+	if size == 0 {
+		return false
+	}
+	return pmem.LineOf(addr) != pmem.LineOf(lastAddrOf(addr, size))
+}
+
 func (r *replayer) store(e trace.Event, nt bool) {
 	r.stats.PMAccesses++
 	ts := r.thread(e.TID)

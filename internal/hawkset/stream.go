@@ -74,6 +74,20 @@ func (s *Stream) Finish() (*Result, error) {
 	if s.finished {
 		return nil, ErrStreamFinished
 	}
+	res := s.records()
+	stopAnalyze := s.cfg.Metrics.Stage("hawkset.stage.analyze")
+	analyze(res, s.cfg)
+	stopAnalyze()
+	stopSort := s.cfg.Metrics.Stage("hawkset.stage.report_sort")
+	sortReports(res.Reports)
+	stopSort()
+	s.recordStats(&res.Stats, len(res.Reports))
+	return res, nil
+}
+
+// records ends the stream's replay and hands its records over as a Result
+// that stage ③ has not analyzed yet.
+func (s *Stream) records() *Result {
 	s.finished = true
 	s.rp.finish()
 	if s.cfg.Metrics != nil && !s.replayStart.IsZero() {
@@ -89,14 +103,7 @@ func (s *Stream) Finish() (*Result, error) {
 	}
 	res.Stats.LocksetsInterned = s.rp.ls.Len()
 	res.Stats.VClocksInterned = s.rp.vc.Len()
-	stopAnalyze := s.cfg.Metrics.Stage("hawkset.stage.analyze")
-	analyze(res, s.cfg)
-	stopAnalyze()
-	stopSort := s.cfg.Metrics.Stage("hawkset.stage.report_sort")
-	sortReports(res.Reports)
-	stopSort()
-	s.recordStats(&res.Stats, len(res.Reports))
-	return res, nil
+	return res
 }
 
 // recordStats mirrors the final Stats into the metrics registry, so a

@@ -88,21 +88,21 @@ type ID int32
 const NoOwner int32 = -1
 
 // Table interns vector clocks behind integer IDs. Not safe for concurrent
-// use (analysis is single-threaded).
+// use while interning; stage ③'s shards only read it.
 //
-// Alongside each clock the table can record an epoch summary: the thread
-// that owns the clock (the thread whose event the clock timestamps) and that
-// thread's own component — the FastTrack-style (tid, tick) epoch. For an
-// owned clock a, happens-before reduces to one component compare:
+// Alongside each clock the table can record the thread that owns the clock
+// (the thread whose event the clock timestamps); with that thread's own
+// component it forms the FastTrack-style (tid, tick) epoch. For an owned
+// clock a, happens-before reduces to one component compare:
 // Leq(a, b) ⇔ a[tid] ≤ b[tid], because a thread's component is advanced
 // only by that thread and propagates to other clocks only via create/join
-// edges that carry the whole clock. See LeqID. A construction that breaks
-// that premise calls Disown, and every compare is a full walk from then on.
+// edges that carry the whole clock. See Epoch.Leq, on which LeqID is built.
+// A construction that breaks that premise calls Disown, and every compare is
+// a full walk from then on.
 type Table struct {
 	byHash map[uint64][]ID
 	clocks []VC
 	owners []int32 // owning thread per ID (NoOwner when unknown)
-	ticks  []uint32
 	// disowned is set by Disown: InternOwned records no owner any more.
 	disowned bool
 }
@@ -113,7 +113,6 @@ func NewTable() *Table {
 		byHash: make(map[uint64][]ID),
 		clocks: []VC{nil},
 		owners: []int32{NoOwner},
-		ticks:  []uint32{0},
 	}
 }
 
@@ -151,7 +150,7 @@ func (t *Table) Intern(v VC) ID {
 
 // InternOwned interns v and, when owner is a valid thread index, records
 // that v is a thread-event clock of owner — enabling the O(1) epoch compare
-// of LeqID for the returned ID. If the clock value was first interned
+// of Epoch.Leq for the returned ID. If the clock value was first interned
 // without an owner, the ownership is attached now; if it already has a
 // different owner, the first one is kept (both are valid: either owner's
 // component works as an epoch for this value).
@@ -169,9 +168,8 @@ func (t *Table) InternOwned(v VC, owner int32) ID {
 	h := hashVC(v)
 	for _, id := range t.byHash[h] {
 		if equalVC(t.clocks[id], v) {
-			if t.owners[id] == NoOwner && owner != NoOwner {
+			if t.owners[id] == NoOwner {
 				t.owners[id] = owner
-				t.ticks[id] = v.Get(int(owner))
 			}
 			return id
 		}
@@ -179,33 +177,54 @@ func (t *Table) InternOwned(v VC, owner int32) ID {
 	id := ID(len(t.clocks))
 	t.clocks = append(t.clocks, v.Clone())
 	t.byHash[h] = append(t.byHash[h], id)
-	tick := uint32(0)
-	if owner != NoOwner {
-		tick = v.Get(int(owner))
-	}
 	t.owners = append(t.owners, owner)
-	t.ticks = append(t.ticks, tick)
 	return id
 }
 
 // Get resolves an ID to its clock. The returned slice must not be mutated.
 func (t *Table) Get(id ID) VC { return t.clocks[id] }
 
-// LeqID reports Leq(Get(a), Get(b)). When a is an owned clock the answer is
-// the O(1) epoch compare a[owner] ≤ b[owner]; otherwise it falls back to the
-// full component walk. The epoch reduction is exact — not an approximation —
-// for clocks produced by a create/join happens-before construction in which
-// each thread's component is advanced only by that thread (the replayer
-// interns with ownership only at thread event clocks, and calls Disown when
-// a trace breaks the guarantee).
+// Epoch is the left operand of a happens-before compare, resolved once from
+// an interned clock so that it can be compared against many clocks: the
+// clock and the range of components that decide the compare — the owner's
+// alone for an owned clock, every component for an unowned one.
+type Epoch struct {
+	clock  VC
+	lo, hi int32
+}
+
+// Epoch resolves the epoch of clock a.
+func (t *Table) Epoch(a ID) Epoch {
+	c := t.clocks[a]
+	if o := t.owners[a]; o != NoOwner {
+		return Epoch{clock: c, lo: o, hi: o + 1}
+	}
+	return Epoch{clock: c, hi: int32(len(c))}
+}
+
+// Clock returns the resolved clock, for use as the right operand of another
+// epoch's Leq.
+func (e Epoch) Clock() VC { return e.clock }
+
+// Leq reports Leq(e.Clock(), b). For an owned clock that is the O(1) epoch
+// compare e[owner] ≤ b[owner]; otherwise it is the full component walk. The
+// epoch reduction is exact — not an approximation — for clocks produced by a
+// create/join happens-before construction in which each thread's component
+// is advanced only by that thread (the replayer interns with ownership only
+// at thread event clocks, and calls Disown when a trace breaks the
+// guarantee).
+func (e Epoch) Leq(b VC) bool {
+	for i := e.lo; i < e.hi; i++ {
+		if e.clock.Get(int(i)) > b.Get(int(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// LeqID reports Leq(Get(a), Get(b)) by the epoch compare of a against b.
 func (t *Table) LeqID(a, b ID) bool {
-	if a == b {
-		return true
-	}
-	if owner := t.owners[a]; owner != NoOwner {
-		return t.ticks[a] <= t.clocks[b].Get(int(owner))
-	}
-	return Leq(t.clocks[a], t.clocks[b])
+	return a == b || t.Epoch(a).Leq(t.clocks[b])
 }
 
 // Disown drops every ownership record, including those of clocks interned

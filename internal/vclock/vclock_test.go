@@ -162,7 +162,11 @@ func TestString(t *testing.T) {
 func TestEpochOwnership(t *testing.T) {
 	tab := NewTable()
 	epoch := func(id ID) (int32, uint32, bool) {
-		return tab.owners[id], tab.ticks[id], tab.owners[id] != NoOwner
+		owner := tab.owners[id]
+		if owner == NoOwner {
+			return owner, 0, false
+		}
+		return owner, tab.Get(id).Get(int(owner)), true
 	}
 	a := tab.InternOwned(VC{2, 1}, 0)
 	if tid, tick, ok := epoch(a); !ok || tid != 0 || tick != 2 {
@@ -192,7 +196,9 @@ func TestEpochOwnership(t *testing.T) {
 
 // LeqID must agree with the full-vector Leq on clocks that satisfy the
 // ownership precondition (each owned clock is its owner's event clock), and
-// fall back to the full compare for unowned clocks.
+// fall back to the full compare for unowned clocks. The epoch compare,
+// Epoch(a).Leq against b's resolved clock, must answer as LeqID does for
+// every pair of owned and unowned clocks, before and after Disown.
 func TestLeqIDMatchesLeq(t *testing.T) {
 	tab := NewTable()
 	// A tiny create/join history for threads 0 and 1:
@@ -224,6 +230,20 @@ func TestLeqIDMatchesLeq(t *testing.T) {
 	}
 	if !tab.LeqID(u1, u1) {
 		t.Fatalf("LeqID not reflexive")
+	}
+
+	all := append(ids, u1, u2)
+	for _, phase := range []string{"owned", "disowned"} {
+		if phase == "disowned" {
+			tab.Disown()
+		}
+		for _, a := range all {
+			for _, b := range all {
+				if got, want := tab.Epoch(a).Leq(tab.Get(b)), tab.LeqID(a, b); got != want {
+					t.Errorf("%s: Epoch(%v).Leq(%v) = %v, LeqID = %v", phase, tab.Get(a), tab.Get(b), got, want)
+				}
+			}
+		}
 	}
 }
 
