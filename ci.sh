@@ -51,9 +51,10 @@
 #               then SIGTERM-drain and require a clean exit 0
 #   pmopt       flush/fence redundancy smoke on two apps: the JSON report
 #               must be byte-identical across two runs (the determinism
-#               invariant CI relies on), and one bounded -apply must elide
-#               the P-Masstree top-tier site with every safety gate (race
-#               byte-identity, full crash sweep, journal-aligned image
+#               invariant CI relies on), and a bounded -apply on each must
+#               elide its top-tier site (P-Masstree: 28 ops, P-ART: 1,216)
+#               with every safety gate (race byte-identity, full crash
+#               sweep, device-op reduction, journal-aligned image
 #               differential) green — pmopt exits 1 on any gate failure
 set -eux
 
@@ -115,7 +116,8 @@ if go run ./cmd/pmcheck -app MadFS-POSIX -ops 600 -inject -budget 8 -deadline 60
 fi
 go run ./cmd/pmcheck -app MadFS-POSIX -ops 600 -fixed -inject -budget 8 -deadline 60s
 
-# pmopt smoke: deterministic JSON on two apps, then one gated elimination.
+# pmopt smoke: deterministic JSON on two apps, then a gated elimination on
+# each.
 PMOPT_TMP=$(mktemp -d)
 trap 'rm -rf "$TRACE_TMP" "$PMOPT_TMP"' EXIT
 for app in P-ART P-Masstree; do
@@ -124,6 +126,7 @@ for app in P-ART P-Masstree; do
     diff "$PMOPT_TMP/$app.1.json" "$PMOPT_TMP/$app.2.json"
 done
 go run ./cmd/pmopt -app P-Masstree -ops 400 -seed 1 -apply -budget 8
+go run ./cmd/pmopt -app P-ART -ops 400 -seed 1 -apply -budget 8
 
 # pmcheckd daemon smoke: stream through the daemon, diff against offline
 # Analyze (-verify), SIGTERM-drain, assert clean exit.

@@ -76,7 +76,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pmopt: %s has no static+dynamic site to apply\n", entry.Name)
 		return
 	}
-	ar, err := pmopt.Apply(entry, *ops, *seed, res.Eliminable, crashinject.Config{Seed: *seed, Budget: *budget})
+	ar, err := pmopt.Apply(res.Prep, *ops, *seed, res.Eliminable, crashinject.Config{Seed: *seed, Budget: *budget})
 	if err != nil {
 		fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"hawkset/internal/apps"
 	"hawkset/internal/hawkset"
-	"hawkset/internal/obs"
 	"hawkset/internal/pmem"
 	"hawkset/internal/pmrt"
 	"hawkset/internal/sites"
@@ -55,11 +54,8 @@ func Prepare(e *apps.Entry, opCount int, seed int64, fixed bool) (*Prep, error) 
 
 // PrepOptions extends Prepare for consumers that need more than the plain
 // recording. pmopt's apply gate records the same execution with candidate
-// sites elided and counters attached; the zero value is exactly Prepare.
+// sites elided; the zero value is exactly Prepare.
 type PrepOptions struct {
-	// Metrics receives the runtime's side-band counters (device_flush,
-	// device_fence, ...) for before/after comparison.
-	Metrics *obs.Registry
 	// ElideSites is forwarded to pmrt.Config.ElideSites: flush/fence sites
 	// to suppress during the recording.
 	ElideSites map[string]bool
@@ -68,8 +64,7 @@ type PrepOptions struct {
 // PrepareWith is Prepare with recording options.
 func PrepareWith(e *apps.Entry, opCount int, seed int64, fixed bool, opt PrepOptions) (*Prep, error) {
 	w := e.Workload(opCount, seed)
-	rt := pmrt.New(pmrt.Config{Seed: seed, PoolSize: e.PoolSize, RecordOps: true,
-		Metrics: opt.Metrics, ElideSites: opt.ElideSites})
+	rt := pmrt.New(pmrt.Config{Seed: seed, PoolSize: e.PoolSize, RecordOps: true, ElideSites: opt.ElideSites})
 	app := e.Factory(rt, fixed)
 
 	var spans []Span

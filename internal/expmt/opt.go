@@ -102,7 +102,7 @@ func OptTable(cfg OptTableConfig) ([]OptRow, error) {
 			}
 		}
 		if cfg.Apply && len(res.Eliminable) > 0 {
-			ar, err := pmopt.Apply(e, ops, cfg.Seed, res.Eliminable, crashinject.Config{
+			ar, err := pmopt.Apply(res.Prep, ops, cfg.Seed, res.Eliminable, crashinject.Config{
 				Seed: cfg.Seed, Budget: cfg.Budget, Deadline: cfg.Deadline,
 			})
 			if err != nil {

@@ -78,6 +78,7 @@ type Options struct {
 type pendingFlush struct {
 	addr Addr
 	data []byte
+	pos  int // journal position of the op that took it (Replayer pools only)
 }
 
 // Pool is a simulated PM device.
@@ -97,6 +98,12 @@ type Pool struct {
 	// Background-eviction state (Options.EvictAfter).
 	clock      uint64
 	evictQueue []evictEntry
+
+	// Commit observation, set only on a Replayer's pool: new snapshots are
+	// stamped with snapPos, and Fence appends what it commits to commits.
+	observe bool
+	snapPos int
+	commits []Commit
 
 	// Side-band metric handles (nil when Options.Metrics is unset).
 	mStores     *obs.Counter
@@ -214,7 +221,7 @@ func (p *Pool) NTStore(tid int32, addr Addr, data []byte, site int32) {
 	}
 	snap := make([]byte, len(data))
 	copy(snap, data)
-	p.pending[tid] = append(p.pending[tid], pendingFlush{addr: addr, data: snap})
+	p.pending[tid] = append(p.pending[tid], pendingFlush{addr: addr, data: snap, pos: p.snapPos})
 }
 
 // Load copies the current volatile contents at addr into buf.
@@ -241,7 +248,7 @@ func (p *Pool) Flush(tid int32, addr Addr) {
 	}
 	snap := make([]byte, end-base)
 	copy(snap, p.volatile[base:end])
-	p.pending[tid] = append(p.pending[tid], pendingFlush{addr: base, data: snap})
+	p.pending[tid] = append(p.pending[tid], pendingFlush{addr: base, data: snap, pos: p.snapPos})
 }
 
 // FlushRange issues flushes for every line overlapping [addr, addr+size).
@@ -259,8 +266,8 @@ func (p *Pool) FlushRange(tid int32, addr Addr, size uint64) {
 }
 
 // Fence completes tid's pending flushes: every snapshot taken by an earlier
-// Flush or NTStore from tid enters the persistent domain. Bytes that were
-// re-dirtied after their snapshot remain dirty.
+// Flush or NTStore from tid enters the persistent domain, in issue order.
+// Bytes that were re-dirtied after their snapshot remain dirty.
 func (p *Pool) Fence(tid int32) {
 	p.mFences.Inc()
 	if p.opts.EADR {
@@ -271,7 +278,12 @@ func (p *Pool) Fence(tid int32) {
 		return
 	}
 	for _, pf := range pfs {
-		copy(p.persistent[pf.addr:], pf.data)
+		dst := p.persistent[pf.addr : pf.addr+uint64(len(pf.data))]
+		if p.observe {
+			p.commits = append(p.commits, Commit{Pos: pf.pos, Addr: pf.addr, Size: uint64(len(pf.data)),
+				Changed: !bytes.Equal(dst, pf.data)})
+		}
+		copy(dst, pf.data)
 	}
 	delete(p.pending, tid)
 	// Re-check only the lines this fence touched; lines not covered by one
@@ -296,6 +308,14 @@ func (p *Pool) Fence(tid int32) {
 		}
 	}
 	p.mDirtyLines.Set(int64(len(p.dirty)))
+}
+
+// View returns [addr, addr+n) of the volatile and persistent views without
+// copying. The slices alias the device: callers must not modify them, and
+// later operations change what they hold.
+func (p *Pool) View(addr Addr, n uint64) (volatile, persistent []byte) {
+	p.check(addr, int(n))
+	return p.volatile[addr : addr+n : addr+n], p.persistent[addr : addr+n : addr+n]
 }
 
 // Persisted reports whether every byte of [addr, addr+size) is guaranteed to

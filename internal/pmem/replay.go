@@ -2,14 +2,15 @@ package pmem
 
 import "fmt"
 
-// This file is the device side of the crash-injection harness
-// (internal/crashinject): a Pool's mutation history can be recorded as a
-// journal of Ops (the instrumented runtime does the recording, because it
-// knows the trace-event index each operation corresponds to), and a Replayer
-// re-applies that journal to a fresh device, materializing the exact
-// volatile and persistent images at ANY journal position without re-running
-// the application. Crash enumeration then costs one linear replay for an
-// entire campaign instead of one execution per crash point.
+// This file is the device side of every journal consumer: a Pool's mutation
+// history can be recorded as a journal of Ops (the instrumented runtime does
+// the recording, because it knows the trace-event index and call site each
+// operation corresponds to), and a Replayer re-applies that journal to a
+// fresh device, materializing the exact volatile and persistent images at
+// ANY journal position without re-running the application. Crash
+// enumeration (internal/crashinject) then costs one linear replay for an
+// entire campaign instead of one execution per crash point, and pmopt reads
+// each fence's commits to tell redundant persistence work from real work.
 
 // OpKind enumerates the device-mutating operations a journal records. Loads
 // are absent: with background eviction disabled (the worst-case persistency
@@ -44,6 +45,9 @@ type Op struct {
 	// Size is the store width. A store with nil Data writes Size zero bytes
 	// (the untraced allocator-scrub path, pmrt.Ctx.Zero).
 	Size uint32
+	// Site is the call site that issued the op (a sites.ID of the recording
+	// trace's table), or 0 for untraced ops.
+	Site int32
 	// Data is the store payload (Store/NTStore); nil for Flush/Fence.
 	Data []byte
 	// Seq is the index of the trace event this op corresponds to, or -1 for
@@ -51,6 +55,21 @@ type Op struct {
 	// trace-coordinate artifacts (e.g. hawkset store windows) into journal
 	// positions.
 	Seq int
+}
+
+// Commit is one snapshot a fence moved into the persistent domain.
+type Commit struct {
+	// Pos is the journal position of the flush or NT store that took the
+	// snapshot.
+	Pos int
+	// Addr and Size are the snapshot's byte range: a whole line for a
+	// flush, the payload for an NT store.
+	Addr Addr
+	Size uint64
+	// Changed reports whether the snapshot changed the persistent bytes it
+	// overwrote. A fence commits its batch in issue order, so a snapshot is
+	// judged against the entries committed before it.
+	Changed bool
 }
 
 // Replayer re-applies a recorded op journal to a fresh device under the
@@ -67,7 +86,9 @@ type Replayer struct {
 // NewReplayer creates a replayer over a fresh zero-filled device of the
 // given size.
 func NewReplayer(size uint64) *Replayer {
-	return &Replayer{pool: New(size, Options{})}
+	p := New(size, Options{})
+	p.observe = true
+	return &Replayer{pool: p}
 }
 
 // Pos returns the current journal position (ops applied so far).
@@ -78,8 +99,13 @@ func (r *Replayer) Pos() int { return r.pos }
 // may read both views; mutating it desynchronizes the replay.
 func (r *Replayer) Pool() *Pool { return r.pool }
 
-// Apply applies one op. The journal must be applied in recording order.
-func (r *Replayer) Apply(op Op) {
+// Apply applies one op and returns the snapshots it committed: for a fence,
+// its thread's pending batch in commit order (empty when nothing was
+// queued); for any other op, none. The journal must be applied in recording
+// order. The returned slice is valid until the next Apply.
+func (r *Replayer) Apply(op Op) []Commit {
+	r.pool.commits = r.pool.commits[:0]
+	r.pool.snapPos = r.pos
 	switch op.Kind {
 	case OpStore, OpNTStore:
 		data := op.Data
@@ -87,9 +113,9 @@ func (r *Replayer) Apply(op Op) {
 			data = make([]byte, op.Size)
 		}
 		if op.Kind == OpStore {
-			r.pool.Store(op.TID, op.Addr, data, 0)
+			r.pool.Store(op.TID, op.Addr, data, op.Site)
 		} else {
-			r.pool.NTStore(op.TID, op.Addr, data, 0)
+			r.pool.NTStore(op.TID, op.Addr, data, op.Site)
 		}
 	case OpFlush:
 		r.pool.Flush(op.TID, op.Addr)
@@ -99,6 +125,7 @@ func (r *Replayer) Apply(op Op) {
 		panic(fmt.Sprintf("pmem: cannot replay op kind %d", op.Kind))
 	}
 	r.pos++
+	return r.pool.commits
 }
 
 // AdvanceTo applies ops[r.Pos():pos], leaving the device at position pos.

@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -137,5 +138,60 @@ func TestRebootClone(t *testing.T) {
 	}
 	if c2.Load8(LineSize)&0xff != 9 {
 		t.Errorf("reused clone missing newly persisted byte")
+	}
+}
+
+// TestReplayerCommits pins the commit report: each fence reports its
+// thread's snapshots in issue order, at the journal positions of the flushes
+// and NT stores that took them, with Changed judged against the entries
+// committed before it.
+func TestReplayerCommits(t *testing.T) {
+	ops := []Op{
+		{Kind: OpStore, TID: 1, Addr: 0, Size: 2, Data: []byte{1, 2}},
+		{Kind: OpFlush, TID: 1, Addr: 0},
+		{Kind: OpStore, TID: 1, Addr: 1, Size: 1, Data: []byte{3}}, // after the snapshot
+		{Kind: OpNTStore, TID: 1, Addr: LineSize, Size: 2, Data: []byte{4, 5}},
+		{Kind: OpFlush, TID: 2, Addr: 2 * LineSize}, // thread 1's fences leave it queued
+		{Kind: OpFence, TID: 1},
+		{Kind: OpFence, TID: 1}, // nothing queued
+		{Kind: OpFlush, TID: 1, Addr: 0},
+		{Kind: OpFlush, TID: 1, Addr: 8}, // the same line again, in the same batch
+		{Kind: OpFence, TID: 1},
+		{Kind: OpFence, TID: 2},
+	}
+	want := map[int][]Commit{
+		5:  {{Pos: 1, Addr: 0, Size: LineSize, Changed: true}, {Pos: 3, Addr: LineSize, Size: 2, Changed: true}},
+		9:  {{Pos: 7, Addr: 0, Size: LineSize, Changed: true}, {Pos: 8, Addr: 0, Size: LineSize, Changed: false}},
+		10: {{Pos: 4, Addr: 2 * LineSize, Size: LineSize, Changed: false}},
+	}
+	r := NewReplayer(4 * LineSize)
+	for i, op := range ops {
+		got := r.Apply(op)
+		if !slices.Equal(got, want[i]) {
+			t.Errorf("op %d (%s) committed %+v, want %+v", i, op.Kind, got, want[i])
+		}
+		if i == 5 {
+			// The first fence committed line 0's snapshot, not the store
+			// issued after it.
+			vol, per := r.Pool().View(0, 2)
+			if !bytes.Equal(per, []byte{1, 2}) || !bytes.Equal(vol, []byte{1, 3}) {
+				t.Errorf("after the first fence: volatile %v persistent %v, want [1 3] and [1 2]", vol, per)
+			}
+		}
+	}
+}
+
+// TestFenceLivePathAllocs pins a live pool's allocations per store, flush
+// and fence: the flush's snapshot and its thread's pending slice. Commit
+// observation, which only Replayer pools do, adds none.
+func TestFenceLivePathAllocs(t *testing.T) {
+	p := New(4*LineSize, Options{})
+	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	if a := testing.AllocsPerRun(100, func() {
+		p.Store(1, 8, data, 0)
+		p.Flush(1, 8)
+		p.Fence(1)
+	}); a != 2 {
+		t.Errorf("Store+Flush+Fence allocates %v times per run, want 2", a)
 	}
 }

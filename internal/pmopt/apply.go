@@ -3,20 +3,23 @@ package pmopt
 // Apply: elide a candidate site set and prove it safe. The elision itself
 // is pmrt's yield-preserving ElideSites hook (scheduling unchanged, device
 // ops suppressed); safety is established by four independent gates over the
-// re-recorded execution:
+// elided recording, against the baseline recording AnalyzeApp made:
 //
 //  1. the HawkSet race report must be byte-identical — eliminating
 //     redundant persistence work must not create, destroy or move any
 //     unpersisted-window race;
 //  2. a full crash-injection sweep (every strategy) over the elided journal
 //     must report zero failing crash points;
-//  3. the device-op counters must actually drop — an "optimization" that
-//     removes nothing is reported as a failure, not silently accepted;
+//  3. the journals' flush and fence counts must actually drop — an
+//     "optimization" that removes nothing is reported as a failure, not
+//     silently accepted;
 //  4. a journal-aligned image differential: because elision is
 //     yield-preserving, the elided journal must equal the baseline journal
 //     minus the elided sites' ops in identical order, and the persistent
 //     image must agree at every aligned position — i.e. a crash anywhere
-//     yields the same recoverable image with or without the elision.
+//     yields the same recoverable image with or without the elision. Both
+//     journals replay through pmem.Replayer, whose fence commits name the
+//     only bytes that can have moved.
 //
 // Gate 4 subsumes most of gate 2 in theory (same images → same recovery
 // verdicts), but the sweep exercises the real recovery code against the
@@ -27,9 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"hawkset/internal/apps"
 	"hawkset/internal/crashinject"
-	"hawkset/internal/obs"
 	"hawkset/internal/pmem"
 	"hawkset/internal/report"
 	"hawkset/internal/sites"
@@ -39,12 +40,14 @@ import (
 type ApplyResult struct {
 	App   string   `json:"app"`
 	Sites []string `json:"sites"`
-	// Device-op counts from the obs registries of the two recordings.
+	// Device-op counts of the two journals.
 	BaselineFlushes uint64 `json:"baseline_flushes"`
 	BaselineFences  uint64 `json:"baseline_fences"`
 	OptFlushes      uint64 `json:"opt_flushes"`
 	OptFences       uint64 `json:"opt_fences"`
-	ElidedOps       uint64 `json:"elided_ops"`
+	// ElidedOps counts the baseline ops gate 4's journal walk matched to
+	// elided sites, up to the first divergence it found.
+	ElidedOps uint64 `json:"elided_ops"`
 	// Gate verdicts.
 	RacesIdentical bool `json:"races_identical"`
 	SweepTested    int  `json:"sweep_tested"`
@@ -64,12 +67,14 @@ func (r *ApplyResult) FlushReduction() uint64 { return r.BaselineFlushes - r.Opt
 // FenceReduction returns eliminated fence ops.
 func (r *ApplyResult) FenceReduction() uint64 { return r.BaselineFences - r.OptFences }
 
-// Apply re-records the application's fixed variant with the given sites
-// elided and runs the safety gates. siteKeys must be module-relative
-// "file.go:line" keys (AnalyzeApp's Eliminable set). sweep configures the
-// crash-injection campaigns (Strategy is overridden; Budget/Deadline/Seed
-// are honored).
-func Apply(e *apps.Entry, opCount int, seed int64, siteKeys []string, sweep crashinject.Config) (*ApplyResult, error) {
+// Apply re-records base's execution with the given sites elided and runs the
+// safety gates against base. base is the recording AnalyzeApp returned as
+// Result.Prep for the same opCount and seed. siteKeys must be
+// module-relative "file.go:line" keys (AnalyzeApp's Eliminable set). sweep
+// configures the crash-injection campaigns (Strategy is overridden;
+// Budget/Deadline/Seed are honored).
+func Apply(base *crashinject.Prep, opCount int, seed int64, siteKeys []string, sweep crashinject.Config) (*ApplyResult, error) {
+	e := base.Entry
 	if len(siteKeys) == 0 {
 		return nil, fmt.Errorf("pmopt: no sites to apply for %s", e.Name)
 	}
@@ -78,25 +83,14 @@ func Apply(e *apps.Entry, opCount int, seed int64, siteKeys []string, sweep cras
 		elide[k] = true
 	}
 
-	regBase, regOpt := obs.NewRegistry(), obs.NewRegistry()
-	base, err := crashinject.PrepareWith(e, opCount, seed, true, crashinject.PrepOptions{Metrics: regBase})
-	if err != nil {
-		return nil, err
-	}
-	opt, err := crashinject.PrepareWith(e, opCount, seed, true, crashinject.PrepOptions{Metrics: regOpt, ElideSites: elide})
+	opt, err := crashinject.PrepareWith(e, opCount, seed, base.Fixed, crashinject.PrepOptions{ElideSites: elide})
 	if err != nil {
 		return nil, err
 	}
 
-	sb, so := regBase.Snapshot(), regOpt.Snapshot()
-	res := &ApplyResult{
-		App: e.Name, Sites: siteKeys,
-		BaselineFlushes: sb.Counter("device_flush"),
-		BaselineFences:  sb.Counter("device_fence"),
-		OptFlushes:      so.Counter("device_flush"),
-		OptFences:       so.Counter("device_fence"),
-		ElidedOps:       so.Counter("pmrt.elided"),
-	}
+	res := &ApplyResult{App: e.Name, Sites: siteKeys}
+	res.BaselineFlushes, res.BaselineFences = countPersistOps(base.Runtime.Ops)
+	res.OptFlushes, res.OptFences = countPersistOps(opt.Runtime.Ops)
 
 	// Gate 3: the elimination must remove real device work.
 	if res.OptFlushes+res.OptFences >= res.BaselineFlushes+res.BaselineFences {
@@ -106,7 +100,8 @@ func Apply(e *apps.Entry, opCount int, seed int64, siteKeys []string, sweep cras
 	}
 
 	// Gate 4: journal-aligned persistent-image differential.
-	if err := journalDiff(base, opt, elide); err != nil {
+	res.ElidedOps, err = journalDiff(base, opt, elide)
+	if err != nil {
 		res.Problems = append(res.Problems, err.Error())
 	} else {
 		res.JournalAligned = true
@@ -147,139 +142,87 @@ func Apply(e *apps.Entry, opCount int, seed int64, siteKeys []string, sweep cras
 	return res, nil
 }
 
-// shadowDev is a minimal replica of pmem's worst-case device (store →
-// volatile, flush → line snapshot pending, fence → commit) that reports,
-// per fence, which lines it committed — so the differential compares only
-// bytes that could have moved.
-type shadowDev struct {
-	vol, per []byte
-	pending  map[int32][]pendEntry
-}
-
-func newShadowDev(size uint64) *shadowDev {
-	return &shadowDev{vol: make([]byte, size), per: make([]byte, size), pending: make(map[int32][]pendEntry)}
-}
-
-func (s *shadowDev) apply(op pmem.Op) map[uint64]bool {
-	switch op.Kind {
-	case pmem.OpStore, pmem.OpNTStore:
-		data := op.Data
-		if data == nil {
-			data = make([]byte, op.Size)
+// countPersistOps counts a journal's flushes and fences.
+func countPersistOps(ops []pmem.Op) (flushes, fences uint64) {
+	for _, op := range ops {
+		switch op.Kind {
+		case pmem.OpFlush:
+			flushes++
+		case pmem.OpFence:
+			fences++
 		}
-		copy(s.vol[op.Addr:], data)
-		if op.Kind == pmem.OpNTStore && len(data) > 0 {
-			snap := append([]byte(nil), data...)
-			s.pending[op.TID] = append(s.pending[op.TID], pendEntry{nt: true, addr: op.Addr, data: snap})
-		}
-	case pmem.OpFlush:
-		base := pmem.LineOf(op.Addr) * pmem.LineSize
-		end := base + pmem.LineSize
-		if end > uint64(len(s.vol)) {
-			end = uint64(len(s.vol))
-		}
-		snap := append([]byte(nil), s.vol[base:end]...)
-		s.pending[op.TID] = append(s.pending[op.TID], pendEntry{addr: base, data: snap})
-	case pmem.OpFence:
-		batch := s.pending[op.TID]
-		delete(s.pending, op.TID)
-		if len(batch) == 0 {
-			return nil
-		}
-		touched := make(map[uint64]bool)
-		for _, e := range batch {
-			copy(s.per[e.addr:], e.data)
-			last := pmem.LineOf(pmem.LastByte(e.addr, uint64(len(e.data))))
-			for l := pmem.LineOf(e.addr); l <= last; l++ {
-				touched[l] = true
-			}
-		}
-		return touched
 	}
-	return nil
+	return flushes, fences
 }
 
 // journalDiff verifies the yield-preservation contract between the two
 // recordings: the elided journal is exactly the baseline journal minus
 // flush/fence ops from elided sites, and at every aligned position the two
 // persistent images agree (volatile too — checked once at the end, since
-// stores are never elided).
-func journalDiff(base, opt *crashinject.Prep, elide map[string]bool) error {
+// stores are never elided). It returns the number of baseline ops it
+// matched to elided sites.
+func journalDiff(base, opt *crashinject.Prep, elide map[string]bool) (uint64, error) {
 	size := base.Runtime.Pool.Size()
 	if s := opt.Runtime.Pool.Size(); s != size {
-		return fmt.Errorf("journal differential: pool sizes differ (%d vs %d)", size, s)
+		return 0, fmt.Errorf("journal differential: pool sizes differ (%d vs %d)", size, s)
 	}
 	tab := base.Runtime.Trace.Sites
-	keyOf := func(i int) string {
-		fr := tab.Lookup(base.Runtime.OpSites[i])
-		if fr.File == "" {
-			return ""
-		}
-		return fmt.Sprintf("%s:%d", sites.ModuleRel(fr.File), fr.Line)
-	}
-
-	bs, os := newShadowDev(size), newShadowDev(size)
-	eops := opt.Runtime.Ops
+	bops, eops := base.Runtime.Ops, opt.Runtime.Ops
+	br, er := pmem.NewReplayer(size), pmem.NewReplayer(size)
+	var elided uint64
 	ei := 0
-	for bi, op := range base.Runtime.Ops {
-		if (op.Kind == pmem.OpFlush || op.Kind == pmem.OpFence) && elide[keyOf(bi)] {
-			// Baseline-only op: apply it to the baseline shadow alone. If it
+	for bi, op := range bops {
+		if (op.Kind == pmem.OpFlush || op.Kind == pmem.OpFence) && elide[tab.Lookup(sites.ID(op.Site)).Key()] {
+			// Baseline-only op: apply it to the baseline replay alone. If it
 			// committed anything the images diverge right here.
-			if touched := bs.apply(op); touched != nil {
-				if err := comparePer(bs, os, touched, bi); err != nil {
-					return err
-				}
+			elided++
+			if err := samePersistent(br.Pool(), er.Pool(), bi, br.Apply(op)); err != nil {
+				return elided, err
 			}
 			continue
 		}
 		if ei >= len(eops) {
-			return fmt.Errorf("journal differential: elided journal ends %d op(s) early", len(base.Runtime.Ops)-bi)
+			return elided, fmt.Errorf("journal differential: elided journal ends %d op(s) early", len(bops)-bi)
 		}
 		eop := eops[ei]
 		if op.Kind != eop.Kind || op.TID != eop.TID || op.Addr != eop.Addr ||
 			op.Size != eop.Size || !bytes.Equal(op.Data, eop.Data) {
-			return fmt.Errorf("journal differential: op misalignment at baseline %d / elided %d (%s vs %s)",
+			return elided, fmt.Errorf("journal differential: op misalignment at baseline %d / elided %d (%s vs %s)",
 				bi, ei, op.Kind, eop.Kind)
 		}
-		t1 := bs.apply(op)
-		t2 := os.apply(eop)
-		for l := range t2 {
-			if t1 == nil {
-				t1 = t2
-				break
-			}
-			t1[l] = true
-		}
-		if t1 != nil {
-			if err := comparePer(bs, os, t1, bi); err != nil {
-				return err
-			}
+		if err := samePersistent(br.Pool(), er.Pool(), bi, br.Apply(op), er.Apply(eop)); err != nil {
+			return elided, err
 		}
 		ei++
 	}
 	if ei != len(eops) {
-		return fmt.Errorf("journal differential: elided journal has %d unexpected trailing op(s)", len(eops)-ei)
+		return elided, fmt.Errorf("journal differential: elided journal has %d unexpected trailing op(s)", len(eops)-ei)
 	}
-	if !bytes.Equal(bs.per, os.per) {
-		return fmt.Errorf("journal differential: final persistent images differ")
+	bv, bp := br.Pool().View(0, size)
+	ev, ep := er.Pool().View(0, size)
+	if !bytes.Equal(bp, ep) {
+		return elided, fmt.Errorf("journal differential: final persistent images differ")
 	}
-	if !bytes.Equal(bs.vol, os.vol) {
-		return fmt.Errorf("journal differential: final volatile images differ")
+	if !bytes.Equal(bv, ev) {
+		return elided, fmt.Errorf("journal differential: final volatile images differ")
 	}
-	return nil
+	return elided, nil
 }
 
-// comparePer checks the two shadows' persistent views on the given lines.
-func comparePer(a, b *shadowDev, lines map[uint64]bool, pos int) error {
-	size := uint64(len(a.per))
-	for l := range lines {
-		base := l * pmem.LineSize
-		end := base + pmem.LineSize
-		if end > size {
-			end = size
-		}
-		if !bytes.Equal(a.per[base:end], b.per[base:end]) {
-			return fmt.Errorf("journal differential: persistent images diverge at line %d (baseline position %d)", l, pos)
+// samePersistent compares two devices' persistent bytes over the ranges one
+// journal step committed on either side; bytes outside a commit cannot have
+// moved.
+func samePersistent(a, b *pmem.Pool, pos int, commits ...[]pmem.Commit) error {
+	for _, cs := range commits {
+		for _, c := range cs {
+			_, pa := a.View(c.Addr, c.Size)
+			_, pb := b.View(c.Addr, c.Size)
+			for i := range pa {
+				if pa[i] != pb[i] {
+					return fmt.Errorf("journal differential: persistent images diverge at line %d (baseline position %d)",
+						pmem.LineOf(c.Addr+uint64(i)), pos)
+				}
+			}
 		}
 	}
 	return nil

@@ -1,9 +1,8 @@
 package pmopt
 
 // Dynamic redundancy analysis over the recorded device-op journal. The
-// simulator mirrors pmem's worst-case persistency model (store → volatile,
-// flush → whole-line snapshot pending, fence → commit pending in order) and
-// asks, at every fence, which committed snapshots actually changed the
+// journal replays through pmem's worst-case device (pmem.Replayer), which
+// reports, at every fence, which committed snapshots actually changed the
 // persistent image. A flush whose snapshot is byte-identical to what the
 // persistent view already held at commit time did no work; a fence whose
 // batch holds only such snapshots from its own site did none either. The
@@ -12,9 +11,6 @@ package pmopt
 // uncommitted at run end.
 
 import (
-	"bytes"
-	"fmt"
-
 	"hawkset/internal/pmem"
 	"hawkset/internal/report"
 	"hawkset/internal/sites"
@@ -33,6 +29,7 @@ type siteDyn struct {
 	EmptyFence      int
 	// Uncommitted counts snapshots from this site still pending when the run
 	// ended — their effect is unknown, so the site is never eliminable.
+	// During the replay it counts the site's currently pending snapshots.
 	Uncommitted int
 	// Changeless-flush classification, by cause.
 	DupFlush   int // an earlier batch entry already snapshotted the line
@@ -79,22 +76,11 @@ func (d *siteDyn) Kind() string {
 	return "clean-line-flush"
 }
 
-// pendEntry is one queued snapshot: a flush's whole-line copy or an NT
-// store's payload, waiting for the issuing thread's next fence.
-type pendEntry struct {
-	site string // issuing site key ("" for untraced ops)
-	nt   bool
-	addr uint64
-	data []byte
-}
-
-// simulate replays the journal against volatile/persistent shadows and
-// returns the per-site dynamic evidence plus journal-level stats. opSites
-// must be the runtime's 1:1 site side table for ops.
-func simulate(ops []pmem.Op, opSites []sites.ID, tab *sites.Table, poolSize uint64) (map[string]*siteDyn, report.OptStats) {
-	vol := make([]byte, poolSize)
-	per := make([]byte, poolSize)
-	pending := make(map[int32][]pendEntry)
+// simulate replays the journal through a fresh device and returns the
+// per-site dynamic evidence plus journal-level stats. Op sites are IDs in
+// tab.
+func simulate(ops []pmem.Op, tab *sites.Table, poolSize uint64) (map[string]*siteDyn, report.OptStats) {
+	rep := pmem.NewReplayer(poolSize)
 	dyn := make(map[string]*siteDyn)
 	stats := report.OptStats{JournalOps: len(ops)}
 
@@ -106,99 +92,73 @@ func simulate(ops []pmem.Op, opSites []sites.ID, tab *sites.Table, poolSize uint
 		}
 		return d
 	}
-	keyOf := func(i int) string {
-		fr := tab.Lookup(opSites[i])
-		if fr.File == "" {
-			return ""
-		}
-		return fmt.Sprintf("%s:%d", sites.ModuleRel(fr.File), fr.Line)
-	}
+	keyOf := func(op pmem.Op) string { return tab.Lookup(sites.ID(op.Site)).Key() }
 
-	for i, op := range ops {
+	for _, op := range ops {
+		commits := rep.Apply(op)
 		switch op.Kind {
-		case pmem.OpStore, pmem.OpNTStore:
-			data := op.Data
-			if data == nil {
-				data = make([]byte, op.Size)
-			}
-			copy(vol[op.Addr:], data)
-			if op.Kind == pmem.OpNTStore {
-				stats.NTStores++
-				snap := append([]byte(nil), data...)
-				pending[op.TID] = append(pending[op.TID], pendEntry{site: keyOf(i), nt: true, addr: op.Addr, data: snap})
-			}
+		case pmem.OpNTStore:
+			stats.NTStores++
 		case pmem.OpFlush:
 			stats.Flushes++
-			key := keyOf(i)
-			if key != "" {
-				get(key).FlushOps++
+			if key := keyOf(op); key != "" {
+				d := get(key)
+				d.FlushOps++
+				d.Uncommitted++
 			}
-			base := pmem.LineOf(op.Addr) * pmem.LineSize
-			end := base + pmem.LineSize
-			if end > poolSize {
-				end = poolSize
-			}
-			snap := append([]byte(nil), vol[base:end]...)
-			pending[op.TID] = append(pending[op.TID], pendEntry{site: key, addr: base, data: snap})
 		case pmem.OpFence:
-			key := keyOf(i)
+			key := keyOf(op)
 			stats.Fences++
-			batch := pending[op.TID]
-			delete(pending, op.TID)
 			// ownOnly: eliding this fence site also elides everything it was
 			// committing. Any foreign or NT entry means the fence did work on
 			// someone else's behalf (NT stores are never elided, so an NT
 			// entry breaks it even from the same source line).
 			ownOnly := true
 			allChangeless := true
-			for bi, e := range batch {
-				if e.nt || e.site != key {
+			for ci, c := range commits {
+				src := ops[c.Pos]
+				if src.Kind == pmem.OpNTStore {
 					ownOnly = false
-				}
-				changeless := bytes.Equal(per[e.addr:e.addr+uint64(len(e.data))], e.data)
-				copy(per[e.addr:], e.data)
-				if e.nt {
 					continue
 				}
-				if !changeless {
+				site := keyOf(src)
+				if site != key {
+					ownOnly = false
+				}
+				if site != "" {
+					get(site).Uncommitted--
+				}
+				if c.Changed {
 					allChangeless = false
 					continue
 				}
 				stats.ChangelessFlushes++
-				if e.site == "" {
+				if site == "" {
 					continue
 				}
-				d := get(e.site)
+				d := get(site)
 				d.ChangelessFlush++
 				switch {
-				case priorFlushSameLine(batch[:bi], e.addr):
+				case priorFlushSameLine(ops, commits[:ci], c.Addr):
 					d.DupFlush++
-				case priorNTOverlap(batch[:bi], e.addr):
+				case priorNTOverlap(ops, commits[:ci], c.Addr):
 					d.NTFlush++
 				default:
 					d.CleanFlush++
 				}
 			}
+			if len(commits) == 0 {
+				stats.EmptyFences++
+			}
 			if key != "" {
 				d := get(key)
 				d.FenceOps++
-				if len(batch) == 0 {
-					stats.EmptyFences++
+				if len(commits) == 0 {
 					d.EmptyFence++
 					d.RedundantFence++
 				} else if ownOnly && allChangeless {
 					d.RedundantFence++
 				}
-			} else if len(batch) == 0 {
-				stats.EmptyFences++
-			}
-		}
-	}
-	// Snapshots never committed: their site's effect is unresolved.
-	for _, batch := range pending {
-		for _, e := range batch {
-			if !e.nt && e.site != "" {
-				get(e.site).Uncommitted++
 			}
 		}
 	}
@@ -213,19 +173,19 @@ func simulate(ops []pmem.Op, opSites []sites.ID, tab *sites.Table, poolSize uint
 	return dyn, stats
 }
 
-func priorFlushSameLine(prior []pendEntry, lineBase uint64) bool {
-	for _, e := range prior {
-		if !e.nt && e.addr == lineBase {
+func priorFlushSameLine(ops []pmem.Op, prior []pmem.Commit, lineBase uint64) bool {
+	for _, c := range prior {
+		if ops[c.Pos].Kind == pmem.OpFlush && c.Addr == lineBase {
 			return true
 		}
 	}
 	return false
 }
 
-func priorNTOverlap(prior []pendEntry, lineBase uint64) bool {
+func priorNTOverlap(ops []pmem.Op, prior []pmem.Commit, lineBase uint64) bool {
 	end := lineBase + pmem.LineSize
-	for _, e := range prior {
-		if e.nt && e.addr < end && e.addr+uint64(len(e.data)) > lineBase {
+	for _, c := range prior {
+		if ops[c.Pos].Kind == pmem.OpNTStore && c.Addr < end && c.Addr+c.Size > lineBase {
 			return true
 		}
 	}

@@ -7,8 +7,8 @@
 //     an already-covered line, a fence with provably nothing pending, or a
 //     flush whose data arrived via non-temporal stores;
 //   - dynamic: a byte-precise replay of the recorded device-op journal
-//     checks whether each occurrence actually changed the persistent image
-//     at commit time.
+//     through pmem's device checks whether each occurrence actually changed
+//     the persistent image at commit time.
 //
 // Agreement yields the `static+dynamic` confidence tier, whose sites are
 // candidates for automatic elimination (Apply) behind a crash-differential
@@ -52,7 +52,7 @@ func AnalyzeApp(dir string, e *apps.Entry, opCount int, seed int64) (*Result, er
 		return nil, err
 	}
 	rt := prep.Runtime
-	dyn, stats := simulate(rt.Ops, rt.OpSites, rt.Trace.Sites, rt.Pool.Size())
+	dyn, stats := simulate(rt.Ops, rt.Trace.Sites, rt.Pool.Size())
 
 	st, err := analyzeAppStatic(dir, e)
 	if err != nil {

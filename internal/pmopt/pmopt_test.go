@@ -2,7 +2,6 @@ package pmopt_test
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -137,12 +136,11 @@ func TestAnalyzeDeterminism(t *testing.T) {
 // TestApplyGates runs the full elimination pipeline on the Masstree anchor
 // and requires every safety gate to hold with a real device-op reduction.
 func TestApplyGates(t *testing.T) {
-	e := findApp(t, "P-Masstree")
 	res := analyze(t, "P-Masstree", 300, 3)
 	if len(res.Eliminable) == 0 {
 		t.Fatal("no eliminable sites to apply")
 	}
-	ar, err := pmopt.Apply(e, 300, 3, res.Eliminable, crashinject.Config{Seed: 3, Budget: 24})
+	ar, err := pmopt.Apply(res.Prep, 300, 3, res.Eliminable, crashinject.Config{Seed: 3, Budget: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +164,8 @@ func TestApplyGates(t *testing.T) {
 }
 
 // TestApplyRejectsNonRedundantSite: eliding a site that does real work must
-// trip the gates, not pass silently.
+// trip gates 1, 2 and 4 each, not pass silently.
 func TestApplyRejectsNonRedundantSite(t *testing.T) {
-	e := findApp(t, "P-Masstree")
 	res := analyze(t, "P-Masstree", 200, 5)
 	// Victim: the busiest flush site that is NOT a candidate — it does real
 	// persistence work on at least some occurrence, so eliding it must fail
@@ -180,16 +177,12 @@ func TestApplyRejectsNonRedundantSite(t *testing.T) {
 	}
 	rt := res.Prep.Runtime
 	counts := make(map[string]int)
-	for i, op := range rt.Ops {
+	for _, op := range rt.Ops {
 		if op.Kind != pmem.OpFlush {
 			continue
 		}
-		fr := rt.Trace.Sites.Lookup(rt.OpSites[i])
-		if fr.File == "" {
-			continue
-		}
-		key := fmt.Sprintf("%s:%d", sites.ModuleRel(fr.File), fr.Line)
-		if !cand[key] {
+		key := rt.Trace.Sites.Lookup(sites.ID(op.Site)).Key()
+		if key != "" && !cand[key] {
 			counts[key]++
 		}
 	}
@@ -202,12 +195,21 @@ func TestApplyRejectsNonRedundantSite(t *testing.T) {
 	if victim == "" {
 		t.Fatal("journal has no non-candidate flush site")
 	}
-	ar, err := pmopt.Apply(e, 200, 5, []string{victim}, crashinject.Config{Seed: 5, Budget: 16})
+	ar, err := pmopt.Apply(res.Prep, 200, 5, []string{victim}, crashinject.Config{Seed: 5, Budget: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ar.OK() {
 		t.Fatalf("eliding non-redundant site %s passed all gates", victim)
+	}
+	if ar.RacesIdentical {
+		t.Error("gate 1 held: race report unchanged")
+	}
+	if ar.SweepFailed == 0 {
+		t.Error("gate 2 held: no failing crash point")
+	}
+	if ar.JournalAligned {
+		t.Error("gate 4 held: persistent images agree")
 	}
 	t.Logf("gate correctly rejected %s: %v", victim, ar.Problems)
 }

@@ -2,7 +2,6 @@ package pmrt
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
 	"testing"
 
@@ -24,10 +23,10 @@ func elideWorkload(c *Ctx) {
 	c.Fence()
 }
 
-// TestJournalDeviceCounters pins the per-op-kind journal counters
-// (device_flush / device_fence / device_store_nt) against the journal
-// itself, looked up through an obs snapshot — these counters are the
-// before/after metric for pmopt's apply gate.
+// TestJournalDeviceCounters pins the device's per-op-kind counters
+// (pmem.flushes / pmem.fences / pmem.ntstores) against the journal itself,
+// looked up through an obs snapshot: under RecordOps every device flush,
+// fence and NT store is journaled.
 func TestJournalDeviceCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	rt := New(Config{Seed: 3, PoolSize: 1 << 14, RecordOps: true, Metrics: reg})
@@ -49,20 +48,20 @@ func TestJournalDeviceCounters(t *testing.T) {
 		t.Fatalf("workload exercised no flush/fence/ntstore: %d/%d/%d", flushes, fences, nts)
 	}
 	snap := reg.Snapshot()
-	if got := snap.Counter("device_flush"); got != flushes {
-		t.Errorf("device_flush = %d, journal has %d flushes", got, flushes)
+	if got := snap.Counter("pmem.flushes"); got != flushes {
+		t.Errorf("pmem.flushes = %d, journal has %d flushes", got, flushes)
 	}
-	if got := snap.Counter("device_fence"); got != fences {
-		t.Errorf("device_fence = %d, journal has %d fences", got, fences)
+	if got := snap.Counter("pmem.fences"); got != fences {
+		t.Errorf("pmem.fences = %d, journal has %d fences", got, fences)
 	}
-	if got := snap.Counter("device_store_nt"); got != nts {
-		t.Errorf("device_store_nt = %d, journal has %d NT stores", got, nts)
+	if got := snap.Counter("pmem.ntstores"); got != nts {
+		t.Errorf("pmem.ntstores = %d, journal has %d NT stores", got, nts)
 	}
 }
 
-// TestOpSitesAligned checks the OpSites side table stays 1:1 with the
-// journal and attributes traced ops to real frames (Zero's untraced store is
-// the one legitimate site-0 entry).
+// TestOpSitesAligned checks every journal entry carries its call site:
+// traced ops resolve to real frames, and Zero's untraced store is the one
+// legitimate site-0 entry.
 func TestOpSitesAligned(t *testing.T) {
 	rt := New(Config{Seed: 5, PoolSize: 1 << 14, RecordOps: true})
 	err := rt.Run(func(c *Ctx) {
@@ -74,11 +73,8 @@ func TestOpSitesAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rt.OpSites) != len(rt.Ops) {
-		t.Fatalf("OpSites length %d != Ops length %d", len(rt.OpSites), len(rt.Ops))
-	}
 	for i, op := range rt.Ops {
-		site := rt.OpSites[i]
+		site := sites.ID(op.Site)
 		if op.Seq == -1 {
 			if site != 0 {
 				t.Errorf("untraced op %d carries site %d, want 0", i, site)
@@ -98,7 +94,7 @@ func TestOpSitesAligned(t *testing.T) {
 // TestElideSites checks the elision contract: with the redundant flush's
 // site elided, (a) the persistent image is unchanged, (b) the trace equals
 // the baseline trace with exactly the elided events removed (the
-// yield-preserving guarantee), and (c) the device_flush counter drops.
+// yield-preserving guarantee), and (c) the pmem.flushes counter drops.
 func TestElideSites(t *testing.T) {
 	base := New(Config{Seed: 11, PoolSize: 1 << 14, RecordOps: true})
 	if err := base.Run(elideWorkload); err != nil {
@@ -107,12 +103,11 @@ func TestElideSites(t *testing.T) {
 	// Locate the redundant flush (second OpFlush) and build its elide key.
 	var key string
 	nflush := 0
-	for i, op := range base.Ops {
+	for _, op := range base.Ops {
 		if op.Kind == pmem.OpFlush {
 			nflush++
 			if nflush == 2 {
-				fr := base.Trace.Sites.Lookup(base.OpSites[i])
-				key = fmt.Sprintf("%s:%d", sites.ModuleRel(fr.File), fr.Line)
+				key = base.Trace.Sites.Lookup(sites.ID(op.Site)).Key()
 			}
 		}
 	}
@@ -134,11 +129,8 @@ func TestElideSites(t *testing.T) {
 	// elided site, with everything else in the same order.
 	var want []trace.Event
 	for e := range base.Trace.Events() {
-		if e.Kind == trace.KFlush {
-			fr := base.Trace.Sites.Lookup(e.Site)
-			if fmt.Sprintf("%s:%d", sites.ModuleRel(fr.File), fr.Line) == key {
-				continue
-			}
+		if e.Kind == trace.KFlush && base.Trace.Sites.Lookup(e.Site).Key() == key {
+			continue
 		}
 		want = append(want, e)
 	}
@@ -157,7 +149,7 @@ func TestElideSites(t *testing.T) {
 	if got := snap.Counter("pmrt.elided"); got == 0 {
 		t.Error("pmrt.elided counter did not move")
 	}
-	if got, wantN := snap.Counter("device_flush"), uint64(nflush-1); got != wantN {
-		t.Errorf("device_flush = %d after elision, want %d", got, wantN)
+	if got, wantN := snap.Counter("pmem.flushes"), uint64(nflush-1); got != wantN {
+		t.Errorf("pmem.flushes = %d after elision, want %d", got, wantN)
 	}
 }

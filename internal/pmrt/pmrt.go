@@ -13,7 +13,6 @@ package pmrt
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"hawkset/internal/obs"
 	"hawkset/internal/pmem"
@@ -42,10 +41,9 @@ type Config struct {
 	// pmem.Options.EvictAfter). Used only by the observation baseline.
 	EvictAfter int
 	// PCTDepth switches the scheduler to the PCT policy with the given bug
-	// depth (0 = uniform random). PCTLen is the expected schedule length for
-	// change-point placement (default 64k steps).
+	// depth (0 = uniform random), placing its change points over the
+	// default 64k-step schedule length.
 	PCTDepth int
-	PCTLen   uint64
 	// Backtraces captures multi-frame call stacks per access instead of the
 	// single call site. Substantially slower (the original tool's
 	// PIN_Backtrace cost up to 90% overhead, §4); reports then show the
@@ -67,7 +65,7 @@ type Config struct {
 	// of flush/fence operations issued from the listed call sites — the
 	// mechanism pmopt's -apply mode uses to execute a redundancy elimination
 	// without editing application source. Keys are module-relative
-	// "file.go:line" strings (sites.ModuleRel form); a Persist call site
+	// "file.go:line" strings (sites.Frame.Key); a Persist call site
 	// elides its per-line flushes and its fence together. Elision is
 	// yield-preserving: every would-be operation still performs its
 	// scheduling yield (and BeforeOp callback), so the interleaving — and
@@ -89,14 +87,9 @@ type Runtime struct {
 	Trace *trace.Trace
 	// Ops is the device-op journal recorded under Config.RecordOps, in
 	// execution order (the cooperative scheduler serializes all device
-	// accesses, so journal order is device order).
+	// accesses, so journal order is device order). Each op's Site is an ID
+	// in Trace.Sites; untraced ops (Zero) record site 0.
 	Ops []pmem.Op
-	// OpSites records the call site of each journal entry, aligned 1:1 with
-	// Ops. pmem.Op itself carries no site — it is the device-replay
-	// interface — but pmopt's dynamic analysis needs to attribute every
-	// journaled flush/fence to the source line that issued it. Untraced ops
-	// (Zero) record site 0.
-	OpSites []sites.ID
 
 	nextLock uint64
 
@@ -114,16 +107,12 @@ type Runtime struct {
 	// observation event PMRace must hit to report a race.
 	OnDirtyRead func(c *Ctx, loadSite sites.ID, addr uint64, size uint32, writer int32, storeSite sites.ID)
 
-	// Side-band metric handles (nil when Config.Metrics is unset).
+	// Side-band metric handles (nil when Config.Metrics is unset). The
+	// pool counts device ops by kind (pmem.flushes, pmem.fences, ...).
 	mEvents       *obs.Counter
 	mJournalOps   *obs.Counter
 	mJournalBytes *obs.Counter
-	// Per-op-kind journal counters: the before/after metric pmopt's apply
-	// gate compares (an elimination must strictly reduce flush+fence).
-	mDevFlush   *obs.Counter
-	mDevFence   *obs.Counter
-	mDevNTStore *obs.Counter
-	mElided     *obs.Counter
+	mElided       *obs.Counter
 
 	// elideCache memoizes per-site elision decisions (the cooperative
 	// scheduler serializes all instrumented operations, so no lock).
@@ -142,7 +131,7 @@ func New(cfg Config) *Runtime {
 	}
 	schd := sched.New(cfg.Seed, cfg.MaxSteps)
 	if cfg.PCTDepth > 0 {
-		schd = sched.NewPCT(cfg.Seed, cfg.MaxSteps, cfg.PCTDepth, cfg.PCTLen)
+		schd = sched.NewPCT(cfg.Seed, cfg.MaxSteps, cfg.PCTDepth, 0)
 	}
 	r := &Runtime{
 		cfg:   cfg,
@@ -155,9 +144,6 @@ func New(cfg Config) *Runtime {
 		mEvents:       cfg.Metrics.Counter("pmrt.events"),
 		mJournalOps:   cfg.Metrics.Counter("pmrt.journal.ops"),
 		mJournalBytes: cfg.Metrics.Counter("pmrt.journal.bytes"),
-		mDevFlush:     cfg.Metrics.Counter("device_flush"),
-		mDevFence:     cfg.Metrics.Counter("device_fence"),
-		mDevNTStore:   cfg.Metrics.Counter("device_store_nt"),
 		mElided:       cfg.Metrics.Counter("pmrt.elided"),
 	}
 	if len(cfg.ElideSites) > 0 {
@@ -269,18 +255,9 @@ func (c *Ctx) journal(kind pmem.OpKind, addr uint64, size uint32, data []byte, s
 		cp = make([]byte, len(data))
 		copy(cp, data)
 	}
-	c.r.Ops = append(c.r.Ops, pmem.Op{Kind: kind, TID: c.th.ID(), Addr: addr, Size: size, Data: cp, Seq: seq})
-	c.r.OpSites = append(c.r.OpSites, site)
+	c.r.Ops = append(c.r.Ops, pmem.Op{Kind: kind, TID: c.th.ID(), Addr: addr, Size: size, Site: int32(site), Data: cp, Seq: seq})
 	c.r.mJournalOps.Inc()
 	c.r.mJournalBytes.Add(uint64(len(cp)))
-	switch kind {
-	case pmem.OpFlush:
-		c.r.mDevFlush.Inc()
-	case pmem.OpFence:
-		c.r.mDevFence.Inc()
-	case pmem.OpNTStore:
-		c.r.mDevNTStore.Inc()
-	}
 }
 
 // elided reports whether flush/fence effects from site are suppressed under
@@ -293,10 +270,7 @@ func (r *Runtime) elided(site sites.ID) bool {
 	if v, ok := r.elideCache[site]; ok {
 		return v
 	}
-	v := false
-	if f := r.Trace.Sites.Lookup(site); f.File != "" {
-		v = r.cfg.ElideSites[fmt.Sprintf("%s:%d", sites.ModuleRel(f.File), f.Line)]
-	}
+	v := r.cfg.ElideSites[r.Trace.Sites.Lookup(site).Key()]
 	r.elideCache[site] = v
 	return v
 }
@@ -530,13 +504,9 @@ func (c *Ctx) Free(addr uint64) { c.r.Heap.Free(addr) }
 func (c *Ctx) Zero(addr uint64, size uint64) {
 	buf := make([]byte, size)
 	c.r.Pool.Store(c.th.ID(), addr, buf, 0)
-	if c.r.cfg.RecordOps {
-		// nil Data + Size encodes "Size zero bytes"; Seq -1 marks the op as
-		// untraced.
-		c.r.Ops = append(c.r.Ops, pmem.Op{Kind: pmem.OpStore, TID: c.th.ID(), Addr: addr, Size: uint32(size), Seq: -1})
-		c.r.OpSites = append(c.r.OpSites, 0)
-		c.r.mJournalOps.Inc()
-	}
+	// nil Data + Size encodes "Size zero bytes"; Seq -1 and site 0 mark the
+	// op as untraced.
+	c.journal(pmem.OpStore, addr, uint32(size), nil, -1, 0)
 }
 
 // Yield cedes the virtual CPU (coverage/diversity aid in workload drivers).

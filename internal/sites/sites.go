@@ -44,6 +44,16 @@ func (f Frame) String() string {
 	return fmt.Sprintf("%s:%d", file, f.Line)
 }
 
+// Key returns the frame's module-relative "file.go:line" (see ModuleRel):
+// the site key pmopt's static and dynamic sides and pmrt's site elision
+// share. The unknown frame's key is "".
+func (f Frame) Key() string {
+	if f.File == "" {
+		return ""
+	}
+	return fmt.Sprintf("%s:%d", ModuleRel(f.File), f.Line)
+}
+
 // ModuleRel trims an absolute source path to its module-relative,
 // slash-separated form starting at "internal/" — the spelling the static
 // tools (pmlint/pmopt, whose loader reports module-relative paths) use, so

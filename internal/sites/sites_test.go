@@ -73,6 +73,21 @@ func TestUnknownID(t *testing.T) {
 	}
 }
 
+func TestFrameKey(t *testing.T) {
+	for _, c := range []struct {
+		fr   Frame
+		want string
+	}{
+		{Frame{File: "/src/hawkset/internal/apps/part/part.go", Line: 316, Func: "f"}, "internal/apps/part/part.go:316"},
+		{Frame{File: "/src/main.go", Line: 7}, "/src/main.go:7"},
+		{Frame{}, ""},
+	} {
+		if got := c.fr.Key(); got != c.want {
+			t.Errorf("%+v.Key() = %q, want %q", c.fr, got, c.want)
+		}
+	}
+}
+
 func TestInternPreResolved(t *testing.T) {
 	tab := NewTable()
 	a := tab.Intern(Frame{File: "x.c", Line: 42, Func: "f"})
