@@ -366,6 +366,38 @@ func BenchmarkInstrumentation(b *testing.B) {
 	b.ReportMetric(float64(rt.Trace.Len()), "events")
 }
 
+// BenchmarkRun measures the instrumented run alone (scheduler, runtime,
+// device and site capture): apps.Run of the pipeline benchmark's
+// detect-fastfair and capture-madfs-posix apps (Fast-Fair/18k and
+// MadFS-POSIX/108k at seed 42), with the workload generated once outside
+// the timer. ns/event divides the time per run by its trace events; B/op
+// and allocs/op count the whole run.
+func BenchmarkRun(b *testing.B) {
+	for _, in := range []struct {
+		app string
+		ops int
+	}{{"Fast-Fair", 18000}, {"MadFS-POSIX", 108000}} {
+		b.Run(in.app, func(b *testing.B) {
+			e, err := apps.Lookup(in.app)
+			if err != nil {
+				b.Fatal(err)
+			}
+			wl := ycsb.Generate(e.Spec(in.ops), 42)
+			b.ReportAllocs()
+			b.ResetTimer()
+			events := 0
+			for i := 0; i < b.N; i++ {
+				rt, err := apps.Run(e, wl, apps.RunConfig{Seed: 42})
+				if err != nil {
+					b.Fatal(err)
+				}
+				events = rt.Trace.Len()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+		})
+	}
+}
+
 // capturedTrace is one captured benchmark input: the trace, encoded and
 // decoded, and its events as a slice.
 type capturedTrace struct {

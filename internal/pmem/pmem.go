@@ -73,12 +73,21 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// pendingFlush is a snapshot taken by a flush instruction, waiting for the
-// issuing thread's next fence to enter the persistent domain.
+// pendingFlush is a snapshot taken by a flush or NT store, waiting for the
+// issuing thread's next fence to enter the persistent domain. Its bytes are
+// data[off:off+n] of the thread's snapshots.
 type pendingFlush struct {
-	addr Addr
-	data []byte
-	pos  int // journal position of the op that took it (Replayer pools only)
+	addr   Addr
+	off, n int
+	pos    int // journal position of the op that took it (Replayer pools only)
+}
+
+// snapshots is one thread's pending batch: the snapshots its flushes and NT
+// stores took since its last fence, with their bytes back to back in data.
+// The fence empties both and keeps their capacity for the next batch.
+type snapshots struct {
+	batch []pendingFlush
+	data  []byte
 }
 
 // Pool is a simulated PM device.
@@ -92,8 +101,12 @@ type Pool struct {
 	// dirty reads the way PMRace does.
 	lastWriter []int32
 	lastSite   []int32
-	dirty      map[uint64]struct{} // line index -> dirty (volatile != persistent possible)
-	pending    map[int32][]pendingFlush
+	// dirty has one bit per line, ceil(size/LineSize) of them, set while
+	// the line's volatile and persistent bytes may differ; ndirty counts
+	// the set bits.
+	dirty   []uint64
+	ndirty  int
+	pending map[int32]*snapshots // per thread, reused across fences
 
 	// Background-eviction state (Options.EvictAfter).
 	clock      uint64
@@ -123,12 +136,13 @@ type evictEntry struct {
 // New creates a Pool of the given size in bytes, zero-filled and fully
 // persisted.
 func New(size uint64, opts Options) *Pool {
+	lines := (size + LineSize - 1) / LineSize
 	p := &Pool{
 		opts:        opts,
 		volatile:    make([]byte, size),
 		persistent:  make([]byte, size),
-		dirty:       make(map[uint64]struct{}),
-		pending:     make(map[int32][]pendingFlush),
+		dirty:       make([]uint64, (lines+63)/64),
+		pending:     make(map[int32]*snapshots),
 		mStores:     opts.Metrics.Counter("pmem.stores"),
 		mNTStores:   opts.Metrics.Counter("pmem.ntstores"),
 		mStoreBytes: opts.Metrics.Counter("pmem.store_bytes"),
@@ -178,12 +192,24 @@ func (p *Pool) Store(tid int32, addr Addr, data []byte, site int32) {
 		}
 	}
 	for l, last := LineOf(addr), LineOf(LastByte(addr, uint64(len(data)))); l <= last; l++ {
-		p.dirty[l] = struct{}{}
+		if !p.isDirty(l) {
+			p.dirty[l/64] |= 1 << (l % 64)
+			p.ndirty++
+		}
 		if p.opts.EvictAfter > 0 {
 			p.evictQueue = append(p.evictQueue, evictEntry{line: l, at: p.clock})
 		}
 	}
-	p.mDirtyLines.Set(int64(len(p.dirty)))
+	p.mDirtyLines.Set(int64(p.ndirty))
+}
+
+// isDirty reports whether line l's bit is set.
+func (p *Pool) isDirty(l uint64) bool { return p.dirty[l/64]&(1<<(l%64)) != 0 }
+
+// clean clears the bit of line l, which must be set.
+func (p *Pool) clean(l uint64) {
+	p.dirty[l/64] &^= 1 << (l % 64)
+	p.ndirty--
 }
 
 // tick advances the device clock and performs due background evictions.
@@ -195,7 +221,7 @@ func (p *Pool) tick() {
 	for len(p.evictQueue) > 0 && p.clock-p.evictQueue[0].at >= uint64(p.opts.EvictAfter) {
 		e := p.evictQueue[0]
 		p.evictQueue = p.evictQueue[1:]
-		if _, isDirty := p.dirty[e.line]; !isDirty {
+		if !p.isDirty(e.line) {
 			continue
 		}
 		base := e.line * LineSize
@@ -204,9 +230,9 @@ func (p *Pool) tick() {
 			end = p.Size()
 		}
 		copy(p.persistent[base:end], p.volatile[base:end])
-		delete(p.dirty, e.line)
+		p.clean(e.line)
 		p.mEvictions.Inc()
-		p.mDirtyLines.Set(int64(len(p.dirty)))
+		p.mDirtyLines.Set(int64(p.ndirty))
 	}
 }
 
@@ -219,9 +245,18 @@ func (p *Pool) NTStore(tid int32, addr Addr, data []byte, site int32) {
 	if p.opts.EADR {
 		return
 	}
-	snap := make([]byte, len(data))
-	copy(snap, data)
-	p.pending[tid] = append(p.pending[tid], pendingFlush{addr: addr, data: snap, pos: p.snapPos})
+	p.snapshot(tid, addr, data)
+}
+
+// snapshot appends a copy of data, taken at addr, to tid's pending batch.
+func (p *Pool) snapshot(tid int32, addr Addr, data []byte) {
+	s := p.pending[tid]
+	if s == nil {
+		s = new(snapshots)
+		p.pending[tid] = s
+	}
+	s.batch = append(s.batch, pendingFlush{addr: addr, off: len(s.data), n: len(data), pos: p.snapPos})
+	s.data = append(s.data, data...)
 }
 
 // Load copies the current volatile contents at addr into buf.
@@ -246,9 +281,7 @@ func (p *Pool) Flush(tid int32, addr Addr) {
 	if end > p.Size() {
 		end = p.Size()
 	}
-	snap := make([]byte, end-base)
-	copy(snap, p.volatile[base:end])
-	p.pending[tid] = append(p.pending[tid], pendingFlush{addr: base, data: snap, pos: p.snapPos})
+	p.snapshot(tid, base, p.volatile[base:end])
 }
 
 // FlushRange issues flushes for every line overlapping [addr, addr+size).
@@ -273,28 +306,28 @@ func (p *Pool) Fence(tid int32) {
 	if p.opts.EADR {
 		return
 	}
-	pfs := p.pending[tid]
-	if len(pfs) == 0 {
+	s := p.pending[tid]
+	if s == nil || len(s.batch) == 0 {
 		return
 	}
-	for _, pf := range pfs {
-		dst := p.persistent[pf.addr : pf.addr+uint64(len(pf.data))]
+	for _, pf := range s.batch {
+		data := s.data[pf.off : pf.off+pf.n]
+		dst := p.persistent[pf.addr : pf.addr+uint64(pf.n)]
 		if p.observe {
-			p.commits = append(p.commits, Commit{Pos: pf.pos, Addr: pf.addr, Size: uint64(len(pf.data)),
-				Changed: !bytes.Equal(dst, pf.data)})
+			p.commits = append(p.commits, Commit{Pos: pf.pos, Addr: pf.addr, Size: uint64(pf.n),
+				Changed: !bytes.Equal(dst, data)})
 		}
-		copy(dst, pf.data)
+		copy(dst, data)
 	}
-	delete(p.pending, tid)
 	// Re-check only the lines this fence touched; lines not covered by one
 	// of its flushes cannot have become clean.
-	for _, pf := range pfs {
-		if len(pf.data) == 0 {
+	for _, pf := range s.batch {
+		if pf.n == 0 {
 			continue
 		}
-		last := LineOf(LastByte(pf.addr, uint64(len(pf.data))))
+		last := LineOf(LastByte(pf.addr, uint64(pf.n)))
 		for l := LineOf(pf.addr); l <= last; l++ {
-			if _, dirty := p.dirty[l]; !dirty {
+			if !p.isDirty(l) {
 				continue
 			}
 			base := l * LineSize
@@ -303,11 +336,12 @@ func (p *Pool) Fence(tid int32) {
 				end = p.Size()
 			}
 			if bytes.Equal(p.volatile[base:end], p.persistent[base:end]) {
-				delete(p.dirty, l)
+				p.clean(l)
 			}
 		}
 	}
-	p.mDirtyLines.Set(int64(len(p.dirty)))
+	s.batch, s.data = s.batch[:0], s.data[:0]
+	p.mDirtyLines.Set(int64(p.ndirty))
 }
 
 // View returns [addr, addr+n) of the volatile and persistent views without
@@ -353,7 +387,7 @@ func (p *Pool) Crash() []byte {
 
 // DirtyLines returns the number of lines that may differ between the
 // volatile and persistent views (an upper bound; cleaned lazily on fences).
-func (p *Pool) DirtyLines() int { return len(p.dirty) }
+func (p *Pool) DirtyLines() int { return p.ndirty }
 
 // Typed helpers (little-endian, matching x86).
 
@@ -384,8 +418,9 @@ func (p *Pool) ReadPersistent8(addr Addr) uint64 {
 // is then ready for a recovery run.
 func (p *Pool) Reboot() {
 	copy(p.volatile, p.persistent)
-	p.dirty = make(map[uint64]struct{})
-	p.pending = make(map[int32][]pendingFlush)
+	clear(p.dirty)
+	p.ndirty = 0
+	clear(p.pending)
 	p.evictQueue = nil
 	if p.lastWriter != nil {
 		for i := range p.lastWriter {

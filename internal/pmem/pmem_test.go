@@ -403,6 +403,37 @@ func TestRangeEndingAtPoolTop(t *testing.T) {
 	}
 }
 
+// TestOddSizedPoolLastLine runs a pool whose size is not a multiple of
+// 4 KiB, the span of one word of the dirty-line bitset: its last line is
+// partial and sits in a partly used word. A store across the last two lines
+// dirties both, and each flush and fence cleans only its own line.
+func TestOddSizedPoolLastLine(t *testing.T) {
+	const size = 2*4096 + 3*LineSize + 20 // 132 lines, the last 20 bytes
+	p := New(size, Options{})
+	data := make([]byte, 30)
+	for i := range data {
+		data[i] = byte(i + 1)
+	}
+	addr := uint64(size - len(data))
+	p.Store(1, addr, data, 0)
+	if p.DirtyLines() != 2 || p.Persisted(addr, 30) {
+		t.Fatalf("after the store: DirtyLines = %d, Persisted = %v; want 2, false", p.DirtyLines(), p.Persisted(addr, 30))
+	}
+	p.Flush(1, size-1)
+	p.Fence(1)
+	if p.DirtyLines() != 1 || !p.Persisted(size-20, 20) || p.Persisted(addr, 10) {
+		t.Fatalf("after persisting the last line: DirtyLines = %d, want 1 with only the last 20 bytes persisted", p.DirtyLines())
+	}
+	p.Flush(1, addr)
+	p.Fence(1)
+	if p.DirtyLines() != 0 {
+		t.Fatalf("DirtyLines = %d after persisting both lines, want 0", p.DirtyLines())
+	}
+	if img := p.Crash(); !bytes.Equal(img[addr:], data) {
+		t.Fatalf("crash image tail = %v, want %v", img[addr:], data)
+	}
+}
+
 func TestEmptyStoreIsNoOp(t *testing.T) {
 	p := New(4096, Options{})
 	p.Store(1, 0, nil, 0) // must not wrap the line loop via size-1

@@ -152,12 +152,11 @@ func (p *Pool) RebootClone(dst *Pool) *Pool {
 	}
 	copy(dst.persistent, p.persistent)
 	copy(dst.volatile, p.persistent)
-	if len(dst.dirty) > 0 {
-		dst.dirty = make(map[uint64]struct{})
+	if dst.ndirty > 0 {
+		clear(dst.dirty)
+		dst.ndirty = 0
 	}
-	if len(dst.pending) > 0 {
-		dst.pending = make(map[int32][]pendingFlush)
-	}
+	clear(dst.pending)
 	dst.evictQueue = nil
 	dst.clock = 0
 	return dst

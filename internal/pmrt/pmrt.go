@@ -117,6 +117,9 @@ type Runtime struct {
 	// elideCache memoizes per-site elision decisions (the cooperative
 	// scheduler serializes all instrumented operations, so no lock).
 	elideCache map[sites.ID]bool
+	// siteCache answers here's captures in front of Trace.Sites, without
+	// the table's lock for the same reason.
+	siteCache *sites.Cache
 }
 
 // New creates a runtime. The first pmem.LineSize bytes of the pool are
@@ -155,6 +158,7 @@ func New(cfg Config) *Runtime {
 		// A site table is still needed for dirty-read attribution.
 		r.Trace = &trace.Trace{Sites: sites.NewTable()}
 	}
+	r.siteCache = sites.NewCache(r.Trace.Sites)
 	return r
 }
 
@@ -178,7 +182,7 @@ func (r *Runtime) Run(main func(c *Ctx)) error {
 	err := r.Sched.Run(func(t *sched.Thread) {
 		main(&Ctx{r: r, th: t})
 	})
-	n := r.Trace.Sites.Counts() // the table is this runtime's own
+	n := r.siteCache.Counts() // the table is this runtime's own
 	r.cfg.Metrics.Counter("sites.fast").Add(n.Fast)
 	r.cfg.Metrics.Counter("sites.slow").Add(n.Slow)
 	r.cfg.Metrics.Counter("sites.resolved").Add(n.Resolved)
@@ -205,7 +209,7 @@ func (c *Ctx) Runtime() *Runtime { return c.r }
 // here captures the application call site two frames up (the caller of the
 // exported Ctx method) — or, under Config.Backtraces, the four-frame call
 // chain. It must be called directly from an exported Ctx method, and
-// neither may be inlined: sites.Table.Here's frame-pointer key assumes
+// neither may be inlined: the site cache's frame-pointer key assumes
 // exactly two physical frames between it and the application (DESIGN.md
 // §14, pinned by TestCtxMethodsCaptureOnFastPath).
 //
@@ -214,7 +218,7 @@ func (c *Ctx) here() sites.ID {
 	if c.r.cfg.Backtraces {
 		return c.r.Trace.Sites.HereStack(2, 4)
 	}
-	return c.r.Trace.Sites.Here(2)
+	return c.r.siteCache.Here(2)
 }
 
 func (c *Ctx) pre(k trace.Kind, addr uint64, size uint32) {
@@ -331,16 +335,21 @@ func (c *Ctx) NTStore8(addr uint64, v uint64) {
 	c.journal(pmem.OpNTStore, addr, 8, b[:], c.lastSeq(), site)
 }
 
-// Load reads size bytes from PM at addr.
+// Load reads size bytes from PM at addr into a new slice.
 //
 //go:noinline
 func (c *Ctx) Load(addr uint64, size uint32) []byte {
-	return c.loadAt(c.here(), addr, size)
+	site := c.here()
+	buf := make([]byte, size)
+	c.loadInto(site, addr, buf)
+	return buf
 }
 
-func (c *Ctx) loadAt(site sites.ID, addr uint64, size uint32) []byte {
+// loadInto reads len(buf) bytes at addr into buf. The typed loads pass
+// stack arrays, so they allocate nothing.
+func (c *Ctx) loadInto(site sites.ID, addr uint64, buf []byte) {
+	size := uint32(len(buf))
 	c.pre(trace.KLoad, addr, size)
-	buf := make([]byte, size)
 	c.r.Pool.Load(addr, buf)
 	c.emit(trace.Event{Kind: trace.KLoad, TID: c.th.ID(), Addr: addr, Size: size, Site: site})
 	if c.r.OnDirtyRead != nil {
@@ -348,28 +357,33 @@ func (c *Ctx) loadAt(site sites.ID, addr uint64, size uint32) []byte {
 			c.r.OnDirtyRead(c, site, addr, size, writer, sites.ID(storeSite))
 		}
 	}
-	return buf
 }
 
 // Load8 reads a uint64.
 //
 //go:noinline
 func (c *Ctx) Load8(addr uint64) uint64 {
-	return binary.LittleEndian.Uint64(c.loadAt(c.here(), addr, 8))
+	var b [8]byte
+	c.loadInto(c.here(), addr, b[:])
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // Load4 reads a uint32.
 //
 //go:noinline
 func (c *Ctx) Load4(addr uint64) uint32 {
-	return binary.LittleEndian.Uint32(c.loadAt(c.here(), addr, 4))
+	var b [4]byte
+	c.loadInto(c.here(), addr, b[:])
+	return binary.LittleEndian.Uint32(b[:])
 }
 
 // Load1 reads a byte.
 //
 //go:noinline
 func (c *Ctx) Load1(addr uint64) byte {
-	return c.loadAt(c.here(), addr, 1)[0]
+	var b [1]byte
+	c.loadInto(c.here(), addr, b[:])
+	return b[0]
 }
 
 // Flush issues a CLWB for the cache line containing addr.

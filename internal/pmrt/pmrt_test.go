@@ -87,8 +87,9 @@ func TestSiteCapture(t *testing.T) {
 
 // TestCtxMethodsCaptureOnFastPath calls every Ctx method that captures a
 // site twice from the same lines. The second round must be answered entirely
-// from the frame-pointer key: a Ctx method (or here) that got inlined would
-// shift the physical frames and send its calls to the slow path for good.
+// from the frame-pointer key, through the runtime's site cache: a Ctx method
+// (or here) that got inlined would shift the physical frames and send its
+// calls to the slow path for good.
 func TestCtxMethodsCaptureOnFastPath(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("no frame-pointer key on " + runtime.GOARCH)
@@ -99,7 +100,7 @@ func TestCtxMethodsCaptureOnFastPath(t *testing.T) {
 		sl := r.NewSpinLock(c, "sl")
 		a := c.Alloc(64)
 		for round := 0; round < 2; round++ {
-			before := r.Trace.Sites.Counts()
+			before := r.siteCache.Counts()
 			c.Store(a, []byte{1})
 			c.Store8(a, 1)
 			c.Store4(a, 1)
@@ -128,10 +129,34 @@ func TestCtxMethodsCaptureOnFastPath(t *testing.T) {
 			c.SpinUnlock(sl)
 			// 29 captures: one per call above, plus the CAS8 inside SpinLock
 			// and the Store8 inside SpinUnlock.
-			after := r.Trace.Sites.Counts()
+			after := r.siteCache.Counts()
 			if round == 1 && (after.Slow != before.Slow || after.Fast-before.Fast != 29) {
 				t.Errorf("repeat round took the slow path: counts %+v -> %+v", before, after)
 			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAccessPathAllocs pins the steady-state allocations of the per-access
+// path at none: the typed loads read into stack arrays, site capture hits
+// the runtime's cache, and the pool reuses its per-thread snapshot buffer.
+// NoTrace leaves out the trace's own chunked storage.
+func TestAccessPathAllocs(t *testing.T) {
+	r := New(Config{Seed: 1, PoolSize: 1 << 16, NoTrace: true})
+	err := r.Run(func(c *Ctx) {
+		a := c.Alloc(64)
+		if n := testing.AllocsPerRun(100, func() {
+			c.Store8(a, c.Load8(a)+1)
+			c.Load4(a + 8)
+			c.Load1(a + 12)
+			c.Flush(a)
+			c.Fence()
+			c.Persist(a, 16)
+		}); n != 0 {
+			t.Errorf("Load8/Load4/Load1/Store8/Flush/Fence/Persist allocate %v times per run, want 0", n)
 		}
 	})
 	if err != nil {

@@ -10,17 +10,17 @@ import (
 // mutex under HawkSet's built-in pthread support (§4). Lock and Unlock emit
 // the acquire/release events the lockset analysis consumes.
 type Mutex struct {
-	r       *Runtime
-	id      uint64
-	name    string
-	owner   *Ctx
-	waiters []*Ctx
+	r         *Runtime
+	id        uint64
+	name, why string // the diagnostic name and the park reason built from it
+	owner     *Ctx
+	waiters   []*Ctx
 }
 
 // NewMutex creates a mutex. The name is diagnostic only.
 func (r *Runtime) NewMutex(name string) *Mutex {
 	r.nextLock++
-	return &Mutex{r: r, id: r.nextLock, name: name}
+	return &Mutex{r: r, id: r.nextLock, name: name, why: "mutex " + name}
 }
 
 // ID returns the lock identity used in trace events.
@@ -35,7 +35,7 @@ func (c *Ctx) Lock(m *Mutex) {
 			panic(fmt.Sprintf("pmrt: T%d self-deadlock on mutex %q", c.TID(), m.name))
 		}
 		m.waiters = append(m.waiters, c)
-		c.th.Park("mutex " + m.name)
+		c.th.Park(m.why)
 	}
 	m.owner = c
 	c.emit(trace.Event{Kind: trace.KLockAcq, TID: c.TID(), Lock: m.id, Site: site})
@@ -65,7 +65,7 @@ func (c *Ctx) Unlock(m *Mutex) {
 	c.emit(trace.Event{Kind: trace.KLockRel, TID: c.TID(), Lock: m.id, Site: site})
 	if len(m.waiters) > 0 {
 		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
+		m.waiters = m.waiters[:copy(m.waiters, m.waiters[1:])] // keeps the capacity
 		c.th.Unpark(w.th)
 	}
 }
@@ -75,18 +75,18 @@ func (c *Ctx) Unlock(m *Mutex) {
 // intersect on that identity, so reader/writer pairs are treated as
 // protected — the correct lockset treatment for store/load pairs.
 type RWMutex struct {
-	r       *Runtime
-	id      uint64
-	name    string
-	readers int
-	writer  *Ctx
-	waiters []*Ctx
+	r                *Runtime
+	id               uint64
+	name, whyR, whyW string // the diagnostic name and the park reasons built from it
+	readers          int
+	writer           *Ctx
+	waiters          []*Ctx
 }
 
 // NewRWMutex creates a readers-writer lock.
 func (r *Runtime) NewRWMutex(name string) *RWMutex {
 	r.nextLock++
-	return &RWMutex{r: r, id: r.nextLock, name: name}
+	return &RWMutex{r: r, id: r.nextLock, name: name, whyR: "rwmutex-r " + name, whyW: "rwmutex-w " + name}
 }
 
 // ID returns the lock identity used in trace events.
@@ -98,7 +98,7 @@ func (c *Ctx) RLock(m *RWMutex) {
 	c.pre(trace.KLockAcq, 0, 0)
 	for m.writer != nil {
 		m.waiters = append(m.waiters, c)
-		c.th.Park("rwmutex-r " + m.name)
+		c.th.Park(m.whyR)
 	}
 	m.readers++
 	c.emit(trace.Event{Kind: trace.KLockAcq, TID: c.TID(), Lock: m.id, Site: site})
@@ -126,7 +126,7 @@ func (c *Ctx) WLock(m *RWMutex) {
 			panic(fmt.Sprintf("pmrt: T%d self-deadlock on rwmutex %q", c.TID(), m.name))
 		}
 		m.waiters = append(m.waiters, c)
-		c.th.Park("rwmutex-w " + m.name)
+		c.th.Park(m.whyW)
 	}
 	m.writer = c
 	c.emit(trace.Event{Kind: trace.KLockAcq, TID: c.TID(), Lock: m.id, Site: site})
@@ -143,12 +143,12 @@ func (c *Ctx) WUnlock(m *RWMutex) {
 	m.wakeAll(c)
 }
 
+// wakeAll makes every waiter runnable and empties the queue for reuse.
 func (m *RWMutex) wakeAll(c *Ctx) {
-	ws := m.waiters
-	m.waiters = nil
-	for _, w := range ws {
-		c.th.Unpark(w.th)
+	for _, w := range m.waiters {
+		c.th.Unpark(w.th) // marks w runnable; no thread runs until c yields
 	}
+	m.waiters = m.waiters[:0]
 }
 
 // SpinLock is a CAS-based lock whose lock word lives in PM, the pattern
@@ -159,10 +159,10 @@ func (m *RWMutex) wakeAll(c *Ctx) {
 // successful acquire and the release are additionally reported as lock
 // events so the lockset analysis sees the acquire-release semantics.
 type SpinLock struct {
-	r    *Runtime
-	id   uint64
-	addr uint64 // PM address of the lock word
-	name string
+	r         *Runtime
+	id        uint64
+	addr      uint64 // PM address of the lock word
+	name, why string // the diagnostic name and the park reason built from it
 	// waiters parks spinners so the cooperative schedule stays bounded; a
 	// real spin loop would burn schedule steps without changing semantics.
 	holder  *Ctx
@@ -173,7 +173,7 @@ type SpinLock struct {
 // allocated from the heap.
 func (r *Runtime) NewSpinLock(c *Ctx, name string) *SpinLock {
 	r.nextLock++
-	return &SpinLock{r: r, id: r.nextLock, addr: c.Alloc(8), name: name}
+	return &SpinLock{r: r, id: r.nextLock, addr: c.Alloc(8), name: name, why: "spinlock " + name}
 }
 
 // Addr returns the PM address of the lock word.
@@ -190,7 +190,7 @@ func (c *Ctx) SpinLock(l *SpinLock) {
 			break
 		}
 		l.waiters = append(l.waiters, c)
-		c.th.Park("spinlock " + l.name)
+		c.th.Park(l.why)
 	}
 	l.holder = c
 	c.emit(trace.Event{Kind: trace.KLockAcq, TID: c.TID(), Lock: l.id, Site: site})
@@ -205,9 +205,8 @@ func (c *Ctx) SpinUnlock(l *SpinLock) {
 	l.holder = nil
 	c.emit(trace.Event{Kind: trace.KLockRel, TID: c.TID(), Lock: l.id, Site: site})
 	c.Store8(l.addr, 0)
-	ws := l.waiters
-	l.waiters = nil
-	for _, w := range ws {
+	for _, w := range l.waiters {
 		c.th.Unpark(w.th)
 	}
+	l.waiters = l.waiters[:0]
 }

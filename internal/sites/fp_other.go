@@ -2,6 +2,6 @@
 
 package sites
 
-// retAddr has no frame-pointer walk on this architecture: 0 means "no fast
-// key", so every Here call takes the runtime.Callers path.
-func retAddr(depth int) uintptr { return 0 }
+// retAddrs has no frame-pointer walk on this architecture: 0 means "no fast
+// key", so every capture takes the runtime.Callers path.
+func retAddrs(depth int) (key, next uintptr) { return 0, 0 }
