@@ -18,7 +18,7 @@ import (
 //	5: T1 load    b
 func TestWindows(t *testing.T) {
 	st := sites.NewTable()
-	s := st.Here(0)
+	s := sites.NewCache(st).Here(0)
 	const a, b = 0x0, 0x100
 	tr := &trace.Trace{Sites: st}
 	for _, e := range []trace.Event{
