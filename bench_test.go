@@ -443,15 +443,17 @@ func (c *capturedTrace) replay(b *testing.B) *hawkset.Stream {
 
 // BenchmarkReplay measures replay ①/② alone: NewStream plus Feed of every
 // event of a captured trace, without Finish, so stage ③ is left out. The
-// inputs are those of the pipeline benchmark's reanalyze-memcached and
-// detect-fastfair workloads (Memcached-pmem/100k and Fast-Fair/18k at seed
-// 42). Each is captured, encoded and decoded to an event slice once, on the
-// sub-benchmark's first call and outside the timer.
+// inputs are those of the pipeline benchmark's four workloads:
+// reanalyze-memcached, detect-fastfair, stream-pmasstree and
+// capture-madfs-posix (Memcached-pmem/100k, Fast-Fair/18k, P-Masstree/15k
+// and MadFS-POSIX/108k at seed 42). Each is captured, encoded and decoded to
+// an event slice once, on the sub-benchmark's first call and outside the
+// timer.
 func BenchmarkReplay(b *testing.B) {
 	for _, in := range []struct {
 		app string
 		ops int
-	}{{"Memcached-pmem", 100000}, {"Fast-Fair", 18000}} {
+	}{{"Memcached-pmem", 100000}, {"Fast-Fair", 18000}, {"P-Masstree", 15000}, {"MadFS-POSIX", 108000}} {
 		var c *capturedTrace
 		b.Run(in.app, func(b *testing.B) {
 			if c == nil {

@@ -23,9 +23,10 @@
 #   go test -bench  one iteration of every benchmark — a smoke test that
 #                   the benchmark harness still compiles and runs, not a
 #                   performance measurement; it includes BenchmarkRun (the
-#                   instrumented run alone), BenchmarkReplay (replay ①/②)
-#                   and BenchmarkAnalyze (stage ③), the last two of which
-#                   each capture their two traces once — plus a targeted
+#                   instrumented run alone), BenchmarkReplay (replay ①/②,
+#                   which captures the inputs of all four pipeline
+#                   workloads once) and BenchmarkAnalyze (stage ③, which
+#                   captures its two inputs once) — plus a targeted
 #                   iteration of the sequential stage ③ (workers=1, i.e.
 #                   GOMAXPROCS=1), so the single-shard path stays runnable
 #                   end to end

@@ -206,7 +206,7 @@ func (t *Tree) Insert(c *pmrt.Ctx, key, val uint64) {
 	c.Lock(t.mu)
 	defer c.Unlock(t.mu)
 
-	var path []pathEnt
+	path := make([]pathEnt, 0, 8)
 	n := c.Load8(t.meta)
 	for {
 		leaf, count := header(c.Load8(n + offHeader))

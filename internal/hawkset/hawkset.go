@@ -187,8 +187,9 @@ type Stats struct {
 }
 
 // Result is the output of Analyze. Stores and Loads are value slices (the
-// replayer's dedup arenas handed over whole); take the address of an element
-// to hold a record by pointer.
+// replayer's store records handed over whole, and its load records built at
+// their exact length); take the address of an element to hold a record by
+// pointer.
 type Result struct {
 	Reports []Report
 	Stores  []StoreData

@@ -40,21 +40,27 @@ type replayer struct {
 	// by address, not by line, so it is a table of its own.
 	pub pubTab
 
-	// Dedup state. Records live in value slices (storeList/loadList) and the
-	// tables hold int32 indices into them, so the records are contiguous and
-	// the tables are pointer-free arrays the GC never scans. A load whose key
-	// fields fit the 64-bit packing dedups in loads, whose entry holds the
-	// whole key and the record's later hits: a repeated load touches one
-	// table entry and not its record, and finish adds the hits to loadList.
-	// Stores, and loads with out-of-range fields (huge TIDs, >16KB loads,
-	// very long streams), dedup by a hash of the record's fields that is
-	// confirmed against the record itself. A load key deterministically
-	// belongs to exactly one of the two load tables.
+	// Dedup state. The tables are pointer-free arrays the GC never scans. A
+	// load whose key fields fit the 64-bit packing dedups in loads, whose
+	// entry is its whole record: address, packed shape, ordinal (the
+	// record's index in first-appearance order) and later hits. A repeated
+	// load touches one table entry, a new one takes the next ordinal, and
+	// finish builds loadList from the entries at its exact length. Loads
+	// with out-of-range fields (huge TIDs, >16KB loads, very long streams)
+	// keep full records in spillList, and stores keep theirs in storeList;
+	// both dedup by a hash of the record's fields that is confirmed against
+	// the record itself. A load key deterministically belongs to exactly one
+	// of the two load tables.
 	stores     recTab
 	loads      loadTab
 	loadsSpill recTab
 	storeList  []StoreData
-	loadList   []LoadData
+	spillList  []spillLoad
+	// nLoads counts the load records. hitCarry holds, by ordinal, the hits a
+	// load-table entry carried out each time its 32-bit counter filled.
+	nLoads   int32
+	hitCarry map[int32]uint64
+	loadList []LoadData // built by finish
 	// effBuf is the buffer close computes effective locksets in.
 	effBuf lockset.Set
 
@@ -63,8 +69,10 @@ type replayer struct {
 	// hottest part of the store path.
 	osArena []openStore
 	// coveredPool recycles the pendingFlush covered slices that fence
-	// retires every persist cycle.
+	// retires every persist cycle, and openPool the arrays of line open
+	// lists that emptied.
 	coveredPool [][]*openStore
+	openPool    [][]*openStore
 
 	// onWindow, when set, receives every unpersisted window as it closes, in
 	// trace-event coordinates (see StoreWindow). It fires before the
@@ -123,10 +131,17 @@ type pendingFlush struct {
 	covered []*openStore
 }
 
+// spillLoad is a load record whose fields overflow the packing, with its
+// ordinal.
+type spillLoad struct {
+	LoadData
+	ord int32
+}
+
 // The replayer's tables are open-addressing hash tables with linear probing
 // over flat entry arrays. Every dynamic PM access probes several of them, so
-// a lookup is kept to one multiply-hash and, at the load factors kept here,
-// almost always one probe: no hash-function call, no bucket indirection.
+// a lookup is kept to one multiply-hash and a short run of adjacent slots:
+// no hash-function call, no bucket indirection.
 
 // hash2 mixes two words into a table hash.
 func hash2(a, b uint64) uint64 {
@@ -157,6 +172,15 @@ func rehash[E any](old []E, n int, home func(*E) (uint64, bool)) []E {
 		}
 	}
 	return entries
+}
+
+// grown returns entries, doubled once more than three quarters of its slots
+// are in use. Every table here stays within that load factor.
+func grown[E any](entries []E, used int, home func(*E) (uint64, bool)) []E {
+	if 4*used <= 3*len(entries) {
+		return entries
+	}
+	return rehash(entries, 2*len(entries), home)
 }
 
 // lineTab maps a cache line to its open stores and allocation epoch. It is
@@ -247,7 +271,7 @@ func (t *lineTab) epoch(line uint64) uint64 {
 }
 
 // pubTab maps an access start address to its publication state. Entries are
-// never deleted, and the table is kept at most half full.
+// never deleted.
 type pubTab struct {
 	entries []pubEntry
 	used    int
@@ -276,19 +300,16 @@ func (t *pubTab) lookup(addr uint64) *pubEntry {
 	}
 }
 
-// grew records an insertion and doubles the table at 50% occupancy.
+// grew records an insertion.
 func (t *pubTab) grew() {
 	t.used++
-	if t.used*2 >= len(t.entries) {
-		t.entries = rehash(t.entries, 2*len(t.entries), func(e *pubEntry) (uint64, bool) {
-			return hash2(e.addr, 0), e.live
-		})
-	}
+	t.entries = grown(t.entries, t.used, func(e *pubEntry) (uint64, bool) {
+		return hash2(e.addr, 0), e.live
+	})
 }
 
 // recTab indexes records by a hash of their fields; the caller confirms a
-// hash match against the record. Entries are never deleted, and the table
-// is kept at most half full.
+// hash match against the record. Entries are never deleted.
 type recTab struct {
 	entries []recEntry
 	used    int
@@ -315,14 +336,12 @@ func (t *recTab) lookup(h uint64, same func(idx int32) bool) *recEntry {
 	}
 }
 
-// grew records an insertion and doubles the table at 50% occupancy.
+// grew records an insertion.
 func (t *recTab) grew() {
 	t.used++
-	if t.used*2 >= len(t.entries) {
-		t.entries = rehash(t.entries, 2*len(t.entries), func(e *recEntry) (uint64, bool) {
-			return e.hash, e.idx != 0
-		})
-	}
+	t.entries = grown(t.entries, t.used, func(e *recEntry) (uint64, bool) {
+		return e.hash, e.idx != 0
+	})
 }
 
 // packLoad bit budget, low to high. The bounds cover every realistic trace
@@ -334,6 +353,11 @@ const (
 	packSiteBits = 16
 	packSizeBits = 14
 	packTIDBits  = 8
+
+	packLSShift   = packVCBits
+	packSiteShift = packLSShift + packLSBits
+	packSizeShift = packSiteShift + packSiteBits
+	packTIDShift  = packSizeShift + packSizeBits
 )
 
 // packLoad packs the non-address load-key fields into one word, reporting
@@ -345,17 +369,13 @@ func packLoad(tid int32, size uint32, site sites.ID, ls lockset.ID, vc vclock.ID
 		uint64(uint32(vc)) >= 1<<packVCBits {
 		return 0, false
 	}
-	return uint64(uint32(vc)) |
-		uint64(uint32(ls))<<packVCBits |
-		uint64(uint32(site))<<(packVCBits+packLSBits) |
-		uint64(size)<<(packVCBits+packLSBits+packSiteBits) |
-		uint64(uint32(tid))<<(packVCBits+packLSBits+packSiteBits+packSizeBits), true
+	return uint64(uint32(vc)) | uint64(uint32(ls))<<packLSShift | uint64(uint32(site))<<packSiteShift |
+		uint64(size)<<packSizeShift | uint64(uint32(tid))<<packTIDShift, true
 }
 
-// loadTab maps (addr, packed key) to a loadList index and the record's hits
+// loadTab maps (addr, packed key) to the load record's ordinal and its hits
 // since it was added. It serves the single hottest lookup of the whole
-// pipeline, one probe per dynamic PM load. Entries are never deleted, and
-// the table is kept at most half full.
+// pipeline, one probe per dynamic PM load. Entries are never deleted.
 type loadTab struct {
 	entries []loadTabEntry
 	used    int
@@ -364,8 +384,22 @@ type loadTab struct {
 type loadTabEntry struct {
 	addr uint64
 	key  uint64
-	idx  int32  // loadList index + 1; 0 = empty slot
-	hits uint32 // repeats not yet added to the record's Count
+	idx  int32  // ordinal + 1; 0 = empty slot
+	hits uint32 // repeats not carried into hitCarry
+}
+
+// record unpacks the load record of entry e, its Count from e.hits alone.
+func (e *loadTabEntry) record() LoadData {
+	field := func(shift, bits int) uint64 { return e.key >> shift & (1<<bits - 1) }
+	return LoadData{
+		TID:   int32(field(packTIDShift, packTIDBits)),
+		Addr:  e.addr,
+		Size:  uint32(field(packSizeShift, packSizeBits)),
+		Site:  sites.ID(field(packSiteShift, packSiteBits)),
+		LS:    lockset.ID(field(packLSShift, packLSBits)),
+		VC:    vclock.ID(field(0, packVCBits)),
+		Count: 1 + uint64(e.hits),
+	}
 }
 
 // lookup returns a pointer to the entry for (addr, key), or to the empty
@@ -384,14 +418,12 @@ func (t *loadTab) lookup(addr, key uint64) *loadTabEntry {
 	}
 }
 
-// grew records an insertion and doubles the table at 50% occupancy.
+// grew records an insertion.
 func (t *loadTab) grew() {
 	t.used++
-	if t.used*2 >= len(t.entries) {
-		t.entries = rehash(t.entries, 2*len(t.entries), func(e *loadTabEntry) (uint64, bool) {
-			return hash2(e.addr, e.key), e.idx != 0
-		})
-	}
+	t.entries = grown(t.entries, t.used, func(e *loadTabEntry) (uint64, bool) {
+		return hash2(e.addr, e.key), e.idx != 0
+	})
 }
 
 func newReplayer(cfg Config) *replayer {
@@ -436,15 +468,19 @@ func (r *replayer) putCovered(s []*openStore) {
 // setOpen writes a compacted open list back to line slot i, keeping the
 // retention gauges honest: removed entries decrement mOpenStores, and a line
 // left with no open store (and no allocation epoch) leaves the table instead
-// of lingering as a dead entry.
+// of lingering as a dead entry. kept is a prefix of the line's list; the
+// rest is cleared, so an array never pins a closed store, and an emptied
+// array goes to openPool for the next line that opens a store.
 func (r *replayer) setOpen(i int, kept []*openStore) {
 	e := &r.lines.entries[i]
 	if removed := len(e.open) - len(kept); removed > 0 {
 		r.mOpenStores.Add(-int64(removed))
+		clear(e.open[len(kept):])
 	}
 	if len(kept) == 0 {
 		if len(e.open) > 0 {
 			r.lines.open--
+			r.openPool = append(r.openPool, e.open[:0])
 		}
 		kept = nil
 	}
@@ -709,6 +745,10 @@ func (r *replayer) store(e trace.Event, nt bool) {
 		le := &r.lines.entries[r.lines.insert(line)]
 		if len(le.open) == 0 {
 			r.lines.open++
+			if n := len(r.openPool); n > 0 {
+				le.open = r.openPool[n-1]
+				r.openPool = r.openPool[:n-1]
+			}
 		}
 		le.open = append(le.open, os)
 		r.mOpenStores.Add(1)
@@ -743,13 +783,17 @@ func (r *replayer) load(e trace.Event) {
 	if packed, ok := packLoad(e.TID, e.Size, e.Site, ts.lsID, vcid); ok {
 		slot := r.loads.lookup(e.Addr, packed)
 		if slot.idx == 0 {
-			*slot = loadTabEntry{addr: e.Addr, key: packed, idx: r.appendLoad(e, ts.lsID, vcid) + 1}
+			r.nLoads++
+			*slot = loadTabEntry{addr: e.Addr, key: packed, idx: r.nLoads}
 			r.loads.grew()
 			return
 		}
 		slot.hits++
 		if slot.hits == math.MaxUint32 {
-			r.loadList[slot.idx-1].Count += uint64(slot.hits)
+			if r.hitCarry == nil {
+				r.hitCarry = make(map[int32]uint64)
+			}
+			r.hitCarry[slot.idx-1] += uint64(slot.hits)
 			slot.hits = 0
 		}
 		return
@@ -758,23 +802,18 @@ func (r *replayer) load(e trace.Event) {
 	h := hash2(hash2(e.Addr, uint64(e.Size)<<32|uint64(uint32(e.TID))),
 		hash2(uint64(uint32(e.Site))<<32|uint64(uint32(ts.lsID)), uint64(uint32(vcid))))
 	slot := r.loadsSpill.lookup(h, func(i int32) bool {
-		d := r.loadList[i]
+		d := r.spillList[i].LoadData
 		d.Count = 1
 		return d == want
 	})
 	if slot.idx != 0 {
-		r.loadList[slot.idx-1].Count++
+		r.spillList[slot.idx-1].Count++
 		return
 	}
-	*slot = recEntry{hash: h, idx: r.appendLoad(e, ts.lsID, vcid) + 1}
+	r.spillList = append(r.spillList, spillLoad{LoadData: want, ord: r.nLoads})
+	r.nLoads++
+	*slot = recEntry{hash: h, idx: int32(len(r.spillList))}
 	r.loadsSpill.grew()
-}
-
-func (r *replayer) appendLoad(e trace.Event, ls lockset.ID, vc vclock.ID) int32 {
-	r.loadList = append(r.loadList, LoadData{
-		TID: e.TID, Addr: e.Addr, Size: e.Size, Site: e.Site, LS: ls, VC: vc, Count: 1,
-	})
-	return int32(len(r.loadList) - 1)
 }
 
 func (r *replayer) flush(e trace.Event) {
@@ -889,6 +928,11 @@ func (r *replayer) record(os *openStore, kind EndKind, eff lockset.Set, endVC vc
 	if slot.idx != 0 {
 		r.storeList[slot.idx-1].Count++
 	} else {
+		if len(r.storeList) == cap(r.storeList) {
+			// Double when full: append's gentler growth of a list this
+			// large allocates about five times its final size.
+			r.storeList = append(make([]StoreData, 0, max(2*cap(r.storeList), 64)), r.storeList...)
+		}
 		r.storeList = append(r.storeList, want)
 		*slot = recEntry{hash: h, idx: int32(len(r.storeList))}
 		r.stores.grew()
@@ -898,8 +942,8 @@ func (r *replayer) record(os *openStore, kind EndKind, eff lockset.Set, endVC vc
 
 // finish closes every store still unpersisted when the trace ends: their
 // windows are unbounded, so no lock protects them (a crash at any later
-// point loses the value) and their effective lockset is empty. It also adds
-// the load table's pending hits to their records.
+// point loses the value) and their effective lockset is empty. It also
+// builds loadList, in ordinal order, from the load table and spillList.
 func (r *replayer) finish() {
 	// Deterministic record order: walk still-open lines in address order.
 	slots := make([]int, 0, r.lines.open)
@@ -930,10 +974,17 @@ func (r *replayer) finish() {
 			r.record(os, EndNone, eff, NoVC)
 		}
 	}
-	for _, e := range r.loads.entries {
-		if e.idx != 0 {
-			r.loadList[e.idx-1].Count += uint64(e.hits)
+	r.loadList = make([]LoadData, r.nLoads)
+	for k := range r.loads.entries {
+		if e := &r.loads.entries[k]; e.idx != 0 {
+			r.loadList[e.idx-1] = e.record()
 		}
+	}
+	for ord, n := range r.hitCarry {
+		r.loadList[ord].Count += n
+	}
+	for _, s := range r.spillList {
+		r.loadList[s.ord] = s.LoadData
 	}
 	r.stats.StoreRecords = len(r.storeList)
 	r.stats.LoadRecords = len(r.loadList)
