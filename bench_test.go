@@ -471,15 +471,17 @@ func BenchmarkReplay(b *testing.B) {
 // BenchmarkAnalyze measures stage ③: each iteration replays a captured
 // trace with the timer stopped and times Finish, which closes the windows
 // still open, pairs the records and sorts the reports. The inputs are those
-// of the pipeline benchmark's reanalyze-memcached and capture-madfs-posix
-// workloads (Memcached-pmem/100k and MadFS-POSIX/108k at seed 42), captured
-// once as in BenchmarkReplay. pairs/op counts the checked record pairs; run
-// it with -benchmem, whose figures count only the timed Finish.
+// of the pipeline benchmark's four workloads, as in BenchmarkReplay:
+// reanalyze-memcached, detect-fastfair, stream-pmasstree and
+// capture-madfs-posix (Memcached-pmem/100k, Fast-Fair/18k, P-Masstree/15k
+// and MadFS-POSIX/108k at seed 42), each captured once. pairs/op counts the
+// checked record pairs; run it with -benchmem, whose figures count only the
+// timed Finish.
 func BenchmarkAnalyze(b *testing.B) {
 	for _, in := range []struct {
 		app string
 		ops int
-	}{{"Memcached-pmem", 100000}, {"MadFS-POSIX", 108000}} {
+	}{{"Memcached-pmem", 100000}, {"Fast-Fair", 18000}, {"P-Masstree", 15000}, {"MadFS-POSIX", 108000}} {
 		var c *capturedTrace
 		b.Run(in.app, func(b *testing.B) {
 			if c == nil {

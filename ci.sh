@@ -25,8 +25,8 @@
 #                   performance measurement; it includes BenchmarkRun (the
 #                   instrumented run alone), BenchmarkReplay (replay ①/②,
 #                   which captures the inputs of all four pipeline
-#                   workloads once) and BenchmarkAnalyze (stage ③, which
-#                   captures its two inputs once) — plus a targeted
+#                   workloads once) and BenchmarkAnalyze (stage ③ on the
+#                   same four inputs, captured once) — plus a targeted
 #                   iteration of the sequential stage ③ (workers=1, i.e.
 #                   GOMAXPROCS=1), so the single-shard path stays runnable
 #                   end to end
@@ -35,7 +35,10 @@
 #                allocations among their operations, whose reports Analyze
 #                must match against the brute-force Definition-1 oracle,
 #                which shares no code with the replayer, under the paper's
-#                configuration, its ablations, StoreStore, and AllocAware
+#                configuration, its ablations, StoreStore, and AllocAware;
+#                then 30 s of FuzzAppsVsOracle, which holds Analyze to the
+#                same oracle on the apps' own traces, up to 200 operations
+#                of any app, seed and variant, with AllocAware off and on
 #   pmlint      static PM-misuse checks over the pmrt API; the committed
 #               baseline records the intentional findings (the apps embed
 #               the paper's Table 2 bugs), so only NEW findings fail
@@ -71,6 +74,7 @@ GOARCH=arm64 go build ./...
 go test -run '^$' -bench . -benchtime 1x ./...
 go test -run '^$' -bench 'BenchmarkParallelAnalysis/.*/workers=1$' -benchtime 1x .
 go test -run '^$' -fuzz '^FuzzAnalyzeVsOracle$' -fuzztime 30s ./internal/hawkset
+go test -run '^$' -fuzz '^FuzzAppsVsOracle$' -fuzztime 30s ./internal/hawkset
 go run ./cmd/pmlint -baseline pmlint.baseline ./...
 
 # Trace round-trip smoke: a stored trace must BE the trace. Capture once

@@ -1,6 +1,7 @@
 package hawkset
 
 import (
+	"cmp"
 	"runtime"
 	"slices"
 	"sync"
@@ -19,21 +20,46 @@ import (
 //
 // The implementation applies the optimizations of §4: accesses are grouped
 // by cache line, records are deduplicated shapes with counts (built during
-// replay), and locksets and clocks are compared by interned ID, with
-// intersections short-circuiting on empty or equal locksets and on disjoint
-// lock signatures. The grouping is a flat bucketIndex of the lines a load
-// covers. Pairing a bucket copies its loads into packed columns and resolves
-// each store's clocks and lockset signature once, so a pair costs integer
-// compares, the vclock epoch compare in each happens-before direction, and
-// one array read to find its report.
+// replay), and locksets and clocks are compared by interned ID. The grouping
+// is a flat bucketIndex of the lines a load covers. Within a bucket the
+// pairing is a join over the loads in start-address order, not a walk over
+// every store × load pair:
+//
+//   - A counting sort orders the bucket's loads by their offset in the line,
+//     loads that start on an earlier line first. Loads that differ only in
+//     lockset, count and record form one run, so a line read at one address
+//     by a few threads at a few clocks holds a few runs, however many
+//     locksets its loads carry.
+//   - A store binary-searches the first run whose running-maximum last byte
+//     reaches its address, and stops at the first run that starts past its
+//     last byte.
+//   - Happens-before is decided once per load clock for each pair of store
+//     clocks, and lock disjointness once per (effective lockset, load
+//     lockset) while the effective lockset repeats, in arrays indexed by
+//     interned ID. A run whose lock signatures share no bit with the
+//     store's races whole, on sums kept per run.
+//   - A store's racing runs add into one sum per load site: the pairs, the
+//     load counts, and the lowest and highest racing record with its
+//     thread. After the store each sum is folded into its report, and new
+//     reports are created in order of their lowest racing record. That is
+//     the order in which a walk over the pairs in record order meets them,
+//     and it gives the same example fields: a new report's example is its
+//     first racing pair, and an unpersisted window rewrites it with its
+//     last.
+//
+// Stats.PairsChecked counts, without visiting them, the pairs such a walk
+// checks: every load of the bucket per store, less the loads that start on
+// an earlier line when the store does too. The side-band
+// hawkset.pairs.visited counter counts the pairs the address search
+// reaches.
 //
 // The buckets are independent work units, so the pairing is sharded across
 // GOMAXPROCS goroutines: the bucket list is partitioned into contiguous
-// ranges, each worker runs with a private report map, report cache and
-// counters, and the per-shard results are merged in shard order. The merge
-// reproduces the sequential pair-processing order exactly, so the output is
-// byte-identical to a single-shard run for any GOMAXPROCS.
-func analyze(res *Result, cfg Config) {
+// ranges, each worker runs with a private report map, memos and counters,
+// and the per-shard results are merged in shard order. The merge reproduces
+// the sequential order exactly, so the output is byte-identical to a
+// single-shard run for any GOMAXPROCS. analyze returns the visited count.
+func analyze(res *Result, cfg Config) (visited uint64) {
 	bx := indexBuckets(res, cfg.StoreStore)
 	cfg.Metrics.Gauge("hawkset.analyze.buckets").Set(int64(len(bx.lines)))
 	shards := partitionLines(bx, min(runtime.GOMAXPROCS(0), len(bx.lines)), cfg.StoreStore)
@@ -60,6 +86,10 @@ func analyze(res *Result, cfg Config) {
 	stopMerge := cfg.Metrics.Stage("hawkset.stage.merge")
 	mergeShards(res, outs)
 	stopMerge()
+	for _, o := range outs {
+		visited += o.stats.visited
+	}
+	return visited
 }
 
 // bucketIndex groups the records by cache line as flat index ranges. Bucket
@@ -153,7 +183,10 @@ func fillBuckets(n, records int, span func(i int) (lo, hi int)) (off []int, idx 
 }
 
 // bucketCost is bucket b's pairing cost: stores×loads, plus the store-store
-// pairs when those are enabled, plus one for the bucket itself.
+// pairs when those are enabled, plus one for the bucket itself. The
+// store-load term is the bucket's share of Stats.PairsChecked, an upper
+// bound on what the join visits: exact for a line whose loads all cover the
+// stores' bytes, an overcharge for one whose loads spread over the line.
 func (bx *bucketIndex) bucketCost(b int, storeStore bool) uint64 {
 	n := uint64(bx.storeOff[b+1] - bx.storeOff[b])
 	c := n*uint64(bx.loadOff[b+1]-bx.loadOff[b]) + 1
@@ -218,9 +251,10 @@ type shardResult struct {
 	stats   pairStats
 }
 
-// pairStats is the per-shard slice of the Stats pair counters.
+// pairStats is the per-shard slice of the Stats pair counters, plus the
+// visited count, which is side-band only and never enters Stats.
 type pairStats struct {
-	checked, hbFiltered, lockFiltered uint64
+	checked, hbFiltered, lockFiltered, visited uint64
 }
 
 // report returns the shard's report for key, creating it from its first
@@ -249,140 +283,357 @@ func (o *shardResult) report(res *Result, key reportKey, addr uint64, storeTID, 
 	return rep
 }
 
-// reportCacheSize is the number of load sites a shard's report cache maps
-// without collision.
-const reportCacheSize = 1 << 10
-
-// loadCol is one load record's pairing fields, copied into a bucket's packed
-// columns before the bucket's stores are paired with it.
-type loadCol struct {
+// loadRun is a group of a bucket's loads that differ only in lockset,
+// count and record: the same bytes, thread, clock and site.
+type loadRun struct {
 	addr, last uint64
-	sig        uint64 // lockset signature
-	count      uint64
-	ep         vclock.Epoch
-	tid        int32
-	ls         lockset.ID
-	site       sites.ID
-	// cont marks a load that starts on an earlier line. A pair is processed
-	// in the first line both records cover, so a store that also starts
-	// earlier met this load in an earlier bucket.
-	cont bool
+	// maxLast is the largest last byte of this run and the runs before it.
+	maxLast uint64
+	// sigs is the union of the members' lockset signatures, and count the
+	// sum of their counts.
+	sigs, count uint64
+	vc          vclock.ID
+	tid         int32
+	slot        int32 // the load site's slot in join.slots
+	lo, hi      int32 // the members, join.members[lo:hi], in record order
 }
 
-// analyzeShard runs the pairing loops of Algorithm 1 over one contiguous
-// range of buckets. It touches only shard-private state plus the read-only
-// records and interning tables, so shards run concurrently without locks.
+// loadMember is one load record of a run.
+type loadMember struct {
+	sig   uint64 // the lockset's signature
+	count uint64
+	ls    lockset.ID
+	rec   int32 // index into Result.Loads
+}
+
+// runTabSize is the number of entries of the table build finds runs by.
+const runTabSize = 1 << 10
+
+// runTabEntry is the run last created at one index of the run table, valid
+// while group names the start key being grouped.
+type runTabEntry struct {
+	group int
+	run   int32
+}
+
+// siteSlot is one load site of a shard, with the racing sums of the store
+// that stamp names.
+type siteSlot struct {
+	site           sites.ID
+	stamp          int
+	pairs          int
+	count          uint64
+	minRec, maxRec int32
+	minTID, maxTID int32
+}
+
+// hbVerdict memoizes one load clock's happens-before decision for the store
+// clocks that stamp names.
+type hbVerdict struct {
+	stamp   int
+	ordered bool
+}
+
+// join is one shard's pairing state: the current bucket's loads as runs,
+// and the memos and sums that outlive a bucket.
+type join struct {
+	res  *Result
+	line uint64
+	// runs are the bucket's runs in start-key order and members their loads;
+	// the first contRuns runs, holding contLoads loads, start on an earlier
+	// line. order and runOf are build's scratch.
+	runs                []loadRun
+	members             []loadMember
+	contRuns, contLoads int
+	order, runOf        []int32
+	runTab              [runTabSize]runTabEntry
+	group               int // counts the start keys grouped, stamping runTab
+
+	stamp int // advanced per paired store
+	// hb holds the verdicts by load clock for the store clocks start and
+	// end, resolved as startVC and endEp; hbStamp advances when they change.
+	hb         []hbVerdict
+	hbStamp    int
+	start, end vclock.ID
+	startVC    vclock.VC
+	endEp      vclock.Epoch
+
+	locks   lockMemo
+	slotOf  map[sites.ID]int32
+	slots   []siteSlot
+	touched []int32 // the slots the current store raced with
+	// reps caches reports by store site and load slot, so that a store
+	// finds its reports without a map lookup; a report of another site
+	// pair at a store's index is a miss.
+	reps  [repCacheSize]*Report
+	stats pairStats
+}
+
+// repCacheSize is the number of entries of join.reps.
+const repCacheSize = 1 << 10
+
+// analyzeShard runs the pairing of Algorithm 1 over one contiguous range of
+// buckets. It touches only shard-private state plus the read-only records
+// and interning tables, so shards run concurrently without locks.
 func analyzeShard(res *Result, cfg Config, bx *bucketIndex, part [2]int) *shardResult {
 	out := &shardResult{reports: make(map[reportKey]*Report)}
-	cmp := &comparer{ls: res.Locksets, disjMemo: make(map[[2]lockset.ID]bool)}
-	vc, hb := res.VClocks, cfg.HBFilter
 	maxLoads := 0
 	for b := part[0]; b < part[1]; b++ {
 		if bx.storeOff[b] < bx.storeOff[b+1] {
 			maxLoads = max(maxLoads, bx.loadOff[b+1]-bx.loadOff[b])
 		}
 	}
-	cols := make([]loadCol, 0, maxLoads)
-	// cache holds, by load site, the report of the last store site that
-	// raced with that load site. Site IDs index the site table, so the
-	// cache is direct-mapped by the ID's low bits, and a report for another
-	// site pair is a miss that looks the pair up in the shard's map.
-	var cache [reportCacheSize]*Report
-	var stats pairStats
+	j := &join{
+		res:     res,
+		members: make([]loadMember, maxLoads),
+		order:   make([]int32, maxLoads),
+		runOf:   make([]int32, maxLoads),
+		hb:      make([]hbVerdict, res.VClocks.Len()),
+		start:   NoVC, // no store's start clock
+		locks:   newLockMemo(res.Locksets),
+		slotOf:  make(map[sites.ID]int32),
+	}
 	for b := part[0]; b < part[1]; b++ {
 		stores := bx.stores[bx.storeOff[b]:bx.storeOff[b+1]]
-		if len(stores) == 0 {
+		if len(stores) == 0 || bx.loadOff[b] == bx.loadOff[b+1] {
 			continue
 		}
-		line := bx.lines[b]
-		lds := cols[:0]
-		for _, li := range bx.loads[bx.loadOff[b]:bx.loadOff[b+1]] {
-			ld := &res.Loads[li]
-			lds = append(lds, loadCol{
-				addr:  ld.Addr,
-				last:  lastAddrOf(ld.Addr, ld.Size),
-				sig:   res.Locksets.Sig(ld.LS),
-				count: ld.Count,
-				ep:    vc.Epoch(ld.VC),
-				tid:   ld.TID,
-				ls:    ld.LS,
-				site:  ld.Site,
-				cont:  pmem.LineOf(ld.Addr) < line,
-			})
-		}
+		j.build(bx.lines[b], bx.loads[bx.loadOff[b]:bx.loadOff[b+1]])
 		for _, si := range stores {
-			s := &res.Stores[si]
-			last := lastAddrOf(s.Addr, s.Size)
-			cont := pmem.LineOf(s.Addr) < line
-			sig := res.Locksets.Sig(s.Eff)
-			unpersisted := s.EndKind != EndPersist
-			var start vclock.VC
-			var end vclock.Epoch
-			hasEnd := hb && s.End != NoVC
-			if hb {
-				start = vc.Get(s.Start)
-			}
-			if hasEnd {
-				end = vc.Epoch(s.End)
-			}
-			for i := range lds {
-				ld := &lds[i]
-				// A record spanning several lines appears in several
-				// buckets. Process the pair only in the first bucket the two
-				// records share: that counts it exactly once for any
-				// sharding of the bucket list.
-				if cont && ld.cont {
-					continue
-				}
-				stats.checked++
-				// Algorithm 1 line 16, then line 15's overlap as an
-				// inclusive-last interval test.
-				if ld.tid == s.TID || s.Addr > ld.last || ld.addr > last {
-					continue
-				}
-				// Line 17, the happens-before filter (§3.1.2): the load can
-				// fall inside the store's unpersisted window unless it
-				// happens-before the store instruction or the window's end
-				// (persist or overwrite) happens-before the load. Using the
-				// window end clock is what lets the analysis catch Fig. 3's
-				// Store₃/Persist₃ case.
-				if hb && (ld.ep.Leq(start) || hasEnd && end.Leq(ld.ep.Clock())) {
-					stats.hbFiltered++
-					continue
-				}
-				// Line 18. A zero signature AND proves disjointness, and
-				// equal non-empty IDs are never disjoint.
-				if sig&ld.sig != 0 && (s.Eff == ld.ls || !cmp.disjoint(s.Eff, ld.ls)) {
-					stats.lockFiltered++
-					continue
-				}
-				c := &cache[ld.site&(reportCacheSize-1)]
-				rep := *c
-				if rep == nil || rep.StoreSite != s.Site || rep.LoadSite != ld.site {
-					rep = out.report(res, reportKey{store: s.Site, load: ld.site}, s.Addr, s.TID, ld.tid, s.EndKind)
-					*c = rep
-				}
-				rep.Pairs++
-				rep.Weight += s.Count * ld.count
-				if unpersisted {
-					rep.Unpersisted = true
-					rep.EndKind = s.EndKind
-					// Keep the example fields describing one real pair: a
-					// report downgraded to a non-persist end kind must point
-					// at the access pair that exhibits it, not at the first
-					// (possibly persisted) pair's location.
-					rep.Addr = s.Addr
-					rep.StoreTID = s.TID
-					rep.LoadTID = ld.tid
-				}
-			}
+			j.pair(&res.Stores[si], cfg.HBFilter, out)
 		}
 	}
-	out.stats = stats
+	out.stats = j.stats
 	if cfg.StoreStore {
-		analyzeStoreStoreShard(res, cfg, bx, part, cmp, out)
+		analyzeStoreStoreShard(res, cfg, bx, part, &j.locks, out)
 	}
 	return out
+}
+
+// build groups the loads of the bucket of line, given by their record
+// indices in record order, into runs. A counting sort orders them by start
+// key: the offset in the line, or 0 for a load that starts on an earlier
+// line. Within each key, a table indexed by a hash of the run fields finds
+// the run a load joins, or a new one is made (two runs that meet at one
+// index only split a run, which is still exact), and the runs' members are
+// laid out run by run, in record order.
+func (j *join) build(line uint64, loads []int32) {
+	res := j.res
+	key := func(addr uint64) int32 {
+		if pmem.LineOf(addr) < line {
+			return 0
+		}
+		return 1 + int32(addr%pmem.LineSize)
+	}
+	var next [1 + pmem.LineSize]int32 // per key: its count, then its next place in order
+	for _, li := range loads {
+		next[key(res.Loads[li].Addr)]++
+	}
+	var n int32
+	for k, c := range next {
+		next[k] = n
+		n += c
+	}
+	j.order, j.runOf = j.order[:len(loads)], j.runOf[:len(loads)]
+	order, runOf := j.order, j.runOf
+	for _, li := range loads {
+		k := key(res.Loads[li].Addr)
+		order[next[k]] = li
+		next[k]++
+	}
+
+	j.line, j.runs = line, j.runs[:0]
+	var start int32
+	for k, end := range next { // next[k] is now the end of key k
+		first := len(j.runs)
+		j.group++
+		for i := start; i < end; i++ {
+			ld := &res.Loads[order[i]]
+			last := lastAddrOf(ld.Addr, ld.Size)
+			e := &j.runTab[hash2(last^uint64(uint32(ld.Site))<<32, uint64(uint32(ld.TID))<<32|uint64(uint32(ld.VC)))%runTabSize]
+			if e.group != j.group || !j.holds(e.run, ld, last) {
+				*e = runTabEntry{group: j.group, run: int32(len(j.runs))}
+				j.runs = append(j.runs, loadRun{addr: ld.Addr, last: last, vc: ld.VC, tid: ld.TID, slot: j.slot(ld.Site)})
+			}
+			r := &j.runs[e.run]
+			r.hi++ // the member count, until the layout below
+			r.sigs |= res.Locksets.Sig(ld.LS)
+			r.count += ld.Count
+			runOf[i] = e.run
+		}
+		at := start
+		for r := first; r < len(j.runs); r++ {
+			j.runs[r].lo, j.runs[r].hi, at = at, at, at+j.runs[r].hi
+		}
+		for i := start; i < end; i++ {
+			ld := &res.Loads[order[i]]
+			r := &j.runs[runOf[i]]
+			j.members[r.hi] = loadMember{sig: res.Locksets.Sig(ld.LS), count: ld.Count, ls: ld.LS, rec: order[i]}
+			r.hi++
+		}
+		if k == 0 {
+			j.contRuns, j.contLoads = len(j.runs), int(end)
+		}
+		start = end
+	}
+	var maxLast uint64
+	for r := range j.runs {
+		maxLast = max(maxLast, j.runs[r].last)
+		j.runs[r].maxLast = maxLast
+	}
+}
+
+// holds reports whether run r of the current key holds the loads like ld,
+// whose last byte is last.
+func (j *join) holds(r int32, ld *LoadData, last uint64) bool {
+	run := &j.runs[r]
+	return run.addr == ld.Addr && run.last == last && run.tid == ld.TID && run.vc == ld.VC && j.slots[run.slot].site == ld.Site
+}
+
+// slot returns the slot of load site site, adding one for a new site.
+func (j *join) slot(site sites.ID) int32 {
+	s, ok := j.slotOf[site]
+	if !ok {
+		s = int32(len(j.slots))
+		j.slotOf[site] = s
+		j.slots = append(j.slots, siteSlot{site: site})
+	}
+	return s
+}
+
+// pair pairs store s with the current bucket's loads and folds the racing
+// pairs into the shard's reports.
+func (j *join) pair(s *StoreData, hb bool, out *shardResult) {
+	vc := j.res.VClocks
+	j.stamp++
+	runs, checked := j.runs, len(j.order)
+	if pmem.LineOf(s.Addr) < j.line {
+		// A pair is processed in the first line both records cover: a load
+		// that also starts on an earlier line met this store there.
+		runs, checked = runs[j.contRuns:], checked-j.contLoads
+	}
+	j.stats.checked += uint64(checked)
+	if hb && (s.Start != j.start || s.End != j.end) {
+		// A verdict depends on the store only through its two clocks.
+		j.hbStamp++
+		j.start, j.end, j.startVC = s.Start, s.End, vc.Get(s.Start)
+		if s.End != NoVC {
+			j.endEp = vc.Epoch(s.End)
+		}
+	}
+	sig := j.res.Locksets.Sig(s.Eff)
+	last := lastAddrOf(s.Addr, s.Size)
+	lo, hi := 0, len(runs) // the first run whose maxLast reaches the store
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); runs[m].maxLast < s.Addr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for i := lo; i < len(runs) && runs[i].addr <= last; i++ {
+		r := &runs[i]
+		n := uint64(r.hi - r.lo)
+		j.stats.visited += n
+		// Algorithm 1 line 16, then line 15's overlap as an inclusive-last
+		// interval test.
+		if r.tid == s.TID || r.last < s.Addr {
+			continue
+		}
+		// Line 17, the happens-before filter (§3.1.2): the load can fall
+		// inside the store's unpersisted window unless it happens-before
+		// the store instruction or the window's end (persist or overwrite)
+		// happens-before the load. Using the window end clock is what lets
+		// the analysis catch Fig. 3's Store₃/Persist₃ case.
+		if hb {
+			v := &j.hb[r.vc]
+			if v.stamp != j.hbStamp {
+				ep := vc.Epoch(r.vc)
+				*v = hbVerdict{stamp: j.hbStamp, ordered: ep.Leq(j.startVC) || j.end != NoVC && j.endEp.Leq(ep.Clock())}
+			}
+			if v.ordered {
+				j.stats.hbFiltered += n
+				continue
+			}
+		}
+		// Line 18. A zero signature AND proves disjointness, for every
+		// member at once on the run's union; equal non-empty IDs are never
+		// disjoint.
+		if sig&r.sigs == 0 {
+			j.add(r, int(n), r.count, j.members[r.lo].rec, j.members[r.hi-1].rec)
+			continue
+		}
+		pairs, count, first, lastRec := 0, uint64(0), int32(0), int32(0)
+		for _, m := range j.members[r.lo:r.hi] {
+			if sig&m.sig != 0 && (m.ls == s.Eff || !j.locks.disjoint(s.Eff, m.ls)) {
+				j.stats.lockFiltered++
+				continue
+			}
+			if pairs == 0 {
+				first = m.rec
+			}
+			pairs++
+			count += m.count
+			lastRec = m.rec
+		}
+		if pairs > 0 {
+			j.add(r, pairs, count, first, lastRec)
+		}
+	}
+	j.fold(s, out)
+}
+
+// add adds pairs racing members of run r, with counts summing to count and
+// lowest and highest record indices first and last, to the sum of r's load
+// site for the current store.
+func (j *join) add(r *loadRun, pairs int, count uint64, first, last int32) {
+	sl := &j.slots[r.slot]
+	if sl.stamp != j.stamp {
+		*sl = siteSlot{site: sl.site, stamp: j.stamp, minRec: first, maxRec: last, minTID: r.tid, maxTID: r.tid}
+		j.touched = append(j.touched, r.slot)
+	} else {
+		if first < sl.minRec {
+			sl.minRec, sl.minTID = first, r.tid
+		}
+		if last > sl.maxRec {
+			sl.maxRec, sl.maxTID = last, r.tid
+		}
+	}
+	sl.pairs += pairs
+	sl.count += count
+}
+
+// fold adds store s's per-site sums to their reports. New reports are
+// created in order of their lowest racing record, with that pair as their
+// example; an unpersisted window makes its highest racing record the
+// example.
+func (j *join) fold(s *StoreData, out *shardResult) {
+	if len(j.touched) > 1 {
+		slices.SortFunc(j.touched, func(a, b int32) int { return cmp.Compare(j.slots[a].minRec, j.slots[b].minRec) })
+	}
+	for _, slot := range j.touched {
+		sl := &j.slots[slot]
+		c := &j.reps[hash2(uint64(s.Site), uint64(slot))%repCacheSize]
+		rep := *c
+		if rep == nil || rep.StoreSite != s.Site || rep.LoadSite != sl.site {
+			rep = out.report(j.res, reportKey{store: s.Site, load: sl.site}, s.Addr, s.TID, sl.minTID, s.EndKind)
+			*c = rep
+		}
+		rep.Pairs += sl.pairs
+		rep.Weight += s.Count * sl.count
+		if s.EndKind != EndPersist {
+			rep.Unpersisted = true
+			rep.EndKind = s.EndKind
+			// Keep the example fields describing one real pair: a report
+			// downgraded to a non-persist end kind must point at the access
+			// pair that exhibits it, not at the first (possibly persisted)
+			// pair's location.
+			rep.Addr = s.Addr
+			rep.StoreTID = s.TID
+			rep.LoadTID = sl.maxTID
+		}
+	}
+	j.touched = j.touched[:0]
 }
 
 // analyzeStoreStoreShard pairs store windows with each other — the
@@ -390,7 +641,7 @@ func analyzeShard(res *Result, cfg Config, bx *bucketIndex, part [2]int) *shardR
 // omits (§3.1.1). Two windows race if they can overlap in time (neither
 // window end happens-before the other's start) and their effective locksets
 // are disjoint.
-func analyzeStoreStoreShard(res *Result, cfg Config, bx *bucketIndex, part [2]int, cmp *comparer, out *shardResult) {
+func analyzeStoreStoreShard(res *Result, cfg Config, bx *bucketIndex, part [2]int, locks *lockMemo, out *shardResult) {
 	for b := part[0]; b < part[1]; b++ {
 		line := bx.lines[b]
 		stores := bx.stores[bx.storeOff[b]:bx.storeOff[b+1]]
@@ -413,7 +664,7 @@ func analyzeStoreStoreShard(res *Result, cfg Config, bx *bucketIndex, part [2]in
 				if cfg.HBFilter && (res.VClocks.LeqID(st.Start, st2.Start) || res.VClocks.LeqID(st2.Start, st.Start)) {
 					continue
 				}
-				if !cmp.disjoint(st.Eff, st2.Eff) {
+				if !locks.disjoint(st.Eff, st2.Eff) {
 					continue
 				}
 				rep := out.report(res, reportKey{store: st.Site, load: st2.Site, storeStore: true}, st.Addr, st.TID, st2.TID, st.EndKind)
@@ -487,43 +738,38 @@ func mergeShards(res *Result, outs []*shardResult) {
 	}
 }
 
-// comparer memoizes lockset comparisons. Each analysis shard owns one: the
-// memo map is written during pairing, while the underlying interning table
-// is read-only by then.
-//
-// disjoint first intersects the precomputed lock signatures (zero proves
-// disjointness) and walks small sets directly; only large inconclusive
-// pairs reach the memo.
-type comparer struct {
-	ls       *lockset.Table
-	disjMemo map[[2]lockset.ID]bool
+// lockMemo decides whether two interned locksets share a lock identity,
+// once per pair of IDs (a, b) for the latest a seen with each b. Each
+// analysis shard owns one; the interning table is read-only by then.
+type lockMemo struct {
+	ls *lockset.Table
+	of []lockVerdict // indexed by b
 }
 
-// disjoint reports whether the two interned locksets share no lock
-// identity. Empty sets are disjoint from everything; equal non-empty IDs
-// are never disjoint (integer short-circuit, §4).
-func (c *comparer) disjoint(a, b lockset.ID) bool {
-	if a == 0 || b == 0 {
-		return true
+// lockVerdict is the memoized verdict for (left-1, b).
+type lockVerdict struct {
+	left     lockset.ID
+	disjoint bool
+}
+
+func newLockMemo(ls *lockset.Table) lockMemo {
+	return lockMemo{ls: ls, of: make([]lockVerdict, ls.Len())}
+}
+
+// disjoint reports whether the two locksets share no lock identity.
+func (m *lockMemo) disjoint(a, b lockset.ID) bool {
+	if v := m.of[b]; v.left == a+1 {
+		return v.disjoint
 	}
-	if a == b {
-		return false
-	}
-	if c.ls.Sig(a)&c.ls.Sig(b) == 0 {
-		// No shared signature bit ⇒ no shared lock (exact negative).
-		return true
-	}
-	sa, sb := c.ls.Get(a), c.ls.Get(b)
-	if len(sa)+len(sb) <= 8 {
-		// Small sets: the merge walk is cheaper than two memo probes.
-		return lockset.DisjointLocks(sa, sb)
-	}
-	key := [2]lockset.ID{a, b}
-	if v, ok := c.disjMemo[key]; ok {
-		return v
-	}
-	v := lockset.DisjointLocks(sa, sb)
-	c.disjMemo[key] = v
-	c.disjMemo[[2]lockset.ID{b, a}] = v
-	return v
+	return m.decide(a, b)
+}
+
+// decide decides (a, b) and memoizes the verdict. Empty sets are disjoint
+// from everything; equal non-empty IDs are never disjoint (integer
+// short-circuit, §4); a zero AND of the lock signatures proves disjointness
+// without a walk.
+func (m *lockMemo) decide(a, b lockset.ID) bool {
+	d := a == 0 || b == 0 || a != b && (m.ls.Sig(a)&m.ls.Sig(b) == 0 || lockset.DisjointLocks(m.ls.Get(a), m.ls.Get(b)))
+	m.of[b] = lockVerdict{left: a + 1, disjoint: d}
+	return d
 }

@@ -395,23 +395,23 @@ func TestDisownedClocksAgree(t *testing.T) {
 	}
 }
 
-// TestReportCacheCollision: a shard's report cache holds load sites by the
-// low bits of their IDs, so two load sites reportCacheSize apart share a
-// slot. Their interleaved loads, racing with one store site, must still
-// count into two reports.
+// TestReportCacheCollision: two load sites whose IDs are 1024 apart share
+// their low ten bits, the slot a cache of reports indexed by load site ID
+// would give them. Their interleaved loads, racing with one store site, must
+// still count into two reports.
 func TestReportCacheCollision(t *testing.T) {
-	const X = 0x100
+	const X, apart = 0x100, 1 << 10
 	b := trace.NewBuilder()
 	b.Create(0, 1, "c1").Create(0, 2, "c2")
 	b.Store(1, X, 16, "st")
 	b.Load(2, X, 8, "ld.a")
-	for id := b.T.Sites.Named("ld.a") + reportCacheSize; sites.ID(b.T.Sites.Len()) < id; {
+	for id := b.T.Sites.Named("ld.a") + apart; sites.ID(b.T.Sites.Len()) < id; {
 		b.T.Sites.Named(fmt.Sprint("pad", b.T.Sites.Len()))
 	}
 	b.Load(2, X, 8, "ld.b")
 	b.Load(2, X+8, 8, "ld.a")
 	b.Join(0, 1, "j").Join(0, 2, "j")
-	if a, c := b.T.Sites.Named("ld.a"), b.T.Sites.Named("ld.b"); c-a != reportCacheSize {
+	if a, c := b.T.Sites.Named("ld.a"), b.T.Sites.Named("ld.b"); c-a != apart {
 		t.Fatalf("load sites %d and %d do not collide", a, c)
 	}
 

@@ -149,7 +149,8 @@ func TestDifferentialStreamVsAnalyze(t *testing.T) {
 }
 
 // TestDifferentialMetricsPopulated: the side-band snapshot actually carries
-// the stage timings and counters the document deliberately omits.
+// the stage timings and counters the document deliberately omits, among
+// them the pairs stage ③'s address search visited.
 func TestDifferentialMetricsPopulated(t *testing.T) {
 	tr := randDiffTrace(rand.New(rand.NewSource(7)))
 	cfg := hawkset.DefaultConfig()
@@ -167,5 +168,8 @@ func TestDifferentialMetricsPopulated(t *testing.T) {
 	}
 	if cfg.Metrics.Histogram("hawkset.stage.replay").Count() == 0 {
 		t.Error("hawkset.stage.replay never observed")
+	}
+	if n := cfg.Metrics.Counter("hawkset.pairs.visited").Value(); n == 0 {
+		t.Error("hawkset.pairs.visited not counted")
 	}
 }

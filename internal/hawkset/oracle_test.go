@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"hawkset/internal/apps"
 	"hawkset/internal/hawkset"
 	"hawkset/internal/sites"
 	"hawkset/internal/trace"
@@ -104,6 +105,9 @@ func oracle(tr *trace.Trace, cfg hawkset.Config) *oracleResult {
 		first     = map[uint64]int32{}
 		published = map[uint64]bool{}
 		stale     = map[uint64]bool{}
+		// addrs lists the keys of first, which never loses one: a stale
+		// address is deleted and set again by the same touch.
+		addrs []uint64
 	)
 	newStep := func(preds ...int) int {
 		n := len(anc)
@@ -130,6 +134,8 @@ func oracle(tr *trace.Trace, cfg hawkset.Config) *oracleResult {
 			delete(first, addr)
 			delete(published, addr)
 			delete(stale, addr)
+		} else if _, ok := first[addr]; !ok {
+			addrs = append(addrs, addr)
 		}
 		if f, ok := first[addr]; !ok {
 			first[addr] = tid
@@ -194,7 +200,7 @@ func oracle(tr *trace.Trace, cfg hawkset.Config) *oracleResult {
 			if !cfg.AllocAware {
 				continue
 			}
-			for a := range first {
+			for _, a := range addrs {
 				if e.Addr/64 <= a/64 && a/64 <= lastByte(e.Addr, e.Size)/64 {
 					stale[a] = true
 				}
@@ -600,6 +606,37 @@ func FuzzAnalyzeVsOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, c uint8) {
 		cfgs := oracleConfigs()
 		checkOracle(t, oracleTrace(rand.New(rand.NewSource(seed))), cfgs[int(c)%len(cfgs)])
+	})
+}
+
+// FuzzAppsVsOracle holds Analyze to the oracle on the apps' own traces,
+// whose node splits, slab reuse and file operations the generated programs
+// may not reach. The input picks the app, the operation count (at most
+// 200), the seed of the workload and the schedule, the fixed variant, and
+// AllocAware, with the allocations recorded for it. The seed corpus runs
+// every app at 40 operations, seeds 1–3, buggy and fixed, with AllocAware
+// off and on.
+func FuzzAppsVsOracle(f *testing.F) {
+	all := apps.All()
+	for app := range all {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, fixed := range []bool{false, true} {
+				for _, allocAware := range []bool{false, true} {
+					f.Add(uint8(app), uint8(40), seed, fixed, allocAware)
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, app, ops uint8, seed int64, fixed, allocAware bool) {
+		e := all[int(app)%len(all)]
+		n := max(1, min(int(ops), 200))
+		rt, err := apps.Run(e, e.Workload(n, seed), apps.RunConfig{Seed: seed, Fixed: fixed, InstrumentAllocs: allocAware})
+		if err != nil {
+			t.Fatalf("%s, %d ops, seed %d, fixed %v: %v", e.Name, n, seed, fixed, err)
+		}
+		cfg := hawkset.DefaultConfig()
+		cfg.AllocAware = allocAware
+		checkOracle(t, rt.Trace, cfg)
 	})
 }
 

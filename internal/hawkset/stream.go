@@ -76,12 +76,12 @@ func (s *Stream) Finish() (*Result, error) {
 	}
 	res := s.records()
 	stopAnalyze := s.cfg.Metrics.Stage("hawkset.stage.analyze")
-	analyze(res, s.cfg)
+	visited := analyze(res, s.cfg)
 	stopAnalyze()
 	stopSort := s.cfg.Metrics.Stage("hawkset.stage.report_sort")
 	sortReports(res.Reports)
 	stopSort()
-	s.recordStats(&res.Stats, len(res.Reports))
+	s.recordStats(&res.Stats, len(res.Reports), visited)
 	return res, nil
 }
 
@@ -107,9 +107,11 @@ func (s *Stream) records() *Result {
 }
 
 // recordStats mirrors the final Stats into the metrics registry, so a
-// snapshot carries the record/dedup/pair counters next to the stage timings.
-// Read-only with respect to the result: metrics stay side-band.
-func (s *Stream) recordStats(st *Stats, reports int) {
+// snapshot carries the record/dedup/pair counters next to the stage timings,
+// with the pairs stage ③'s address search visited beside the pairs it
+// counts as checked. Read-only with respect to the result: metrics stay
+// side-band.
+func (s *Stream) recordStats(st *Stats, reports int, visited uint64) {
 	m := s.cfg.Metrics
 	if m == nil {
 		return
@@ -121,6 +123,7 @@ func (s *Stream) recordStats(st *Stats, reports int) {
 	m.Counter("hawkset.irh.dropped_stores").Add(st.IRHDroppedStores)
 	m.Counter("hawkset.irh.dropped_loads").Add(st.IRHDroppedLoads)
 	m.Counter("hawkset.pairs.checked").Add(st.PairsChecked)
+	m.Counter("hawkset.pairs.visited").Add(visited)
 	m.Counter("hawkset.pairs.hb_filtered").Add(st.PairsHBFiltered)
 	m.Counter("hawkset.pairs.lock_filtered").Add(st.PairsLockFiltered)
 	m.Counter("hawkset.reports").Add(uint64(reports))
