@@ -305,12 +305,12 @@ func BenchmarkLocksetIntersect(b *testing.B) {
 	c := lockset.Set{}.Add(2, 1).Add(3, 9).Add(8, 2).Add(9, 1)
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			lockset.IntersectExact(a, c)
+			lockset.AppendIntersectExact(nil, a, c)
 		}
 	})
 	b.Run("locks-only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			lockset.IntersectLocks(a, c)
+			lockset.AppendIntersectLocks(nil, a, c)
 		}
 	})
 	b.Run("disjoint", func(b *testing.B) {
@@ -566,32 +566,6 @@ type countWriter int64
 func (c *countWriter) Write(p []byte) (int, error) {
 	*c += countWriter(len(p))
 	return len(p), nil
-}
-
-// BenchmarkBacktraceOverhead quantifies the cost of deep backtraces vs the
-// default single-frame capture — the reproduction's version of §4's
-// PIN_Backtrace "up to 90% overhead" measurement.
-func BenchmarkBacktraceOverhead(b *testing.B) {
-	for _, deep := range []bool{false, true} {
-		name := "single-frame"
-		if deep {
-			name = "deep-backtrace"
-		}
-		deep := deep
-		b.Run(name, func(b *testing.B) {
-			rt := pmrt.New(pmrt.Config{Seed: 1, PoolSize: 1 << 24, Backtraces: deep})
-			err := rt.Run(func(c *pmrt.Ctx) {
-				a := c.Alloc(64)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c.Store8(a, uint64(i))
-				}
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
 }
 
 // BenchmarkDurinnBaseline measures the operation-level baseline's per-seed

@@ -43,9 +43,14 @@
 #               baseline records the intentional findings (the apps embed
 #               the paper's Table 2 bugs), so only NEW findings fail
 #   pmcheck     bounded crash-point fault-injection smoke: the seeded
-#               (buggy) builds must fail crash points (pmcheck exits with
-#               the failing-app count), the fixed builds must sweep clean.
-#               Covers Fast-Fair and P-Masstree plus the MadFS-POSIX
+#               (buggy) builds must fail crash points, the fixed builds must
+#               sweep clean. pmcheck exits with the failing-app count and
+#               with 101 on an error, so a run that must find failures has
+#               to exit 1-100; the binary is built once and run directly,
+#               because go run reports every non-zero exit as 1 and a crash
+#               would pass as a finding. Covers Fast-Fair and P-Masstree,
+#               -all over every app's end-of-run crash image (buggy must
+#               fail, fixed must be clean), plus the MadFS-POSIX
 #               filesystem scenario, whose syscall-level oracles (rename
 #               atomicity, torn appends, orphaned inodes) gate both seeded
 #               protocol bugs under -budget/-deadline bounds
@@ -106,26 +111,36 @@ go run ./cmd/hawkset -trace-in internal/trace/testdata/golden_v1_big.hwkt |
     grep -Fx 'loaded trace (format v1): 2010 events'
 go test -run '^$' -bench 'BenchmarkTraceCodec/decode' -benchtime 1x .
 
-if go run ./cmd/pmcheck -app Fast-Fair -ops 800 -inject -budget 8 -deadline 60s; then
-    echo "ci: buggy Fast-Fair crash campaign unexpectedly clean" >&2
-    exit 1
-fi
-go run ./cmd/pmcheck -app Fast-Fair -ops 800 -fixed -inject -budget 8 -deadline 60s
-go run ./cmd/pmcheck -app P-Masstree -ops 800 -fixed -inject -strategy fence -budget 8 -deadline 60s
+# pmcheck crash smoke. expect_failing requires the failing-app count as
+# the exit status (1-100), so a pmcheck error (101) fails CI.
+PMCHECK_TMP=$(mktemp -d)
+trap 'rm -rf "$TRACE_TMP" "$PMCHECK_TMP"' EXIT
+go build -o "$PMCHECK_TMP/" ./cmd/pmcheck ./cmd/pmcheckd
+PMCHECK="$PMCHECK_TMP/pmcheck"
+expect_failing() {
+    rc=0
+    "$PMCHECK" "$@" || rc=$?
+    if [ "$rc" -lt 1 ] || [ "$rc" -gt 100 ]; then
+        echo "ci: pmcheck $* exited $rc, want 1-100 failing apps" >&2
+        exit 1
+    fi
+}
+expect_failing -app Fast-Fair -ops 800 -inject -budget 8 -deadline 60s
+"$PMCHECK" -app Fast-Fair -ops 800 -fixed -inject -budget 8 -deadline 60s
+"$PMCHECK" -app P-Masstree -ops 800 -fixed -inject -strategy fence -budget 8 -deadline 60s
+expect_failing -all -ops 800
+"$PMCHECK" -all -ops 800 -fixed
 
 # Filesystem crash-sweep smoke: both seeded FS protocol bugs must surface
 # under the bounded targeted campaign; the journaled/ordered fixed variant
 # must sweep clean.
-if go run ./cmd/pmcheck -app MadFS-POSIX -ops 600 -inject -budget 8 -deadline 60s; then
-    echo "ci: buggy MadFS-POSIX crash campaign unexpectedly clean" >&2
-    exit 1
-fi
-go run ./cmd/pmcheck -app MadFS-POSIX -ops 600 -fixed -inject -budget 8 -deadline 60s
+expect_failing -app MadFS-POSIX -ops 600 -inject -budget 8 -deadline 60s
+"$PMCHECK" -app MadFS-POSIX -ops 600 -fixed -inject -budget 8 -deadline 60s
 
 # pmopt smoke: deterministic JSON on two apps, then a gated elimination on
 # each.
 PMOPT_TMP=$(mktemp -d)
-trap 'rm -rf "$TRACE_TMP" "$PMOPT_TMP"' EXIT
+trap 'rm -rf "$TRACE_TMP" "$PMCHECK_TMP" "$PMOPT_TMP"' EXIT
 for app in P-ART P-Masstree; do
     go run ./cmd/pmopt -app "$app" -ops 400 -seed 1 -json > "$PMOPT_TMP/$app.1.json"
     go run ./cmd/pmopt -app "$app" -ops 400 -seed 1 -json > "$PMOPT_TMP/$app.2.json"
@@ -136,19 +151,16 @@ go run ./cmd/pmopt -app P-ART -ops 400 -seed 1 -apply -budget 8
 
 # pmcheckd daemon smoke: stream through the daemon, diff against offline
 # Analyze (-verify), SIGTERM-drain, assert clean exit.
-PMCHECKD_TMP=$(mktemp -d)
-trap 'rm -rf "$TRACE_TMP" "$PMOPT_TMP" "$PMCHECKD_TMP"' EXIT
-go build -o "$PMCHECKD_TMP/" ./cmd/pmcheckd ./cmd/pmcheck
-"$PMCHECKD_TMP/pmcheckd" -listen "unix:$PMCHECKD_TMP/d.sock" \
-    -dir "$PMCHECKD_TMP/store" -tenant-table &
+"$PMCHECK_TMP/pmcheckd" -listen "unix:$PMCHECK_TMP/d.sock" \
+    -dir "$PMCHECK_TMP/store" -tenant-table &
 PMCHECKD_PID=$!
 i=0
-while [ ! -S "$PMCHECKD_TMP/d.sock" ]; do
+while [ ! -S "$PMCHECK_TMP/d.sock" ]; do
     i=$((i + 1))
     [ "$i" -gt 100 ] && { echo "ci: pmcheckd never listened" >&2; exit 1; }
     sleep 0.1
 done
-"$PMCHECKD_TMP/pmcheck" -remote "unix:$PMCHECKD_TMP/d.sock" \
+"$PMCHECK" -remote "unix:$PMCHECK_TMP/d.sock" \
     -app Fast-Fair -ops 800 -verify
 kill -TERM "$PMCHECKD_PID"
 wait "$PMCHECKD_PID"

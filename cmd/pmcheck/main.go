@@ -25,11 +25,13 @@
 //
 // Exit status: 0 when every checked application is consistent (or, with
 // -remote, when streaming and -verify succeeded); otherwise the number of
-// failing applications (capped at 100). Usage and runtime errors exit 101.
+// failing applications (capped at 100). Usage and runtime errors exit 101;
+// -all skips only the applications that have no crash validator.
 package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -112,7 +114,7 @@ func main() {
 	for _, e := range entries {
 		c, err := checkOne(e, *ops, *seed, *fixed, *inject, metrics, campCfg)
 		if err != nil {
-			if *all {
+			if *all && errors.Is(err, apps.ErrNoCrashValidator) {
 				doc.Checks = append(doc.Checks, report.CrashCheck{
 					Application: e.Name, Fixed: *fixed, Skipped: err.Error(),
 				})
@@ -160,8 +162,11 @@ func printProgress(p crashinject.Progress) {
 // plus the fault-injection campaign when requested.
 func checkOne(e *apps.Entry, ops int, seed int64, fixed, inject bool, metrics *obs.Registry, cfg crashinject.Config) (*report.CrashCheck, error) {
 	violations, err := apps.RunAndValidate(e, ops, seed, apps.RunConfig{Seed: seed, Fixed: fixed, Metrics: metrics})
-	if err != nil {
+	if errors.Is(err, apps.ErrNoCrashValidator) {
 		return nil, fmt.Errorf("no crash validator: %w", err)
+	}
+	if err != nil {
+		return nil, err
 	}
 	c := &report.CrashCheck{
 		Application: e.Name, Fixed: fixed,

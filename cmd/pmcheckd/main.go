@@ -25,7 +25,6 @@ import (
 	"strings"
 	"syscall"
 
-	"hawkset/internal/hawkset"
 	"hawkset/internal/obs"
 	"hawkset/internal/obscli"
 	"hawkset/internal/pmcheckd"
@@ -63,7 +62,6 @@ func main() {
 
 	srv, err := pmcheckd.NewServer(pmcheckd.Config{
 		Dir:                *dir,
-		Analysis:           hawkset.DefaultConfig(),
 		MaxEventsPerTenant: *maxEvents,
 		QueueDepth:         *queueDepth,
 		MaxTenants:         *maxTenants,

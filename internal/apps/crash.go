@@ -1,10 +1,15 @@
 package apps
 
 import (
+	"errors"
 	"fmt"
 
 	"hawkset/internal/pmem"
 )
+
+// ErrNoCrashValidator is wrapped by RunAndValidate's error for an
+// application that does not implement CrashValidator.
+var ErrNoCrashValidator = errors.New("does not implement crash validation")
 
 // CrashValidator is implemented by applications that can check their own
 // persistent image for structural corruption: the post-crash evidence that a
@@ -35,19 +40,20 @@ type CrashPointValidator interface {
 // RunAndValidate executes a generated workload against the application and
 // validates the crash image at the worst possible moment: immediately after
 // the last operation, before any shutdown-time flushing. It returns the
-// violations (empty when the image is consistent) and errors if the
-// application does not implement CrashValidator. The run records no trace;
-// cfg.Metrics receives its counters.
+// violations (empty when the image is consistent), or the run's error. An
+// application that does not implement CrashValidator gets an error wrapping
+// ErrNoCrashValidator, before any of the workload runs. The run records no
+// trace; cfg.Metrics receives its counters.
 func RunAndValidate(e *Entry, opCount int, seed int64, cfg RunConfig) ([]string, error) {
 	cfg.NoTrace = true // crash checking needs no trace
 	rt := NewRuntime(e, cfg)
 	app := e.Factory(rt, cfg.Fixed)
-	if err := RunOn(rt, app, e.Workload(opCount, seed)); err != nil {
-		return nil, err
-	}
 	v, ok := app.(CrashValidator)
 	if !ok {
-		return nil, fmt.Errorf("apps: %s does not implement crash validation", e.Name)
+		return nil, fmt.Errorf("apps: %s %w", e.Name, ErrNoCrashValidator)
+	}
+	if err := RunOn(rt, app, e.Workload(opCount, seed)); err != nil {
+		return nil, err
 	}
 	return v.ValidateCrash(rt.Pool), nil
 }

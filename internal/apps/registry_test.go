@@ -1,6 +1,7 @@
 package apps_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -9,6 +10,9 @@ import (
 	"hawkset/internal/apps"
 	"hawkset/internal/hawkset"
 	"hawkset/internal/obs"
+	"hawkset/internal/pmem"
+	"hawkset/internal/pmrt"
+	"hawkset/internal/sched"
 	"hawkset/internal/ycsb"
 
 	// Register every evaluated application.
@@ -309,14 +313,42 @@ func TestRunAndValidateRecordsMetrics(t *testing.T) {
 	}
 }
 
-// TestCrashValidationUnsupported: apps without validators report a clear
-// error instead of a false verdict.
+// TestCrashValidationUnsupported: apps without validators report
+// ErrNoCrashValidator instead of a false verdict, and before running the
+// workload.
 func TestCrashValidationUnsupported(t *testing.T) {
 	e, err := apps.Lookup("APEX")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := apps.RunAndValidate(e, 100, 1, apps.RunConfig{Seed: 1}); err == nil {
-		t.Fatal("expected an unsupported error for APEX")
+	reg := obs.NewRegistry()
+	_, err = apps.RunAndValidate(e, 100, 1, apps.RunConfig{Seed: 1, Metrics: reg})
+	if !errors.Is(err, apps.ErrNoCrashValidator) {
+		t.Fatalf("err = %v, want ErrNoCrashValidator for APEX", err)
+	}
+	if n := reg.Snapshot().Counter("pmrt.events"); n != 0 {
+		t.Fatalf("pmrt.events = %d: the workload ran before the validator check", n)
+	}
+}
+
+// panicApp has a crash validator but panics on its first operation.
+type panicApp struct{}
+
+func (panicApp) Name() string                      { return "panicApp" }
+func (panicApp) Setup(*pmrt.Ctx)                   {}
+func (panicApp) Apply(*pmrt.Ctx, ycsb.Op)          { panic("panicApp: Apply") }
+func (panicApp) ValidateCrash(*pmem.Pool) []string { return nil }
+
+// TestCrashValidationRunError: a failed run surfaces as the run's error,
+// not as a missing validator, so pmcheck -all counts it as a failure.
+func TestCrashValidationRunError(t *testing.T) {
+	e := &apps.Entry{
+		Name:    "panicApp",
+		Factory: func(*pmrt.Runtime, bool) apps.App { return panicApp{} },
+		Spec:    ycsb.DefaultSpec,
+	}
+	_, err := apps.RunAndValidate(e, 10, 1, apps.RunConfig{Seed: 1})
+	if !errors.Is(err, sched.ErrAppPanic) || errors.Is(err, apps.ErrNoCrashValidator) {
+		t.Fatalf("err = %v, want ErrAppPanic and not ErrNoCrashValidator", err)
 	}
 }

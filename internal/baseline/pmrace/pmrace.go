@@ -42,17 +42,6 @@ type Config struct {
 	// operations: unpersisted windows usually close by accident on real PM,
 	// which is what makes direct observation rare (§5.2).
 	EvictAfter int
-	// PCTDepth, when positive, replaces uniform-random scheduling with PCT
-	// (probabilistic concurrency testing) at the given bug depth — a
-	// principled exploration strategy for the fuzzing campaign.
-	PCTDepth int
-	// Stage2 enables PMRace's second stage: after the detection campaign, a
-	// post-failure consistency check of the crash image confirms whether the
-	// observed inconsistencies have unresolved effects (the paper's
-	// comparison deliberately excludes this stage's cost, §5.2; it is
-	// available here for completeness). Requires the application to
-	// implement apps.CrashValidator.
-	Stage2 bool
 }
 
 // DefaultConfig mirrors the paper's setup in spirit: a bounded per-seed
@@ -73,10 +62,6 @@ type Result struct {
 	Observations []Observation
 	Executions   int
 	Elapsed      time.Duration
-	// Stage-2 output (Config.Stage2): post-crash structural violations
-	// confirming the observations' effects survive a failure.
-	Stage2Ran  bool
-	Violations []string
 }
 
 // MatchesBug reports whether any observation corresponds to the given bug
@@ -110,7 +95,6 @@ func Detect(e *apps.Entry, w *ycsb.Workload, cfg Config) (*Result, error) {
 			NoTrace:      true, // observation only; no trace, no analysis
 			TrackWriters: true,
 			EvictAfter:   cfg.EvictAfter,
-			PCTDepth:     cfg.PCTDepth,
 		})
 		delayRng := rand.New(rand.NewSource(rng.Int63()))
 		rt.BeforeOp = func(c *pmrt.Ctx, k trace.Kind, addr uint64, size uint32) {
@@ -146,14 +130,6 @@ func Detect(e *apps.Entry, w *ycsb.Workload, cfg Config) (*Result, error) {
 	}
 	for _, o := range obs {
 		res.Observations = append(res.Observations, *o)
-	}
-	if cfg.Stage2 && len(res.Observations) > 0 {
-		violations, err := apps.RunAndValidate(e, w.TotalOps(), cfg.Seed, apps.RunConfig{Seed: cfg.Seed})
-		if err == nil { // apps without validators simply skip stage 2
-			res.Stage2Ran = true
-			res.Violations = violations
-			res.Executions++
-		}
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil

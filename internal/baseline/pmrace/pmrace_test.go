@@ -80,54 +80,3 @@ func TestMatchesBug(t *testing.T) {
 		t.Fatal("MatchesBug matched a nonexistent function pair")
 	}
 }
-
-// TestStage2ConfirmsObservations: with the post-failure validation enabled,
-// observed inconsistencies are backed by crash-image violations.
-func TestStage2ConfirmsObservations(t *testing.T) {
-	e, err := apps.Lookup("Fast-Fair")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := ycsb.DefaultSpec(800)
-	spec.LoadCount = 100
-	spec.KeySpace = 1 << 10
-	w := ycsb.Generate(spec, 5)
-	cfg := Config{Seed: 5, Executions: 4, DelayProb: 0.05, DelaySteps: 10, Stage2: true}
-	res, err := Detect(e, w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Observations) == 0 {
-		t.Skip("campaign observed nothing; stage 2 not exercised")
-	}
-	if !res.Stage2Ran {
-		t.Fatal("stage 2 did not run despite observations")
-	}
-	if len(res.Violations) == 0 {
-		t.Fatal("stage 2 found no violations for a buggy Fast-Fair")
-	}
-}
-
-// TestPCTCampaignRuns: the PCT exploration policy drives the campaign to
-// completion and still observes dirty reads.
-func TestPCTCampaignRuns(t *testing.T) {
-	e, err := apps.Lookup("Fast-Fair")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := ycsb.DefaultSpec(600)
-	spec.LoadCount = 100
-	spec.KeySpace = 1 << 10
-	w := ycsb.Generate(spec, 9)
-	cfg := Config{Seed: 9, Executions: 4, DelayProb: 0.05, DelaySteps: 10, PCTDepth: 3}
-	res, err := Detect(e, w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Executions != 4 {
-		t.Fatalf("executions = %d", res.Executions)
-	}
-	if len(res.Observations) == 0 {
-		t.Fatal("PCT campaign observed nothing on a heavily buggy app without eviction")
-	}
-}

@@ -101,13 +101,10 @@ type Config struct {
 	// is byte-identical with or without it.
 	Metrics *obs.Registry
 	// OnProgress, when set, receives throttled progress samples while the
-	// campaign runs (at most one per ProgressEvery) plus one final sample
-	// with Done set. Long sweeps (AfterStore over a large journal) otherwise
-	// run silent for minutes.
+	// campaign runs (at most one per second) plus one final sample with
+	// Done set. Long sweeps (AfterStore over a large journal) otherwise run
+	// silent for minutes.
 	OnProgress func(Progress)
-	// ProgressEvery is the minimum interval between OnProgress samples.
-	// 0 means 1s.
-	ProgressEvery time.Duration
 }
 
 // DefaultBudget is the per-campaign point cap when Config.Budget is 0.
@@ -122,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RecoverySteps == 0 {
 		c.RecoverySteps = 1 << 20
-	}
-	if c.ProgressEvery == 0 {
-		c.ProgressEvery = time.Second
 	}
 	return c
 }
@@ -443,7 +437,7 @@ func RunCampaign(t *Target, cfg Config) (*Campaign, error) {
 		tallyVerdict(cfg.Metrics, pr.Inconsistent)
 		camp.Points = append(camp.Points, pr)
 		camp.Tested++
-		if cfg.OnProgress != nil && time.Since(lastProgress) >= cfg.ProgressEvery {
+		if cfg.OnProgress != nil && time.Since(lastProgress) >= time.Second {
 			lastProgress = time.Now()
 			cfg.OnProgress(progress(false))
 		}

@@ -79,15 +79,12 @@ func PrepareWith(e *apps.Entry, opCount int, seed int64, fixed bool, opt PrepOpt
 	err := rt.Run(func(c *pmrt.Ctx) {
 		record(func() { app.Setup(c) })
 		for _, op := range w.Load {
-			op := op
 			record(func() { app.Apply(c, op) })
 		}
 		var ths []*pmrt.Thread
 		for _, ops := range w.Threads {
-			ops := ops
 			ths = append(ths, c.Spawn(func(wc *pmrt.Ctx) {
 				for _, op := range ops {
-					op := op
 					if mutates(op.Kind) {
 						record(func() { app.Apply(wc, op) })
 					} else {

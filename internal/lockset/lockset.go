@@ -69,14 +69,11 @@ func (s Set) Holds(lock uint64) bool {
 	return i < len(s) && s[i].Lock == lock
 }
 
-// IntersectExact returns the entries present in both sets with matching lock
-// identity AND timestamp. This is the effective-lockset intersection within
+// AppendIntersectExact appends to dst the entries present in both sets with
+// matching lock identity AND timestamp, so a caller can reuse one buffer
+// across intersections. This is the effective-lockset intersection within
 // one thread: a lock released and reacquired between the store and the
 // persistency has different timestamps and drops out (§3.1.2).
-func IntersectExact(a, b Set) Set { return AppendIntersectExact(nil, a, b) }
-
-// AppendIntersectExact appends IntersectExact(a, b) to dst, so a caller can
-// reuse one buffer across intersections.
 func AppendIntersectExact(dst, a, b Set) Set {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -96,14 +93,11 @@ func AppendIntersectExact(dst, a, b Set) Set {
 	return dst
 }
 
-// IntersectLocks returns the entries whose lock identity appears in both
-// sets, ignoring timestamps. Timestamps are thread-local, so inter-thread
-// intersections (Algorithm 1 line 18) must ignore them (§3.1.2: "the
-// timestamp of the effective lockset is ignored since it is only meaningful
-// in the thread-local context"). Entries from a are returned.
-func IntersectLocks(a, b Set) Set { return AppendIntersectLocks(nil, a, b) }
-
-// AppendIntersectLocks appends IntersectLocks(a, b) to dst.
+// AppendIntersectLocks appends to dst the entries whose lock identity
+// appears in both sets, ignoring timestamps. Timestamps are thread-local, so
+// inter-thread intersections (Algorithm 1 line 18) must ignore them (§3.1.2:
+// "the timestamp of the effective lockset is ignored since it is only
+// meaningful in the thread-local context"). Entries from a are appended.
 func AppendIntersectLocks(dst, a, b Set) Set {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {

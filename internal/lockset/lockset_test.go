@@ -55,11 +55,11 @@ func TestReacquireRefreshesTimestamp(t *testing.T) {
 func TestFigure2d(t *testing.T) {
 	storeLS := Set{}.Add(1, 1)   // Lock A acquired at ts 1
 	persistLS := Set{}.Add(1, 2) // A released and reacquired: ts 2
-	if eff := IntersectExact(storeLS, persistLS); len(eff) != 0 {
+	if eff := AppendIntersectExact(nil, storeLS, persistLS); len(eff) != 0 {
 		t.Fatalf("effective lockset = %v, want empty (Fig. 2d)", eff)
 	}
 	// Without the release (Fig. 2c) the effective lockset keeps A.
-	if eff := IntersectExact(storeLS, storeLS); len(eff) != 1 {
+	if eff := AppendIntersectExact(nil, storeLS, storeLS); len(eff) != 1 {
 		t.Fatalf("same-section effective lockset = %v, want {A}", eff)
 	}
 }
@@ -67,9 +67,9 @@ func TestFigure2d(t *testing.T) {
 func TestIntersectLocksIgnoresTimestamps(t *testing.T) {
 	a := Set{}.Add(1, 1).Add(2, 2)
 	b := Set{}.Add(1, 9).Add(3, 1)
-	got := IntersectLocks(a, b)
+	got := AppendIntersectLocks(nil, a, b)
 	if len(got) != 1 || got[0].Lock != 1 {
-		t.Fatalf("IntersectLocks = %v, want {L1}", got)
+		t.Fatalf("AppendIntersectLocks = %v, want {L1}", got)
 	}
 }
 
@@ -117,8 +117,8 @@ func TestIntersectionProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := randSet(rng), randSet(rng)
-		exact := IntersectExact(a, b)
-		locks := IntersectLocks(a, b)
+		exact := AppendIntersectExact(nil, a, b)
+		locks := AppendIntersectLocks(nil, a, b)
 		// Exact ⊆ locks-only.
 		for _, e := range exact {
 			found := false
@@ -142,7 +142,7 @@ func TestIntersectionProperties(t *testing.T) {
 			}
 		}
 		// Self-intersection is identity.
-		self := IntersectExact(a, a)
+		self := AppendIntersectExact(nil, a, a)
 		if len(self) != len(a) {
 			return false
 		}

@@ -95,11 +95,7 @@ type testServer struct {
 
 func startServer(t *testing.T, dir string, mod func(*pmcheckd.Config)) *testServer {
 	t.Helper()
-	cfg := pmcheckd.Config{
-		Dir:      dir,
-		Analysis: hawkset.DefaultConfig(),
-		Logf:     t.Logf,
-	}
+	cfg := pmcheckd.Config{Dir: dir, Logf: t.Logf}
 	if mod != nil {
 		mod(&cfg)
 	}
@@ -315,7 +311,7 @@ func TestServerRestartRecovery(t *testing.T) {
 	want := offlineDoc(t, tr, "synthetic", "buildTrace")
 	dir := t.TempDir()
 
-	srv1, err := pmcheckd.NewServer(pmcheckd.Config{Dir: dir, Analysis: hawkset.DefaultConfig(), Logf: t.Logf})
+	srv1, err := pmcheckd.NewServer(pmcheckd.Config{Dir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

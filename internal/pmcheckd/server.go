@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 
-	"hawkset/internal/hawkset"
 	"hawkset/internal/obs"
 	"hawkset/internal/trace"
 )
@@ -22,11 +21,6 @@ type Config struct {
 	// created if missing; existing logs are recovered (replayed, torn
 	// tails truncated) before the server accepts connections.
 	Dir string
-	// Analysis is the hawkset configuration every tenant stream runs
-	// under. A client's report is byte-identical to an offline
-	// hawkset.Analyze with the same configuration. The Metrics field is
-	// ignored: each tenant gets its own registry.
-	Analysis hawkset.Config
 	// MaxEventsPerTenant is the per-tenant event budget (0 = unlimited).
 	// A stream that exceeds it gets ErrBudgetExceeded and is terminally
 	// rejected; the daemon and the other tenants are unaffected.

@@ -77,7 +77,9 @@ func (s *Server) newTenant(meta logMeta) *tenant {
 		mEvents:   reg.Counter("pmcheckd.tenant.events"),
 		mDupes:    reg.Counter("pmcheckd.tenant.dup_segments"),
 	}
-	cfg := s.cfg.Analysis
+	// A client's report is byte-identical to an offline hawkset.Analyze
+	// under DefaultConfig.
+	cfg := hawkset.DefaultConfig()
 	cfg.Metrics = reg // per-tenant working-set gauges and stage timings
 	t.stream = hawkset.NewStream(t.table, cfg)
 	return t

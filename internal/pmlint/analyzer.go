@@ -48,10 +48,6 @@ type Config struct {
 	// primitives, never native Go concurrency, or deterministic replay
 	// breaks). Default: hawkset/internal/apps.
 	AppsPrefix string
-	// ExcludePkgs lists import paths the PM-misuse checks (missing-persist,
-	// flush-no-fence, static-lockset) skip. The pmrt runtime itself is
-	// always excluded: it implements the primitives rather than using them.
-	ExcludePkgs []string
 }
 
 // Finding is one analyzer diagnostic. The JSON field set is part of the CI
@@ -131,7 +127,7 @@ func Analyze(l *Loader, pkgs []*Package, cfg Config) ([]Finding, error) {
 	}
 	a := &analysis{
 		cfg: cfg,
-		ir:  cfgir.Build(l, pkgs, cfgir.Options{ExcludePkgs: cfg.ExcludePkgs}),
+		ir:  cfgir.Build(l, pkgs),
 	}
 	a.checkPersist()  // missing-persist + flush-no-fence (shared summaries)
 	a.checkLocksets() // lock-imbalance + empty-lockset

@@ -115,14 +115,6 @@ type FuncInfo struct {
 	LockBlowup    bool            // lockset state exceeded the cap; lockset checks skipped
 }
 
-// Options configures IR construction.
-type Options struct {
-	// ExcludePkgs lists import paths to skip entirely. The pmrt runtime
-	// itself is always excluded: it implements the primitives rather than
-	// using them.
-	ExcludePkgs []string
-}
-
 // IR is the built intermediate representation: every analyzed function with
 // its CFG, plus the resolution maps call linking used.
 type IR struct {
@@ -133,16 +125,14 @@ type IR struct {
 	// to its analyzed FuncInfo for call linking.
 	ByObj   map[types.Object]*FuncInfo
 	LitInfo map[*ast.FuncLit]*FuncInfo
-
-	opts Options
 }
 
 // Build constructs the IR over the given loaded packages: FuncInfos for
 // every declaration and literal, CFGs, and caller links. Summaries are NOT
 // computed here — call ComputeSummaries when a consumer needs them.
-func Build(l *Loader, pkgs []*Package, opts Options) *IR {
+func Build(l *Loader, pkgs []*Package) *IR {
 	ir := &IR{
-		L: l, Pkgs: pkgs, opts: opts,
+		L: l, Pkgs: pkgs,
 		ByObj:   make(map[types.Object]*FuncInfo),
 		LitInfo: make(map[*ast.FuncLit]*FuncInfo),
 	}
@@ -151,18 +141,9 @@ func Build(l *Loader, pkgs []*Package, opts Options) *IR {
 	return ir
 }
 
-// Excluded reports whether IR construction skipped pkg.
-func (ir *IR) Excluded(pkg *Package) bool {
-	if pkg.Path == PmrtPath {
-		return true
-	}
-	for _, p := range ir.opts.ExcludePkgs {
-		if pkg.Path == p {
-			return true
-		}
-	}
-	return false
-}
+// Excluded reports whether IR construction skipped pkg. Only the pmrt
+// runtime is skipped: it implements the primitives rather than using them.
+func (ir *IR) Excluded(pkg *Package) bool { return pkg.Path == PmrtPath }
 
 // PosOf converts a token.Pos to a module-relative slash-separated location.
 func (ir *IR) PosOf(pos token.Pos) (string, int, int) {

@@ -181,7 +181,7 @@ func analyzeAppStatic(dir string, e *apps.Entry) (map[string]*staticSite, error)
 	if err != nil {
 		return nil, err
 	}
-	ir := cfgir.Build(l, []*cfgir.Package{pkg}, cfgir.Options{})
+	ir := cfgir.Build(l, []*cfgir.Package{pkg})
 	return analyzeStatic(ir), nil
 }
 

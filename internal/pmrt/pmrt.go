@@ -40,15 +40,6 @@ type Config struct {
 	// EvictAfter enables hardware-realistic background cache eviction (see
 	// pmem.Options.EvictAfter). Used only by the observation baseline.
 	EvictAfter int
-	// PCTDepth switches the scheduler to the PCT policy with the given bug
-	// depth (0 = uniform random), placing its change points over the
-	// default 64k-step schedule length.
-	PCTDepth int
-	// Backtraces captures multi-frame call stacks per access instead of the
-	// single call site. Substantially slower (the original tool's
-	// PIN_Backtrace cost up to 90% overhead, §4); reports then show the
-	// full call chain that reached the racy access.
-	Backtraces bool
 	// InstrumentAllocs records PM allocations in the trace. This is the §7
 	// extension HawkSet deliberately omits (PM allocation interfaces are not
 	// standardized, so instrumenting them costs application-agnosticism);
@@ -132,13 +123,9 @@ func New(cfg Config) *Runtime {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 1 << 34
 	}
-	schd := sched.New(cfg.Seed, cfg.MaxSteps)
-	if cfg.PCTDepth > 0 {
-		schd = sched.NewPCT(cfg.Seed, cfg.MaxSteps, cfg.PCTDepth, 0)
-	}
 	r := &Runtime{
 		cfg:   cfg,
-		Sched: schd,
+		Sched: sched.New(cfg.Seed, cfg.MaxSteps),
 		Pool: pmem.New(cfg.PoolSize, pmem.Options{
 			EADR: cfg.EADR, TrackWriters: cfg.TrackWriters, EvictAfter: cfg.EvictAfter,
 			Metrics: cfg.Metrics,
@@ -207,19 +194,13 @@ func (c *Ctx) TID() int32 { return c.th.ID() }
 func (c *Ctx) Runtime() *Runtime { return c.r }
 
 // here captures the application call site two frames up (the caller of the
-// exported Ctx method) — or, under Config.Backtraces, the four-frame call
-// chain. It must be called directly from an exported Ctx method, and
-// neither may be inlined: the site cache's frame-pointer key assumes
-// exactly two physical frames between it and the application (DESIGN.md
-// §14, pinned by TestCtxMethodsCaptureOnFastPath).
+// exported Ctx method). It must be called directly from an exported Ctx
+// method, and neither may be inlined: the site cache's frame-pointer key
+// assumes exactly two physical frames between it and the application
+// (DESIGN.md §14, pinned by TestCtxMethodsCaptureOnFastPath).
 //
 //go:noinline
-func (c *Ctx) here() sites.ID {
-	if c.r.cfg.Backtraces {
-		return c.r.Trace.Sites.HereStack(2, 4)
-	}
-	return c.r.siteCache.Here(2)
-}
+func (c *Ctx) here() sites.ID { return c.r.siteCache.Here(2) }
 
 func (c *Ctx) pre(k trace.Kind, addr uint64, size uint32) {
 	c.th.Yield()

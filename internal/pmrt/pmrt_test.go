@@ -573,33 +573,6 @@ func TestSchedCounters(t *testing.T) {
 	}
 }
 
-// TestBacktraceMode: with Config.Backtraces the recorded site carries the
-// call chain, so a race report shows how the access was reached.
-func TestBacktraceMode(t *testing.T) {
-	r := New(Config{Seed: 1, PoolSize: 1 << 16, Backtraces: true})
-	err := r.Run(func(c *Ctx) {
-		a := c.Alloc(8)
-		storeThroughHelper(c, a)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for e := range r.Trace.Events() {
-		if e.Kind == trace.KStore {
-			fr := r.Trace.Sites.Lookup(e.Site)
-			if strings.Contains(fr.Func, "storeThroughHelper") && strings.Contains(fr.Func, "TestBacktraceMode") {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Fatal("backtrace mode did not record the call chain")
-	}
-}
-
-func storeThroughHelper(c *Ctx, a uint64) { c.Store8(a, 7) }
-
 // TestPersistBoundAtPoolTop: Persist over a range whose last byte is the
 // pool's final byte must flush every covered line (regression for the
 // addition-form line bound addr+size-1, the wraparound class PR 1 fixed in

@@ -74,8 +74,6 @@ type Scheduler struct {
 	switches uint64
 	maxSteps uint64
 	err      error // the first error, which ends the run
-	// pct, when non-nil, switches thread selection to the PCT policy.
-	pct *pctState
 }
 
 // New creates a scheduler whose thread-selection order is fully determined
@@ -244,9 +242,6 @@ func (s *Scheduler) pick() (*Thread, error) {
 		return nil, fmt.Errorf("sched: %w — all live threads blocked: %v", ErrDeadlock, s.blockedThreads())
 	}
 	s.steps++
-	if s.pct != nil {
-		return s.pickPCT(), nil
-	}
 	i := s.rng.Intn(len(s.runnable))
 	next := s.runnable[i]
 	s.runnable[i] = s.runnable[len(s.runnable)-1]

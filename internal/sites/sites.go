@@ -15,7 +15,6 @@ package sites
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -73,14 +72,13 @@ func ModuleRel(file string) string {
 // capture into one table, and analyses may resolve frames from other
 // goroutines while a run captures.
 type Table struct {
-	mu      sync.Mutex
-	byPC    map[uintptr]ID    // runtime.Callers return PC → site
-	byKey   map[uintptr]ID    // frame-pointer fast key → site, or viaCallers
-	byPair  map[[2]uintptr]ID // pinned key and the next return address → site, or viaCallers
-	byName  map[string]ID
-	byStack map[[8]uintptr]ID
-	frames  []Frame
-	counts  Counts
+	mu     sync.Mutex
+	byPC   map[uintptr]ID    // runtime.Callers return PC → site
+	byKey  map[uintptr]ID    // frame-pointer fast key → site, or viaCallers
+	byPair map[[2]uintptr]ID // pinned key and the next return address → site, or viaCallers
+	byName map[string]ID
+	frames []Frame
+	counts Counts
 }
 
 // viaCallers pins a fast key or pair whose physical frames are not the
@@ -261,75 +259,4 @@ func (t *Table) Frames() []Frame {
 	out := make([]Frame, len(t.frames))
 	copy(out, t.frames)
 	return out
-}
-
-// SortedStrings returns the rendered frames, sorted, for diagnostics.
-func (t *Table) SortedStrings() []string {
-	frames := t.Frames()
-	out := make([]string, 0, len(frames))
-	for _, f := range frames[1:] {
-		out = append(out, f.String())
-	}
-	sort.Strings(out)
-	return out
-}
-
-// HereStack captures the caller's call site together with up to depth-1
-// ancestor frames, interned as one unit. It is the analogue of
-// PIN_Backtrace-style deep backtraces: the resolved Frame keeps the leaf's
-// file:line while Func carries the call chain ("leaf<-caller<-..."), so
-// reports show how the racy access was reached. Deep capture is
-// substantially more expensive than Cache.Here — the original tool measured
-// up to 90% overhead for PIN's built-in backtraces and replaced them with
-// call/return instrumentation (§4); the reproduction keeps the cheap
-// single-frame mode as the default and offers this one opt-in.
-func (t *Table) HereStack(skip, depth int) ID {
-	if depth < 1 {
-		depth = 1
-	}
-	if depth > 8 {
-		depth = 8
-	}
-	var pcs [8]uintptr
-	n := runtime.Callers(skip+2, pcs[:depth])
-	if n == 0 {
-		return 0
-	}
-	key := pcs // array copy: the interning key
-	t.mu.Lock()
-	if id, ok := t.byStack[key]; ok {
-		t.mu.Unlock()
-		return id
-	}
-	t.mu.Unlock()
-
-	frames := runtime.CallersFrames(pcs[:n])
-	var leaf Frame
-	var chain []string
-	for i := 0; ; i++ {
-		fr, more := frames.Next()
-		if i == 0 {
-			leaf = Frame{File: fr.File, Line: fr.Line, Func: fr.Function}
-		}
-		if fr.Function != "" {
-			chain = append(chain, fr.Function)
-		}
-		if !more {
-			break
-		}
-	}
-	leaf.Func = strings.Join(chain, "<-")
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id, ok := t.byStack[key]; ok {
-		return id
-	}
-	if t.byStack == nil {
-		t.byStack = make(map[[8]uintptr]ID)
-	}
-	id := ID(len(t.frames))
-	t.frames = append(t.frames, leaf)
-	t.byStack[key] = id
-	return id
 }

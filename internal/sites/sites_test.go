@@ -111,10 +111,6 @@ func TestFramesAndLen(t *testing.T) {
 	if len(fs) != 3 || fs[1].File != "a" {
 		t.Fatalf("Frames = %v", fs)
 	}
-	ss := tab.SortedStrings()
-	if len(ss) != 2 || ss[0] != "a" || ss[1] != "b" {
-		t.Fatalf("SortedStrings = %v", ss)
-	}
 }
 
 func TestAppendPreservesPositions(t *testing.T) {
@@ -126,31 +122,6 @@ func TestAppendPreservesPositions(t *testing.T) {
 	}
 	if tab.Lookup(b).Line != 1 {
 		t.Fatal("appended frame unreadable")
-	}
-}
-
-func stackHelper(tab *Table) ID { return tab.HereStack(0, 4) }
-
-func TestHereStackCapturesChain(t *testing.T) {
-	tab := NewTable()
-	id := stackHelper(tab)
-	fr := tab.Lookup(id)
-	if !strings.Contains(fr.Func, "stackHelper") || !strings.Contains(fr.Func, "TestHereStackCapturesChain") {
-		t.Fatalf("Func chain = %q, want helper<-test", fr.Func)
-	}
-	if !strings.Contains(fr.Func, "<-") {
-		t.Fatalf("chain separator missing: %q", fr.Func)
-	}
-	if !strings.HasSuffix(fr.File, "sites_test.go") {
-		t.Fatalf("leaf file = %q", fr.File)
-	}
-	// Interned: the same call chain yields the same ID (loop = one line).
-	var ids []ID
-	for i := 0; i < 2; i++ {
-		ids = append(ids, stackHelper(tab))
-	}
-	if ids[0] != ids[1] {
-		t.Fatalf("stack re-interned: %d vs %d", ids[0], ids[1])
 	}
 }
 
