@@ -35,10 +35,16 @@
 #                allocations among their operations, whose reports Analyze
 #                must match against the brute-force Definition-1 oracle,
 #                which shares no code with the replayer, under the paper's
-#                configuration, its ablations, StoreStore, and AllocAware;
-#                then 30 s of FuzzAppsVsOracle, which holds Analyze to the
-#                same oracle on the apps' own traces, up to 200 operations
-#                of any app, seed and variant, with AllocAware off and on
+#                configuration, its ablations, StoreStore, EADR and
+#                AllocAware; then 30 s of FuzzAppsVsOracle, which holds
+#                Analyze to the same oracle on the apps' own traces, up to
+#                200 operations of any app, seed and variant, with
+#                AllocAware off and on
+#   trace fuzz   15 s of FuzzTraceAppend beyond its seed corpus: any
+#                sequence of events, with any field values, appended to a
+#                Trace must come back from Events exactly, and Len must
+#                count it, whether an event packs into a 16-byte record or
+#                spills whole, on both sides of a chunk boundary
 #   pmlint      static PM-misuse checks over the pmrt API; the committed
 #               baseline records the intentional findings (the apps embed
 #               the paper's Table 2 bugs), so only NEW findings fail
@@ -80,6 +86,7 @@ go test -run '^$' -bench . -benchtime 1x ./...
 go test -run '^$' -bench 'BenchmarkParallelAnalysis/.*/workers=1$' -benchtime 1x .
 go test -run '^$' -fuzz '^FuzzAnalyzeVsOracle$' -fuzztime 30s ./internal/hawkset
 go test -run '^$' -fuzz '^FuzzAppsVsOracle$' -fuzztime 30s ./internal/hawkset
+go test -run '^$' -fuzz '^FuzzTraceAppend$' -fuzztime 15s ./internal/trace
 go run ./cmd/pmlint -baseline pmlint.baseline ./...
 
 # Trace round-trip smoke: a stored trace must BE the trace. Capture once

@@ -99,22 +99,56 @@ func (e Event) String() string {
 // for resolving event locations. The zero value with a site table,
 // &Trace{Sites: st}, is a valid empty trace.
 //
-// Events live in chunks that never move once allocated: appending fills the
-// last chunk and starts a new one when it is full, so a recording is never
-// copied to grow. Chunk capacity doubles from firstChunk to maxChunk events
-// and stays there.
+// Each event is stored as a 16-byte record (see record) in chunks that never
+// move once allocated: appending fills the last chunk and starts a new one
+// when it is full, so a recording is never copied to grow. Chunk capacity
+// doubles from firstChunk to maxChunk records and stays there. An event
+// that does not fit a record is kept whole in the spill list, which is
+// chunked too, and its record holds its index there.
 type Trace struct {
 	Sites *sites.Table
 
-	full  [][]Event // filled chunks, in trace order
-	nfull int       // events in full
-	tail  []Event   // the chunk being filled; never grown past its capacity
+	full  [][]record // filled chunks, in trace order
+	nfull int        // records in full
+	tail  []record   // the chunk being filled; never grown past its capacity
+	spill [][]Event  // events that do not pack, spillChunk to a chunk
 }
 
-// Chunk capacities, in events (Event is 40 bytes: 160 KiB to 2.5 MiB).
+// Chunk capacities: records from 4 Ki (64 KiB) to 64 Ki (1 MiB), spilled
+// events 1 Ki (40 KiB).
 const (
 	firstChunk = 4 << 10
 	maxChunk   = 64 << 10
+	spillChunk = 1 << 10
+)
+
+// record is one event packed into two words. word holds Addr, or Lock when
+// flagLock is set. meta holds, from bit 0:
+//
+//	kind   4 bits  Kind; 0 marks a spilled event, whose spill index is word
+//	flags  2 bits  flagLock: word is Lock; flagKid: val is Kid, not Size
+//	tid   11 bits  TID
+//	site  20 bits  Site
+//	val   27 bits  Size, or Kid
+//
+// No event pmrt emits sets both Addr and Lock or both Size and Kid, and the
+// widths hold every value the apps emit with room to spare (at 2,000
+// operations: thread IDs up to 8, site IDs up to 97, allocations up to
+// 1 MiB); 27 bits of size cover any allocation in the largest pool, 64 MiB.
+type record struct{ word, meta uint64 }
+
+const (
+	kindBits = 4
+	tidBits  = 11
+	siteBits = 20
+	valBits  = 27
+
+	kindMask  = 1<<kindBits - 1
+	flagLock  = 1 << kindBits
+	flagKid   = flagLock << 1
+	tidShift  = kindBits + 2
+	siteShift = tidShift + tidBits
+	valShift  = siteShift + siteBits // valShift+valBits == 64
 )
 
 // New returns an empty trace with a fresh site table.
@@ -122,12 +156,30 @@ func New() *Trace {
 	return &Trace{Sites: sites.NewTable()}
 }
 
-// Append adds an event.
+// Append adds an event. It packs the event into a record and spills it
+// instead when it does not fit one: an invalid kind, Addr and Lock both set,
+// Size and Kid both set, or a field outside its width (a negative ID
+// included). The packing is written here, not in a function of its own, and
+// the spill is out of line: a packing call and an inlined spill made each
+// append about a fifth slower.
 func (t *Trace) Append(e Event) {
+	val := e.Size | uint32(e.Kid)
+	meta := uint64(e.Kind) | uint64(e.TID)<<tidShift | uint64(e.Site)<<siteShift | uint64(val)<<valShift
+	if e.Lock != 0 {
+		meta |= flagLock
+	}
+	if e.Kid != 0 {
+		meta |= flagKid
+	}
+	r := record{e.Addr | e.Lock, meta}
+	if !e.Kind.Valid() || e.Addr != 0 && e.Lock != 0 || e.Size != 0 && e.Kid != 0 ||
+		uint32(e.TID)>>tidBits|uint32(e.Site)>>siteBits|val>>valBits != 0 {
+		r = t.spillEvent(e)
+	}
 	if len(t.tail) == cap(t.tail) {
 		t.grow()
 	}
-	t.tail = append(t.tail, e)
+	t.tail = append(t.tail, r)
 }
 
 // grow retires the full current chunk and starts the next one.
@@ -138,8 +190,29 @@ func (t *Trace) grow() {
 		t.nfull += len(t.tail)
 		next = min(2*cap(t.tail), maxChunk)
 	}
-	t.tail = make([]Event, 0, next)
+	t.tail = make([]record, 0, next)
 }
+
+// spillEvent keeps e whole at the end of the spill list and returns the
+// record that points at it. Like spilled, it stays out of line: only decoded
+// and hand-built traces spill.
+//
+//go:noinline
+func (t *Trace) spillEvent(e Event) record {
+	n := len(t.spill)
+	if n == 0 || len(t.spill[n-1]) == spillChunk {
+		t.spill = append(t.spill, make([]Event, 0, spillChunk))
+		n++
+	}
+	t.spill[n-1] = append(t.spill[n-1], e)
+	return record{word: uint64((n-1)*spillChunk + len(t.spill[n-1]) - 1)}
+}
+
+// spilled returns the spilled event at index i. It stays out of line to
+// keep the loop of Events small.
+//
+//go:noinline
+func (t *Trace) spilled(i uint64) Event { return t.spill[i/spillChunk][i%spillChunk] }
 
 // Len returns the number of events.
 func (t *Trace) Len() int { return t.nfull + len(t.tail) }
@@ -147,16 +220,40 @@ func (t *Trace) Len() int { return t.nfull + len(t.tail) }
 // Events yields the events in trace order.
 func (t *Trace) Events() iter.Seq[Event] {
 	return func(yield func(Event) bool) {
-		for _, c := range t.full {
-			for _, e := range c {
-				if !yield(e) {
-					return
-				}
+		// Records are unpacked field by field into buf, a batch at a time,
+		// and yielded from there. Unpacking into the value handed to yield
+		// builds each Event in a temporary and copies it at once, and that
+		// copy stalls on the temporary's narrow stores: it cost a tenth of
+		// a replay's time. Here the stores have retired before buf is read.
+		var buf [64]Event
+		for i := 0; i <= len(t.full); i++ {
+			c := t.tail
+			if i < len(t.full) {
+				c = t.full[i]
 			}
-		}
-		for _, e := range t.tail {
-			if !yield(e) {
-				return
+			for len(c) > 0 {
+				n := min(len(c), len(buf))
+				for j, r := range c[:n] {
+					if r.meta&kindMask == 0 {
+						buf[j] = t.spilled(r.word)
+						continue
+					}
+					lock := -(r.meta >> kindBits & 1)      // all ones when word is Lock
+					kid := -(r.meta >> (kindBits + 1) & 1) // all ones when val is Kid
+					val := r.meta >> valShift
+					e := &buf[j]
+					e.Kind = Kind(r.meta & kindMask)
+					e.TID = int32(r.meta >> tidShift & (1<<tidBits - 1))
+					e.Addr, e.Lock = r.word&^lock, r.word&lock
+					e.Size, e.Kid = uint32(val&^kid), int32(val&kid)
+					e.Site = sites.ID(r.meta >> siteShift & (1<<siteBits - 1))
+				}
+				for _, e := range buf[:n] {
+					if !yield(e) {
+						return
+					}
+				}
+				c = c[n:]
 			}
 		}
 	}

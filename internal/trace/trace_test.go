@@ -218,20 +218,36 @@ func TestChunkBoundaries(t *testing.T) {
 }
 
 // TestAppendDoesNotCopy: recording 2^20 events allocates little more than
-// the events themselves. Appending to one growing slice allocated about 5x,
-// every growth step copying all events so far.
+// their records, and spilled events little more than themselves on top.
+// Appending to one growing slice allocated about 5x, every growth step
+// copying all events so far.
 func TestAppendDoesNotCopy(t *testing.T) {
 	const n = 1 << 20
-	tr := New()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := range n {
-		tr.Append(Event{Kind: KFence, TID: int32(i)})
-	}
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(tr)
-	limit := 1.1 * n * float64(unsafe.Sizeof(Event{}))
-	if got := float64(after.TotalAlloc - before.TotalAlloc); got >= limit {
-		t.Fatalf("appending %d events allocated %.0f bytes, want < %.0f", n, got, limit)
+	recBytes, eventBytes := float64(unsafe.Sizeof(record{})), float64(unsafe.Sizeof(Event{}))
+	for _, c := range []struct {
+		name  string
+		event func(i int) Event
+		limit float64 // bytes
+	}{
+		// In budget: every event packs.
+		{"packed", func(i int) Event {
+			return Event{Kind: KStore, TID: int32(i % (1 << tidBits)), Addr: uint64(i), Size: 8, Site: sites.ID(i)}
+		}, 1.1 * n * recBytes},
+		// All but the first 2^11 thread IDs exceed the TID width and spill.
+		{"spilled", func(i int) Event { return Event{Kind: KFence, TID: int32(i)} }, 1.1 * n * (recBytes + eventBytes)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := New()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := range n {
+				tr.Append(c.event(i))
+			}
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(tr)
+			if got := float64(after.TotalAlloc - before.TotalAlloc); got >= c.limit {
+				t.Fatalf("appending %d events allocated %.0f bytes, want < %.0f", n, got, c.limit)
+			}
+		})
 	}
 }
