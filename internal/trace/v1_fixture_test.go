@@ -4,13 +4,8 @@ import (
 	"bytes"
 	"encoding/hex"
 	"io"
-	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
-
-	"hawkset/internal/sites"
 )
 
 // Format v1 is read-only: the package writes only v2, so the committed v1
@@ -20,49 +15,7 @@ import (
 // captured in v1 — or pmcheckd segment logs written before v2 — no longer
 // load.
 
-// edgeEvents returns one event of every kind carrying the extreme values the
-// decoders admit: addresses and lock IDs at the top of uint64, access sizes
-// at MaxUint32, thread IDs at MaxInt32, and the reserved site 0.
-func edgeEvents(site sites.ID) []Event {
-	const maxTID = math.MaxInt32
-	return []Event{
-		{Kind: KAlloc, TID: 0, Addr: 1 << 40, Size: 1 << 20, Site: site},
-		{Kind: KStore, TID: maxTID, Addr: math.MaxUint64 - 7, Size: math.MaxUint32, Site: site},
-		{Kind: KNTStore, TID: maxTID, Addr: math.MaxUint64, Size: 1, Site: site},
-		{Kind: KLoad, TID: 0, Addr: math.MaxUint64 - 7, Size: math.MaxUint32, Site: 0},
-		{Kind: KFlush, TID: maxTID, Addr: math.MaxUint64 &^ 63, Site: site},
-		{Kind: KFence, TID: maxTID, Site: site},
-		{Kind: KLockAcq, TID: maxTID, Lock: 1 << 63, Site: site},
-		{Kind: KLockRel, TID: maxTID, Lock: math.MaxUint64, Site: site},
-		{Kind: KThreadCreate, TID: 0, Kid: maxTID, Site: site},
-		{Kind: KThreadJoin, TID: 0, Kid: maxTID, Site: site},
-	}
-}
-
-// edgeFrame carries the largest line number the decoders admit.
-var edgeFrame = sites.Frame{File: "edge.go", Line: math.MaxInt32, Func: "edge"}
-
-// v1BigTrace is the trace testdata/golden_v1_big.hwkt holds: the first 2000
-// events of bigTrace (which therefore must keep its shape) followed by
-// edgeEvents at edgeFrame's site.
-func v1BigTrace() *Trace {
-	tr := bigTrace(2000)
-	for _, e := range edgeEvents(tr.Sites.Intern(edgeFrame)) {
-		tr.Append(e)
-	}
-	return tr
-}
-
-// v1EdgeSegment is the segment v1EdgeSegmentHex encodes, for a receiver
-// whose site table holds only the reserved frame 0.
-func v1EdgeSegment() *Segment {
-	return &Segment{
-		Seq:    1 << 40,
-		Frames: []sites.Frame{edgeFrame, {}},
-		Events: edgeEvents(2),
-	}
-}
-
+// v1EdgeSegmentHex encodes edgeSegment in v1.
 const v1EdgeSegmentHex = "" +
 	"808080808020" + // seq 1<<40
 	"02" + "07656467652e676f" + "ffffffff07" + "0465646765" + "000000" + // 2 frames
@@ -84,26 +37,7 @@ var v1FileFixtures = []struct {
 	want func() *Trace
 }{
 	{"golden_v1.hwkt", sampleTrace},
-	{"golden_v1_big.hwkt", v1BigTrace},
-}
-
-func readFixture(t *testing.T, name string) []byte {
-	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
-
-func requireSameTrace(t *testing.T, what string, got, want *Trace) {
-	t.Helper()
-	if !reflect.DeepEqual(events(got), events(want)) {
-		t.Fatalf("%s: events differ (%d vs %d)", what, got.Len(), want.Len())
-	}
-	if !reflect.DeepEqual(got.Sites.Frames(), want.Sites.Frames()) {
-		t.Fatalf("%s: site tables differ", what)
-	}
+	{"golden_v1_big.hwkt", bigEdgeTrace},
 }
 
 func v1EdgeSegmentBytes(t *testing.T) []byte {
@@ -153,7 +87,7 @@ func TestV1FileFixturesDecode(t *testing.T) {
 // PeekSegmentSeq reads its multi-byte sequence number.
 func TestV1SegmentFixtureDecodes(t *testing.T) {
 	raw := v1EdgeSegmentBytes(t)
-	want := v1EdgeSegment()
+	want := edgeSegment()
 	if seq, err := PeekSegmentSeq(raw); err != nil || seq != want.Seq {
 		t.Fatalf("PeekSegmentSeq = %d, %v; want %d", seq, err, want.Seq)
 	}
@@ -205,7 +139,7 @@ func TestCrossVersionRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("v2 segment (compress=%v): %v", o.Compress, err)
 		}
-		if !reflect.DeepEqual(got, v1EdgeSegment()) {
+		if !reflect.DeepEqual(got, edgeSegment()) {
 			t.Fatalf("v1→v2 segment round trip changed the segment (compress=%v)", o.Compress)
 		}
 	}
