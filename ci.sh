@@ -45,6 +45,13 @@
 #                Trace must come back from Events exactly, and Len must
 #                count it, whether an event packs into a 16-byte record or
 #                spills whole, on both sides of a chunk boundary
+#   input fuzz   15 s each of the two decoders that read outside input,
+#                beyond their seed corpora (which include the committed v2
+#                fixtures golden_v2_big.hwkt and golden_v2_edge_segment.hex):
+#                FuzzDecode (trace files: no panic, no unbounded allocation,
+#                and an accepted trace re-encodes to itself) and FuzzWire
+#                (pmcheckd frames, segments and segment-log records: no
+#                panic, no unbounded allocation)
 #   pmlint      static PM-misuse checks over the pmrt API; the committed
 #               baseline records the intentional findings (the apps embed
 #               the paper's Table 2 bugs), so only NEW findings fail
@@ -87,18 +94,19 @@ go test -run '^$' -bench 'BenchmarkParallelAnalysis/.*/workers=1$' -benchtime 1x
 go test -run '^$' -fuzz '^FuzzAnalyzeVsOracle$' -fuzztime 30s ./internal/hawkset
 go test -run '^$' -fuzz '^FuzzAppsVsOracle$' -fuzztime 30s ./internal/hawkset
 go test -run '^$' -fuzz '^FuzzTraceAppend$' -fuzztime 15s ./internal/trace
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 15s ./internal/trace
+go test -run '^$' -fuzz '^FuzzWire$' -fuzztime 15s ./internal/pmcheckd
 go run ./cmd/pmlint -baseline pmlint.baseline ./...
 
 # Trace round-trip smoke: a stored trace must BE the trace. Capture once
 # plain and once flate-compressed, re-analyze the file through the streaming
 # decoder, and require the JSON report to be byte-identical to the in-process
-# analysis of the same run; dump the committed v1 fixtures so the CLIs' v1
-# read path keeps running end to end, and require the big one's summary
-# line (its thread IDs reach MaxInt32, so a thread count taken as the
-# largest ID plus one overflows); analyze the big one too, which must finish
-# (replay memory follows the thread count, not the largest thread ID); then
-# one targeted iteration of the codec benchmark so the decode path stays
-# runnable under the harness.
+# analysis of the same run; dump the committed v2 fixture golden_v2_big.hwkt
+# and require its summary line (its thread IDs reach MaxInt32, so a thread
+# count taken as the largest ID plus one overflows); analyze it too, which
+# must finish (replay memory follows the thread count, not the largest
+# thread ID); then one targeted iteration of the codec benchmark so the
+# decode path stays runnable under the harness.
 TRACE_TMP=$(mktemp -d)
 trap 'rm -rf "$TRACE_TMP"' EXIT
 for flags in "" "-trace-compress"; do
@@ -111,11 +119,10 @@ for flags in "" "-trace-compress"; do
     diff "$TRACE_TMP/inproc.json" "$TRACE_TMP/file.json"
     go run ./cmd/tracedump -head 3 "$TRACE_TMP/t.hwkt" > /dev/null
 done
-go run ./cmd/tracedump internal/trace/testdata/golden_v1.hwkt > /dev/null
-go run ./cmd/tracedump internal/trace/testdata/golden_v1_big.hwkt |
+go run ./cmd/tracedump internal/trace/testdata/golden_v2_big.hwkt |
     grep -F '2010 events, 9 threads'
-go run ./cmd/hawkset -trace-in internal/trace/testdata/golden_v1_big.hwkt |
-    grep -Fx 'loaded trace (format v1): 2010 events'
+go run ./cmd/hawkset -trace-in internal/trace/testdata/golden_v2_big.hwkt |
+    grep -Fx 'loaded trace: 2010 events'
 go test -run '^$' -bench 'BenchmarkTraceCodec/decode' -benchtime 1x .
 
 # pmcheck crash smoke. expect_failing requires the failing-app count as

@@ -7,7 +7,7 @@
 //	hawkset -app Fast-Fair -ops 10000 -seed 42
 //	hawkset -app Memcached-pmem -ops 100000 -no-irh -stats
 //	hawkset -app WIPE -trace-out wipe.hwkt        # capture a trace (format v2)
-//	hawkset -trace-in wipe.hwkt                   # re-analyze it later (v1 or v2)
+//	hawkset -trace-in wipe.hwkt                   # re-analyze it later (format v2 only)
 //	hawkset -list                                 # show the application suite
 package main
 
@@ -47,7 +47,7 @@ func main() {
 		wlIn     = flag.String("workload", "", "run this workload file instead of generating one")
 		wlOut    = flag.String("workload-out", "", "save the generated workload to this file (reproducible corpus artifact)")
 		traceOut = flag.String("trace-out", "", "write the captured trace to this file (format v2)")
-		traceIn  = flag.String("trace-in", "", "skip execution; analyze this trace file (v1 or v2, auto-detected)")
+		traceIn  = flag.String("trace-in", "", "skip execution; analyze this trace file (format v2; any other version is an error)")
 		traceZip = flag.Bool("trace-compress", false, "flate-compress the trace blocks for -trace-out")
 	)
 	var obsFlags obscli.Flags
@@ -116,7 +116,7 @@ func main() {
 		if res, err = st.Finish(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("loaded trace (format v%d): %d events\n", dec.Version(), res.Stats.Events)
+		fmt.Printf("loaded trace: %d events\n", res.Stats.Events)
 		fmt.Printf("analysis: %v, %d store records, %d load records, %d pairs checked\n",
 			time.Since(start).Round(time.Millisecond),
 			res.Stats.StoreRecords, res.Stats.LoadRecords, res.Stats.PairsChecked)

@@ -1,5 +1,6 @@
 // Command tracedump decodes and inspects a binary HawkSet trace file
-// captured with `hawkset -trace-out` (either format version).
+// captured with `hawkset -trace-out`. It reads format v2, the only format
+// the tools write; any other version is an error.
 //
 // Usage:
 //
@@ -66,8 +67,8 @@ func main() {
 	if listing {
 		fmt.Println()
 	}
-	fmt.Printf("trace: format v%d, %d events, %d threads, %d sites\n",
-		dec.Version(), nevents, len(threads), dec.Sites().Len()-1)
+	fmt.Printf("trace: %d events, %d threads, %d sites\n",
+		nevents, len(threads), dec.Sites().Len()-1)
 	kinds := make([]trace.Kind, 0, len(counts))
 	for k := range counts {
 		kinds = append(kinds, k)

@@ -15,7 +15,7 @@ func TestAnalyzeAfterCodecRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		tr := randTrace(rand.New(rand.NewSource(seed)))
 		var buf bytes.Buffer
-		if err := trace.Encode(&buf, tr); err != nil {
+		if err := trace.EncodeWith(&buf, tr, trace.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		decoded, err := trace.Decode(&buf)

@@ -37,11 +37,9 @@ type ClientConfig struct {
 	MaxAttempts int
 	// BackoffBase and BackoffMax shape the exponential reconnect backoff
 	// (defaults 10ms and 2s). Jitter is applied on top: each delay is
-	// uniformly drawn from [d/2, d].
+	// uniformly drawn from [d/2, d], from a generator seeded with 1.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Seed drives the backoff jitter (deterministic for tests; 0 = 1).
-	Seed int64
 	// Compress flate-compresses segment payload blocks before they leave
 	// the process. Worth it on slow links; the daemon accepts either.
 	Compress bool
@@ -103,17 +101,13 @@ func NewClient(st *sites.Table, cfg ClientConfig) (*Client, error) {
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = 2 * time.Second
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	if cfg.Dial == nil && cfg.Addr == "" {
 		return nil, errors.New("pmcheckd: ClientConfig.Addr or Dial is required")
 	}
 	c := &Client{
 		cfg:     cfg,
 		sites:   st,
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     rand.New(rand.NewSource(1)),
 		nextSeq: 1,
 	}
 	return c, nil

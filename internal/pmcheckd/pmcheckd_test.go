@@ -162,7 +162,6 @@ func clientCfg(addr, tenant string) pmcheckd.ClientConfig {
 		SegmentEvents: 512,
 		BackoffBase:   time.Millisecond,
 		BackoffMax:    50 * time.Millisecond,
-		Seed:          1,
 	}
 }
 

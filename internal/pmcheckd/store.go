@@ -16,8 +16,8 @@ import (
 //	        tenant string, app string, workload string
 //	records kind byte (1=segment, 2=finish), length uvarint, payload
 //
-// A segment record's payload is exactly the trace.EncodeSegment bytes that
-// arrived on the wire; a finish record's payload is the uvarint total
+// A segment record's payload is exactly the trace.EncodeSegmentWith bytes
+// that arrived on the wire; a finish record's payload is the uvarint total
 // segment count. Every append is fsync'd before the segment is acknowledged
 // to the client, so "acked" means "durable": a crashed daemon rebuilds each
 // tenant's analysis state by replaying its log, and a client that saw an

@@ -42,7 +42,7 @@ import (
 //	payload length bytes
 //
 // Client frames: hello (tenant, app, workload), segment (a
-// trace.EncodeSegment payload carrying the per-stream sequence number),
+// trace.EncodeSegmentWith payload carrying the per-stream sequence number),
 // finish (total segment count). Server frames: hello-ack (highest durable
 // sequence number + initial credits + finished flag), ack (durable sequence
 // number + granted credits), report (the final JSON document), error.

@@ -3,6 +3,9 @@ package pmcheckd
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
+	"os"
+	"strings"
 	"testing"
 
 	"hawkset/internal/trace"
@@ -29,18 +32,35 @@ func FuzzWire(f *testing.F) {
 	f.Add(encodeAck(ack{Acked: 1 << 40, Credits: 3}))
 	f.Add([]byte{recSegment, 5, 1, 2, 3, 4, 5, recFinish, 1, 9})
 	f.Add([]byte{recSegment, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	// A well-formed v2 segment payload (block codec, 0x00 'S' marker), so
-	// the fuzzer mutates from inside the v2 framing.
-	segV2, err := trace.EncodeSegment(nil, &trace.Segment{
+	// Well-formed segment payloads (block codec, 0x00 'S' marker), so the
+	// fuzzer mutates from inside the segment framing: a one-event segment,
+	// the committed edge segment (every kind at its field extremes, seq
+	// 2^40), and the committed big trace file, whose body after the header
+	// is a segment's.
+	seg, err := trace.EncodeSegmentWith(nil, &trace.Segment{
 		Seq:    3,
 		Events: []trace.Event{{Kind: trace.KStore, TID: 1, Addr: 128, Size: 8, Site: 2}},
-	})
+	}, trace.Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(segV2)
-	// A v1 segment header claiming 2^40 site frames with nothing behind it:
-	// must be rejected by the frame cap, never allocated for.
+	f.Add(seg)
+	edgeHex, err := os.ReadFile("../trace/testdata/golden_v2_edge_segment.hex")
+	if err != nil {
+		f.Fatal(err)
+	}
+	edge, err := hex.DecodeString(strings.Join(strings.Fields(string(edgeHex)), ""))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(edge)
+	big, err := os.ReadFile("../trace/testdata/golden_v2_big.hwkt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(big)
+	// A retired v1 segment header claiming 2^40 site frames with nothing
+	// behind it: rejected at the marker, never read as v2.
 	f.Add([]byte{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,12 +2,12 @@ package trace
 
 // Trace format v2: the columnar block codec.
 //
-// v1 spends one varint per event field, so a 100k-op trace costs ~6 bytes
-// per event and decode spends its time in per-byte bufio varint reads. v2
-// exploits the structure the instrumentation gives every trace — threads run
-// in cooperative stretches, consecutive accesses from one thread touch
-// nearby addresses, and most events repeat the previous event's site and
-// size — with three mechanisms:
+// A row of one varint per event field (the retired format v1) costs ~6
+// bytes per event on a 100k-op trace, and decoding it spends its time in
+// per-byte bufio varint reads. v2 exploits the structure the
+// instrumentation gives every trace — threads run in cooperative stretches,
+// consecutive accesses from one thread touch nearby addresses, and most
+// events repeat the previous event's site and size — with three mechanisms:
 //
 //   - TID run-length coding: events are grouped into runs of consecutive
 //     events from one thread (tid uvarint, count uvarint), so the thread ID
@@ -34,7 +34,7 @@ package trace
 //
 //	version uvarint        2
 //	flags   byte           bit0 = blocks are flate-compressed
-//	nsites  uvarint        site frames, exactly as v1
+//	nsites  uvarint        site frames (encode.go)
 //	sites   nsites × frame
 //	blocks  until terminator:
 //	  nevents   uvarint    events in this block (0 = terminator)
@@ -63,8 +63,8 @@ package trace
 // Everything decoded is untrusted: lengths and counts are capped before
 // allocation, stream lengths must tile the payload exactly and every stream
 // must be fully consumed, CRC mismatches and tag bits that do not apply to
-// the kind are errors, and all decoded IDs are range-checked, so a v2 trace
-// accepted by the decoder is internally consistent exactly like a v1 one.
+// the kind are errors, and all decoded IDs are range-checked, so a trace
+// the decoder accepts is internally consistent.
 
 import (
 	"bufio"
@@ -419,21 +419,11 @@ func NewEncoder(w io.Writer, st *sites.Table, o Options) (*Encoder, error) {
 	if len(frames) == 0 {
 		return nil, errMissingFrame0
 	}
+	hdr := append(binary.AppendUvarint([]byte(magic), version2), o.flags())
+	hdr = appendFrames(hdr, frames[1:])
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
+	if _, err := bw.Write(hdr); err != nil {
 		return nil, err
-	}
-	putUvarint(bw, version2)
-	flags := byte(0)
-	if o.Compress {
-		flags |= flagFlate
-	}
-	bw.WriteByte(flags) //nolint:errcheck // bufio defers errors to Flush
-	putUvarint(bw, uint64(len(frames)-1))
-	for _, f := range frames[1:] {
-		putString(bw, f.File)
-		putUvarint(bw, uint64(f.Line))
-		putString(bw, f.Func)
 	}
 	return &Encoder{bw: bw, blocks: newBlockWriter(bw, o.Compress)}, nil
 }

@@ -2,13 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"hawkset/internal/sites"
@@ -16,7 +16,7 @@ import (
 
 // bigTrace builds a multi-block trace (> 64 KiB of raw v2 payload) with the
 // mixed per-thread locality real instrumentation produces. Its first 2000
-// events are frozen in testdata/golden_v1_big.hwkt, so its shape must not
+// events are frozen in testdata/golden_v2_big.hwkt, so its shape must not
 // change.
 func bigTrace(n int) *Trace {
 	rng := rand.New(rand.NewSource(7))
@@ -50,43 +50,32 @@ func bigTrace(n int) *Trace {
 	return tr
 }
 
-// TestGoldenV1Fixture: the original committed v1 file still decodes to the
-// sample trace it was written from.
-func TestGoldenV1Fixture(t *testing.T) {
-	got, err := Decode(bytes.NewReader(readFixture(t, "golden_v1.hwkt")))
-	if err != nil {
-		t.Fatalf("golden v1 fixture no longer decodes: %v", err)
-	}
-	requireSameTrace(t, "golden_v1.hwkt", got, sampleTrace())
-}
-
-// encodedSamples returns the sample trace as a v1 file (the committed
-// fixture), a v2 file and a v2-flate file, keyed by format name.
-func encodedSamples(tb testing.TB) map[string][]byte {
+// encodedSamples returns the committed trace files, and the sample trace as
+// a v2-flate file, each with a name.
+func encodedSamples(tb testing.TB) []namedBytes {
 	tb.Helper()
-	v1, err := os.ReadFile(filepath.Join("testdata", "golden_v1.hwkt"))
-	if err != nil {
+	var flated bytes.Buffer
+	if err := EncodeWith(&flated, sampleTrace(), Options{Compress: true}); err != nil {
 		tb.Fatal(err)
 	}
-	out := map[string][]byte{"v1": v1}
-	for name, o := range map[string]Options{
-		"v2":       {},
-		"v2-flate": {Compress: true},
-	} {
-		var buf bytes.Buffer
-		if err := EncodeWith(&buf, sampleTrace(), o); err != nil {
-			tb.Fatal(err)
-		}
-		out[name] = buf.Bytes()
+	out := []namedBytes{{"v2-flate", flated.Bytes()}}
+	for _, fx := range fileFixtures {
+		out = append(out, namedBytes{fx.file, readFixture(tb, fx.file)})
 	}
 	return out
 }
 
+type namedBytes struct {
+	name string
+	raw  []byte
+}
+
 // TestDecodeRejectsTrailingGarbage is the regression for the bug where
 // Decode stopped reading at the declared event count and silently accepted
-// whatever followed. Both versions must require EOF after the last event.
+// whatever followed. Decode must require EOF after the terminator.
 func TestDecodeRejectsTrailingGarbage(t *testing.T) {
-	for name, clean := range encodedSamples(t) {
+	for _, s := range encodedSamples(t) {
+		name, clean := s.name, s.raw
 		if _, err := Decode(bytes.NewReader(clean)); err != nil {
 			t.Fatalf("%s: clean trace rejected: %v", name, err)
 		}
@@ -128,9 +117,6 @@ func TestStreamingEncodeDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dec.Version() != 2 {
-			t.Fatalf("Version = %d, want 2", dec.Version())
-		}
 		for i, want := range all {
 			got, err := dec.Next()
 			if err != nil {
@@ -163,11 +149,7 @@ func TestStreamingEncodeDecode(t *testing.T) {
 // mis-decode into different events.
 func TestV2CorruptionDetected(t *testing.T) {
 	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := readFixture(t, "golden_v2.hwkt")
 	rejected := 0
 	for i := range raw {
 		for _, flip := range []byte{0x01, 0x80} {
@@ -191,11 +173,7 @@ func TestV2CorruptionDetected(t *testing.T) {
 // TestV2UnknownFlagsRejected: reserved header flag bits must fail loudly so
 // they stay available for future format extensions.
 func TestV2UnknownFlagsRejected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, sampleTrace()); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := readFixture(t, "golden_v2.hwkt")
 	// Layout: "HWKT" (4) + version uvarint (1 byte for 2) + flags byte.
 	raw[5] |= 0x80
 	if _, err := Decode(bytes.NewReader(raw)); err == nil {
@@ -203,27 +181,34 @@ func TestV2UnknownFlagsRejected(t *testing.T) {
 	}
 }
 
-// TestSegmentV1GoldenBytes: a v1 segment as pmcheckd segment logs written
-// before the v2 codec hold it still decodes, so those logs stay replayable.
+// TestSegmentV1GoldenBytes: the bytes of a v1 segment, as pmcheckd segment
+// logs written before segments moved to v2 hold them, are rejected by both
+// segment readers rather than misread.
 func TestSegmentV1GoldenBytes(t *testing.T) {
-	want := &Segment{
-		Seq:    7,
-		Frames: []sites.Frame{{File: "a.go", Line: 1, Func: "f"}},
-		Events: []Event{{Kind: KStore, TID: 1, Addr: 64, Size: 8, Site: 1}},
-	}
-	enc, _ := hex.DecodeString("070104612e676f010166010101014008")
-	dec, err := DecodeSegment(enc, 1)
+	enc, err := hex.DecodeString("070104612e676f010166010101014008")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(dec, want) {
-		t.Fatalf("golden v1 segment decoded to %+v", dec)
+	if seq, err := PeekSegmentSeq(enc); err == nil {
+		t.Fatalf("PeekSegmentSeq read seq %d from a v1 segment", seq)
+	}
+	if seg, err := DecodeSegment(enc, 1); err == nil {
+		t.Fatalf("v1 segment decoded to %+v", seg)
 	}
 }
 
-// TestSegmentCrossVersion: the plain and flate v2 encodings of a segment
-// both decode to it, and PeekSegmentSeq reads the right sequence number out
-// of each without full decoding. The v1 side is pinned by the fixtures.
+// TestDecodeRejectsV1: a v1 file header, here that of a complete empty v1
+// trace, fails NewDecoder with an error that names the version.
+func TestDecodeRejectsV1(t *testing.T) {
+	_, err := NewDecoder(bytes.NewReader([]byte("HWKT\x01\x00\x00")))
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("NewDecoder on a v1 header: %v, want an error naming version 1", err)
+	}
+}
+
+// TestSegmentCrossVersion: the plain and flate encodings of a segment both
+// decode to it, and PeekSegmentSeq reads the right sequence number out of
+// each without full decoding.
 func TestSegmentCrossVersion(t *testing.T) {
 	tr := bigTrace(5000)
 	seg := &Segment{Seq: 42, Frames: tr.Sites.Frames()[1:], Events: events(tr)}
@@ -246,17 +231,17 @@ func TestSegmentCrossVersion(t *testing.T) {
 	}
 }
 
-// TestEncodeRejectsV1: format v1 is read-only; asking any encoder for it is
-// an error, not a silent v2 file.
+// TestEncodeRejectsV1: asking any encoder for the retired format v1 is an
+// error, not a silent v2 file.
 func TestEncodeRejectsV1(t *testing.T) {
 	var buf bytes.Buffer
-	if err := EncodeWith(&buf, sampleTrace(), Options{Version: version1}); err == nil {
+	if err := EncodeWith(&buf, sampleTrace(), Options{Version: 1}); err == nil {
 		t.Fatal("EncodeWith wrote format v1")
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("EncodeWith wrote %d bytes before failing", buf.Len())
 	}
-	if _, err := EncodeSegmentWith(nil, &Segment{Seq: 1}, Options{Version: version1}); err == nil {
+	if _, err := EncodeSegmentWith(nil, &Segment{Seq: 1}, Options{Version: 1}); err == nil {
 		t.Fatal("EncodeSegmentWith wrote format v1")
 	}
 }
@@ -265,31 +250,14 @@ func TestEncodeRejectsV1(t *testing.T) {
 // preallocation bug: a corrupt header claiming 2^40 site frames must be
 // rejected by the count cap, not drive the frame-decode loop.
 func TestSegmentFrameCountBomb(t *testing.T) {
-	// v1: seq=1, nsites=2^40.
-	bombV1 := []byte{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}
-	if _, err := DecodeSegment(bombV1, 1); err == nil {
-		t.Fatal("v1 frame-count bomb accepted")
+	// Marker, version 2, flags 0, seq 1, then the frame count; no frame
+	// data follows, so only the cap can reject it with this error.
+	for _, n := range []uint64{1 << 40, maxSegmentFrames + 1} {
+		bomb := binary.AppendUvarint([]byte{segMarker0, segMarker1, version2, 0, 1}, n)
+		if _, err := DecodeSegment(bomb, 1); err == nil || !strings.Contains(err.Error(), "implausible site count") {
+			t.Fatalf("frame count %d: %v, want the count cap's error", n, err)
+		}
 	}
-	// v2: marker, flags=0, seq=1, nsites=2^40.
-	bombV2 := append([]byte{segMarker0, segMarker1, 2, 0, 1},
-		0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40)
-	if _, err := DecodeSegment(bombV2, 1); err == nil {
-		t.Fatal("v2 frame-count bomb accepted")
-	}
-	// Just above the cap, with no frame data behind it: also rejected by the
-	// cap (not by running out of input — the error must mention the count).
-	over := binaryAppendUvarintHelper([]byte{1}, maxSegmentFrames+1)
-	if _, err := DecodeSegment(over, 1); err == nil {
-		t.Fatal("frame count just above cap accepted")
-	}
-}
-
-func binaryAppendUvarintHelper(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
 }
 
 // TestPeekSegmentSeqHostile: arbitrary prefixes never panic and truncated

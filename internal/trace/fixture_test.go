@@ -15,13 +15,14 @@ import (
 )
 
 // The committed fixtures in testdata are the specification of trace format
-// v2, the format every encoder writes: golden_v2.hwkt holds sampleTrace,
-// golden_v2_big.hwkt holds bigEdgeTrace, and golden_v2_edge_segment.hex
-// holds edgeSegment. Each must decode to its trace through every read path,
-// and the encoder must write that trace back to the committed bytes. If a
-// test here fails, the layout has drifted: stored -trace-out files and
-// pmcheckd segment logs no longer read as they were written. A fixture is
-// never regenerated to make a test pass.
+// v2, the only format the encoders write and the decoders read (v1 input is
+// an error): golden_v2.hwkt holds sampleTrace, golden_v2_big.hwkt holds
+// bigEdgeTrace, and golden_v2_edge_segment.hex holds edgeSegment. Each must
+// decode to its trace through every read path, and the encoder must write
+// that trace back to the committed bytes. If a test here fails, the layout
+// has drifted: stored -trace-out files and pmcheckd segment logs no longer
+// read as they were written. A fixture is never regenerated to make a test
+// pass.
 //
 // golden_v2_edge_segment.hex is hex with one field group per line
 // (whitespace is not part of the encoding):

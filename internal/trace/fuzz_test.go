@@ -16,13 +16,16 @@ import (
 // every byte as hostile: no panic, no unbounded allocation, and any
 // successfully-decoded trace must be internally consistent (site IDs inside
 // the decoded table) and re-encode to a byte stream that decodes to the
-// same trace. Seeds cover both format versions: v1's count-prefixed layout
-// (from the committed fixture) and v2's block framing (tag bytes, deltas,
-// CRC, flate).
+// same trace. Seeds start inside the block framing (tag bytes, deltas, CRC,
+// flate) from the committed fixtures, whose big file carries every kind at
+// its field extremes, and from the committed segment, whose body after the
+// header is a file's.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("NOPE...."))
-	for _, raw := range encodedSamples(f) {
+	f.Add(edgeSegmentBytes(f))
+	for _, s := range encodedSamples(f) {
+		raw := s.raw
 		f.Add(raw)
 		f.Add(raw[:len(raw)/2])                          // truncated mid-stream
 		f.Add(append(append([]byte(nil), raw...), 0x42)) // trailing garbage
@@ -35,12 +38,12 @@ func FuzzDecode(f *testing.F) {
 			f.Add(fl)
 		}
 	}
-	// A v1 header claiming 2^40 events with no data behind it: the decoder
-	// must fail at EOF, not allocate for the claim.
+	// A retired v1 header claiming 2^40 events with no data behind it:
+	// rejected by its version, never read as v2.
 	var bomb bytes.Buffer
 	bomb.WriteString(magic)
 	var tmp [binary.MaxVarintLen64]byte
-	bomb.Write(tmp[:binary.PutUvarint(tmp[:], version1)])
+	bomb.Write(tmp[:binary.PutUvarint(tmp[:], 1)])     // version
 	bomb.Write(tmp[:binary.PutUvarint(tmp[:], 0)])     // nsites
 	bomb.Write(tmp[:binary.PutUvarint(tmp[:], 1<<40)]) // nevents
 	f.Add(bomb.Bytes())

@@ -21,39 +21,30 @@ import (
 // ingestion daemon: the same encoded bytes travel over the wire, are
 // appended to the crash-safe segment log, and are replayed on recovery.
 //
-// Two segment encodings exist, distinguished by the first byte. Only v2 is
-// written; v1 is still decoded, pinned by a fixture in the tests.
+// A segment is encoded with the block codec of codec_v2.go:
 //
-// v1 (all integers uvarint, strings length-prefixed like the trace format):
-//
-//	seq     uvarint            1-based segment sequence number (never 0)
-//	nsites  uvarint            new site frames in this segment
-//	sites   nsites × frame     file string, line uvarint, func string
-//	nevents uvarint
-//	events  nevents × event    same event encoding as the v1 trace format
-//
-// v2 (the block codec of codec_v2.go):
-//
-//	marker  2 bytes            0x00 'S' — 0x00 cannot start a v1 segment,
-//	                           whose seq is 1-based
+//	marker  2 bytes            0x00 'S'
 //	version byte               2
 //	flags   byte               bit0 = blocks are flate-compressed
-//	seq     uvarint
-//	nsites  uvarint
-//	sites   nsites × frame
+//	seq     uvarint            1-based segment sequence number
+//	nsites  uvarint            new site frames in this segment
+//	sites   nsites × frame     as in the file format (encode.go)
 //	blocks  + terminator       exactly as the v2 file format
 //
-// DecodeSegment dispatches on the marker, so daemons ingest old and new
-// clients — and replay pre-v2 segment logs — without configuration.
+// This is the only segment encoding the package writes or reads; the
+// committed fixture testdata/golden_v2_edge_segment.hex pins it. A retired
+// v1 segment began with its 1-based sequence number, never with the 0x00
+// marker, so DecodeSegment and PeekSegmentSeq reject it, and a segment log
+// that holds one fails recovery instead of being misread.
 type Segment struct {
 	Seq    uint64
 	Frames []sites.Frame
 	Events []Event
 }
 
-// maxSegmentEvents bounds a single segment's event count; a decoded count
-// above it is rejected before any allocation. Generous: a segment is a
-// network batch, not a whole trace.
+// maxSegmentEvents bounds a single segment's event count; a segment whose
+// blocks deliver more is rejected. Generous: a segment is a network batch,
+// not a whole trace.
 const maxSegmentEvents = 1 << 22
 
 // maxSegmentFrames bounds a single segment's new-frame count, symmetric
@@ -62,39 +53,24 @@ const maxSegmentEvents = 1 << 22
 // (and its per-frame allocations) until the input runs dry.
 const maxSegmentFrames = 1 << 20
 
-// Segment v2 marker: a first byte no v1 segment can produce (sequence
-// numbers are 1-based) followed by a discriminator.
+// Every segment opens with these two marker bytes.
 const (
 	segMarker0 = 0x00
 	segMarker1 = 'S'
 )
 
-// EncodeSegment appends the segment's binary encoding (v2, uncompressed) to
-// buf and returns the extended slice.
-func EncodeSegment(buf []byte, seg *Segment) ([]byte, error) {
-	return EncodeSegmentWith(buf, seg, Options{})
-}
-
-// EncodeSegmentWith appends the segment's v2 encoding with the selected
-// options. It is direct append-style: no intermediate buffer, no copy of the
-// caller's prefix.
+// EncodeSegmentWith appends the segment's encoding with the selected
+// options to buf and returns the extended slice. It is direct append-style:
+// no intermediate buffer, no copy of the caller's prefix.
 func EncodeSegmentWith(buf []byte, seg *Segment, o Options) ([]byte, error) {
 	if err := o.check(); err != nil {
 		return nil, err
 	}
-	return appendSegmentV2(buf, seg, o.Compress)
-}
-
-func appendSegmentV2(buf []byte, seg *Segment, compress bool) ([]byte, error) {
-	flags := byte(0)
-	if compress {
-		flags |= flagFlate
-	}
-	buf = append(buf, segMarker0, segMarker1, version2, flags)
+	buf = append(buf, segMarker0, segMarker1, version2, o.flags())
 	buf = binary.AppendUvarint(buf, seg.Seq)
 	buf = appendFrames(buf, seg.Frames)
 	sw := &sliceWriter{b: buf}
-	bw := newBlockWriter(sw, compress)
+	bw := newBlockWriter(sw, o.Compress)
 	for _, e := range seg.Events {
 		if err := bw.write(e); err != nil {
 			return nil, err
@@ -130,86 +106,36 @@ func (s *sliceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// PeekSegmentSeq extracts the sequence number from an encoded segment of
-// either version without decoding the rest — the segment store uses it to
-// verify log-record ordering before replay.
+// errSegmentMarker rejects input that does not start with the segment
+// marker, such as a retired v1 segment.
+var errSegmentMarker = errors.New("trace: not a v2 segment (bad marker)")
+
+// PeekSegmentSeq extracts the sequence number from an encoded segment
+// without decoding the rest — the segment store uses it to verify
+// log-record ordering before replay.
 func PeekSegmentSeq(data []byte) (uint64, error) {
-	if len(data) == 0 {
-		return 0, errors.New("trace: empty segment")
+	if len(data) < 5 || data[0] != segMarker0 || data[1] != segMarker1 {
+		return 0, errSegmentMarker
 	}
-	if data[0] == segMarker0 {
-		if len(data) < 5 || data[1] != segMarker1 {
-			return 0, errors.New("trace: bad segment marker")
-		}
-		if data[2] != version2 {
-			return 0, fmt.Errorf("trace: unsupported segment version %d", data[2])
-		}
-		seq, n := binary.Uvarint(data[4:])
-		if n <= 0 {
-			return 0, errors.New("trace: truncated segment sequence number")
-		}
-		return seq, nil
+	if data[2] != version2 {
+		return 0, fmt.Errorf("trace: unsupported segment version %d", data[2])
 	}
-	seq, n := binary.Uvarint(data)
+	seq, n := binary.Uvarint(data[4:])
 	if n <= 0 {
 		return 0, errors.New("trace: truncated segment sequence number")
 	}
 	return seq, nil
 }
 
-// DecodeSegment parses one segment of either version. baseSites is the
-// receiver's current site table length (including the reserved frame 0);
-// event site IDs are validated against baseSites plus this segment's new
-// frames, so a segment accepted here can be applied without further checks.
-// Input is untrusted: counts are bounded, allocation is capped, and any
-// structural violation — including trailing bytes — is an error, never a
-// panic.
+// DecodeSegment parses one segment. baseSites is the receiver's current
+// site table length (including the reserved frame 0); event site IDs are
+// validated against baseSites plus this segment's new frames, so a segment
+// accepted here can be applied without further checks. Input is untrusted:
+// counts are bounded, allocation is capped, and any structural violation —
+// including trailing bytes — is an error, never a panic.
 func DecodeSegment(data []byte, baseSites int) (*Segment, error) {
-	if len(data) > 0 && data[0] == segMarker0 {
-		return decodeSegmentV2(data, baseSites)
-	}
-	return decodeSegmentV1(data, baseSites)
-}
-
-func decodeSegmentV1(data []byte, baseSites int) (*Segment, error) {
-	br := bufio.NewReader(bytes.NewReader(data))
-	seg := &Segment{}
-	var err error
-	if seg.Seq, err = binary.ReadUvarint(br); err != nil {
-		return nil, fmt.Errorf("segment: seq: %w", err)
-	}
-	if seg.Frames, err = decodeSegmentFrames(br, baseSites); err != nil {
-		return nil, err
-	}
-	nevents, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("segment: event count: %w", err)
-	}
-	if nevents > maxSegmentEvents {
-		return nil, fmt.Errorf("segment: implausible event count %d", nevents)
-	}
-	prealloc := nevents
-	if prealloc > maxEventPrealloc {
-		prealloc = maxEventPrealloc
-	}
-	seg.Events = make([]Event, 0, prealloc)
-	siteLimit := sites.ID(baseSites + len(seg.Frames))
-	for i := uint64(0); i < nevents; i++ {
-		e, err := decodeEvent(br, siteLimit)
-		if err != nil {
-			return nil, fmt.Errorf("segment: event %d: %w", i, err)
-		}
-		seg.Events = append(seg.Events, e)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("segment: trailing data after %d events", nevents)
-	}
-	return seg, nil
-}
-
-func decodeSegmentV2(data []byte, baseSites int) (*Segment, error) {
-	if len(data) < 4 || data[1] != segMarker1 {
-		return nil, errors.New("segment: bad v2 marker")
+	if len(data) < 4 || data[0] != segMarker0 || data[1] != segMarker1 {
+		return nil, errSegmentMarker
 	}
 	if data[2] != version2 {
 		return nil, fmt.Errorf("segment: unsupported version %d", data[2])
@@ -248,8 +174,8 @@ func decodeSegmentV2(data []byte, baseSites int) (*Segment, error) {
 	return seg, nil
 }
 
-// decodeSegmentFrames parses the incremental frame list shared by both
-// segment versions, bounding the claimed count before any allocation.
+// decodeSegmentFrames parses a segment's incremental frame list, bounding
+// the claimed count before any allocation.
 func decodeSegmentFrames(br *bufio.Reader, baseSites int) ([]sites.Frame, error) {
 	nsites, err := binary.ReadUvarint(br)
 	if err != nil {

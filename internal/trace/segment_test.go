@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hawkset/internal/sites"
@@ -29,7 +31,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	var got []Event
 	recv := sites.NewTable()
 	for _, seg := range segs {
-		enc, err := EncodeSegment(nil, seg)
+		enc, err := EncodeSegmentWith(nil, seg, Options{})
 		if err != nil {
 			t.Fatalf("encode seq %d: %v", seg.Seq, err)
 		}
@@ -61,7 +63,7 @@ func TestSegmentRejects(t *testing.T) {
 		Frames: []sites.Frame{{File: "a.go", Line: 1, Func: "f"}},
 		Events: []Event{{Kind: KStore, TID: 1, Addr: 64, Size: 8, Site: 1}},
 	}
-	enc, err := EncodeSegment(nil, seg)
+	enc, err := EncodeSegmentWith(nil, seg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func TestSegmentRejects(t *testing.T) {
 	})
 	t.Run("site-out-of-range", func(t *testing.T) {
 		bad := &Segment{Seq: 1, Events: []Event{{Kind: KLoad, TID: 1, Addr: 0, Size: 8, Site: 9}}}
-		raw, err := EncodeSegment(nil, bad)
+		raw, err := EncodeSegmentWith(nil, bad, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,10 +94,12 @@ func TestSegmentRejects(t *testing.T) {
 		}
 	})
 	t.Run("event-count-bomb", func(t *testing.T) {
-		// seq=1, nsites=0, nevents=2^40 with no events behind it.
-		bomb := []byte{1, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}
-		if _, err := DecodeSegment(bomb, 1); err == nil {
-			t.Fatal("event-count bomb accepted")
+		// Marker, version 2, flags 0, seq 1, no frames, then a block
+		// claiming 2^40 events in 16 raw bytes, with nothing behind it.
+		bomb := binary.AppendUvarint([]byte{segMarker0, segMarker1, version2, 0, 1, 0}, 1<<40)
+		bomb = append(bomb, 16, 16)
+		if _, err := DecodeSegment(bomb, 1); err == nil || !strings.Contains(err.Error(), "claims") {
+			t.Fatalf("event-count bomb: %v, want the block cap's error", err)
 		}
 	})
 }

@@ -44,7 +44,7 @@ func TestBuilderProducesEvents(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err != nil {
+	if err := EncodeWith(&buf, tr, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decode(&buf)
@@ -74,7 +74,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 func TestDecodeRejectsTruncated(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err != nil {
+	if err := EncodeWith(&buf, tr, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -122,7 +122,7 @@ func TestRoundTripProperty(t *testing.T) {
 			tr.Append(e)
 		}
 		var buf bytes.Buffer
-		if err := Encode(&buf, tr); err != nil {
+		if err := EncodeWith(&buf, tr, Options{}); err != nil {
 			return false
 		}
 		got, err := Decode(&buf)
@@ -136,24 +136,24 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Regression: Encode wrote len(frames)-1 into the header, so a site table
+// Regression: the encoder wrote len(frames)-1 into the header, so a site table
 // without the reserved frame 0 (a zero-value Table) underflowed the count to
 // 2⁶⁴−1 and produced a file every decoder rejects as corrupt. It must fail
 // loudly at encode time instead, writing nothing.
 func TestEncodeRejectsMissingReservedFrame(t *testing.T) {
 	tr := &Trace{Sites: &sites.Table{}}
 	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err == nil {
-		t.Fatal("Encode accepted a site table without the reserved frame 0")
+	if err := EncodeWith(&buf, tr, Options{}); err == nil {
+		t.Fatal("EncodeWith accepted a site table without the reserved frame 0")
 	}
 	if buf.Len() != 0 {
-		t.Fatalf("Encode wrote %d bytes before failing", buf.Len())
+		t.Fatalf("EncodeWith wrote %d bytes before failing", buf.Len())
 	}
 	// A well-formed (fresh) trace still round-trips through the same guard.
 	ok := New()
 	ok.Append(Event{Kind: KFence, TID: 1, Site: 0})
 	buf.Reset()
-	if err := Encode(&buf, ok); err != nil {
+	if err := EncodeWith(&buf, ok, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decode(&buf)

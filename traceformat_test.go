@@ -18,10 +18,10 @@ import (
 // the capture-once/analyze-many design: the analysis report document must be
 // byte-identical whether the trace arrives in-process, through a v2 file
 // (plain or compressed), or as a pmcheckd-style segment sequence. Any
-// divergence means a stored or streamed trace is not the trace. Format v1 is
-// only read, never written; the v1 fixtures in internal/trace pin that it
-// decodes to the very events it was written from, so a v1 capture yields
-// the same report too.
+// divergence means a stored or streamed trace is not the trace. Format v2
+// is the only format written or read; the committed v2 fixtures in
+// internal/trace pin its layout, so a file or segment log stored today reads
+// back as the same trace, and the same report, later.
 func TestTraceFormatsYieldIdenticalReports(t *testing.T) {
 	e, err := apps.Lookup("Fast-Fair")
 	if err != nil {
