@@ -45,6 +45,15 @@
 #                Trace must come back from Events exactly, and Len must
 #                count it, whether an event packs into a 16-byte record or
 #                spills whole, on both sides of a chunk boundary
+#   device fuzz  15 s of FuzzPoolVsDense beyond its seed corpus: one
+#                operation sequence (stores and NT stores of any size, across
+#                page boundaries and at the pool's last bytes, loads,
+#                flushes, fences, reboots and reboot clones into a dirtied
+#                scratch) drives the page-sparse pmem.Pool and the dense
+#                reference device kept in its tests, under EADR,
+#                TrackWriters and EvictAfter, and both must hold the same
+#                bytes and give the same dirty lines, commit reports,
+#                Persisted and DirtyRead answers after every operation
 #   input fuzz   15 s each of the two decoders that read outside input,
 #                beyond their seed corpora (which include the committed v2
 #                fixtures golden_v2_big.hwkt and golden_v2_edge_segment.hex):
@@ -55,13 +64,17 @@
 #   pmlint      static PM-misuse checks over the pmrt API; the committed
 #               baseline records the intentional findings (the apps embed
 #               the paper's Table 2 bugs), so only NEW findings fail
-#   pmcheck     bounded crash-point fault-injection smoke: the seeded
-#               (buggy) builds must fail crash points, the fixed builds must
-#               sweep clean. pmcheck exits with the failing-app count and
-#               with 101 on an error, so a run that must find failures has
-#               to exit 1-100; the binary is built once and run directly,
-#               because go run reports every non-zero exit as 1 and a crash
-#               would pass as a finding. Covers Fast-Fair and P-Masstree,
+#   pmcheck     crash-point fault-injection smoke: the seeded (buggy)
+#               builds must fail crash points within a budget of 8, and the
+#               fixed builds of Fast-Fair, P-Masstree (fence strategy) and
+#               MadFS-POSIX must sweep clean over every crash point
+#               (-budget -1); their -deadline only guards against a hang,
+#               and a point it skips fails CI. pmcheck exits with the
+#               failing-app count and with 101 on an error, so a run that
+#               must find failures has to exit 1-100; the binary is built
+#               once and run directly, because go run reports every
+#               non-zero exit as 1 and a crash would pass as a finding.
+#               Covers Fast-Fair and P-Masstree,
 #               -all over every app's end-of-run crash image (buggy must
 #               fail, fixed must be clean), plus the MadFS-POSIX
 #               filesystem scenario, whose syscall-level oracles (rename
@@ -96,6 +109,7 @@ go test -run '^$' -fuzz '^FuzzAppsVsOracle$' -fuzztime 30s ./internal/hawkset
 go test -run '^$' -fuzz '^FuzzTraceAppend$' -fuzztime 15s ./internal/trace
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 15s ./internal/trace
 go test -run '^$' -fuzz '^FuzzWire$' -fuzztime 15s ./internal/pmcheckd
+go test -run '^$' -fuzz '^FuzzPoolVsDense$' -fuzztime 15s ./internal/pmem
 go run ./cmd/pmlint -baseline pmlint.baseline ./...
 
 # Trace round-trip smoke: a stored trace must BE the trace. Capture once
@@ -139,17 +153,27 @@ expect_failing() {
         exit 1
     fi
 }
+# full_sweep runs a fixed variant's campaign over every crash point and
+# requires that none was skipped, by budget or by the hang-guard deadline.
+full_sweep() {
+    "$PMCHECK" "$@" -fixed -inject -budget -1 -deadline 120s > "$PMCHECK_TMP/sweep.txt"
+    cat "$PMCHECK_TMP/sweep.txt"
+    if ! grep -q ', 0 skipped by budget, 0 by deadline)$' "$PMCHECK_TMP/sweep.txt"; then
+        echo "ci: pmcheck $* skipped crash points" >&2
+        exit 1
+    fi
+}
 expect_failing -app Fast-Fair -ops 800 -inject -budget 8 -deadline 60s
-"$PMCHECK" -app Fast-Fair -ops 800 -fixed -inject -budget 8 -deadline 60s
-"$PMCHECK" -app P-Masstree -ops 800 -fixed -inject -strategy fence -budget 8 -deadline 60s
+full_sweep -app Fast-Fair -ops 800
+full_sweep -app P-Masstree -ops 800 -strategy fence
 expect_failing -all -ops 800
 "$PMCHECK" -all -ops 800 -fixed
 
 # Filesystem crash-sweep smoke: both seeded FS protocol bugs must surface
 # under the bounded targeted campaign; the journaled/ordered fixed variant
-# must sweep clean.
+# must sweep clean over every crash point.
 expect_failing -app MadFS-POSIX -ops 600 -inject -budget 8 -deadline 60s
-"$PMCHECK" -app MadFS-POSIX -ops 600 -fixed -inject -budget 8 -deadline 60s
+full_sweep -app MadFS-POSIX -ops 600
 
 # pmopt smoke: deterministic JSON on two apps, then a gated elimination on
 # each.

@@ -480,7 +480,8 @@ func (c *Client) sleepBackoff(attempt int) {
 }
 
 // serverError is a rejection the server stated explicitly (budget exceeded,
-// protocol violation, draining): retrying the same stream cannot succeed.
+// protocol violation): retrying the same stream cannot succeed. A draining
+// daemon sends none: it closes the connection, and the client resumes.
 type serverError struct{ msg string }
 
 func (e *serverError) Error() string { return "pmcheckd server: " + e.msg }

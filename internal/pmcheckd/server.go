@@ -255,6 +255,12 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
+// errDraining refuses a hello that arrives while Drain runs. The connection
+// is closed without an error frame, like a segment read during a drain: a
+// client treats every error frame as terminal, and a drain must look like a
+// disconnect so the client resumes against the next daemon.
+var errDraining = errors.New("pmcheckd: draining")
+
 // lookupTenant returns (creating if necessary) the tenant for a hello.
 func (s *Server) lookupTenant(h hello) (*tenant, error) {
 	if !validTenantName(h.Tenant) {
@@ -263,7 +269,7 @@ func (s *Server) lookupTenant(h hello) (*tenant, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.drained {
-		return nil, errors.New("pmcheckd: draining")
+		return nil, errDraining
 	}
 	if t, ok := s.tenants[h.Tenant]; ok {
 		return t, nil
@@ -318,6 +324,9 @@ func (s *Server) handleConn(sc *serverConn) {
 		return
 	}
 	t, err := s.lookupTenant(h)
+	if errors.Is(err, errDraining) {
+		return // a drain is a disconnect, see errDraining
+	}
 	if err != nil {
 		sc.sendError(err)
 		return
@@ -360,8 +369,7 @@ func (s *Server) handleConn(sc *serverConn) {
 		select {
 		case t.queue <- it:
 		case <-s.draining:
-			sc.sendError(errors.New("pmcheckd: draining"))
-			return
+			return // a drain is a disconnect, see errDraining
 		}
 	}
 }

@@ -8,7 +8,9 @@
 //
 // The model keeps two images of the address space: the volatile view (what
 // loads observe, i.e. cache plus PM) and the persistent view (what survives a
-// crash). Crash returns a copy of the persistent view.
+// crash). Each image is a page table of 4 KiB pages in which a page no store
+// has reached is nil and reads as zeros, so a device costs memory for the
+// pages a run writes, not for its size.
 //
 // Pool is not safe for concurrent use; the instrumented runtime
 // (internal/pmrt) serializes all accesses through its cooperative scheduler.
@@ -53,7 +55,8 @@ type Options struct {
 	EADR bool
 	// TrackWriters enables per-byte last-writer/last-site bookkeeping, which
 	// DirtyRead needs. Only the observation-based baseline uses it; it costs
-	// 8 bytes of metadata per pool byte, so it is off by default.
+	// 8 bytes of metadata per byte of every page a store reaches, so it is
+	// off by default.
 	TrackWriters bool
 	// EvictAfter, when positive, models the cache's background writeback:
 	// a line left dirty for EvictAfter device operations is evicted, i.e.
@@ -93,14 +96,15 @@ type snapshots struct {
 // Pool is a simulated PM device.
 type Pool struct {
 	opts       Options
-	volatile   []byte
-	persistent []byte
-	// lastWriter / lastSite record, per byte, the thread and call site of the
-	// most recent store while that byte is unpersisted. Used by the
+	size       uint64
+	volatile   view
+	persistent view
+	// writers records, per byte, the thread and call site of the most
+	// recent store (Options.TrackWriters; nil otherwise). A page's entry is
+	// allocated by the first store to it and dropped at Reboot. Used by the
 	// observation-based baseline (internal/baseline/pmrace) to detect
 	// dirty reads the way PMRace does.
-	lastWriter []int32
-	lastSite   []int32
+	writers []*writerPage
 	// dirty has one bit per line, ceil(size/LineSize) of them, set while
 	// the line's volatile and persistent bytes may differ; ndirty counts
 	// the set bits.
@@ -133,14 +137,159 @@ type evictEntry struct {
 	at   uint64
 }
 
+// The page table's geometry. LineSize divides pageSize, so a cache line
+// never straddles a page.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+type page [pageSize]byte
+
+// zeroPage stands in for every nil page on reads; nothing writes it.
+var zeroPage page
+
+// view is one image of the address space: page i holds bytes
+// [i*pageSize, (i+1)*pageSize), and a nil page reads as zeros. Only a
+// write of nonzero bytes allocates a page; reads never do.
+type view []*page
+
+// at returns page i for reading.
+func (v view) at(i uint64) *page {
+	if pg := v[i]; pg != nil {
+		return pg
+	}
+	return &zeroPage
+}
+
+// pageSpan splits [addr, end) at addr's page: it returns the page index, the
+// offset in it, and how many bytes of the range lie in that page.
+func pageSpan(addr, end Addr) (i, off, n uint64) {
+	i, off = addr>>pageShift, addr&pageMask
+	return i, off, min(end-addr, pageSize-off)
+}
+
+// readPage copies [addr, addr+len(buf)) into buf if the range is not
+// empty and lies in one page, which every aligned typed access does, and
+// reports whether it did. It is small enough to inline, so Load takes an
+// in-page access without a call.
+func (v view) readPage(addr Addr, buf []byte) bool {
+	off := addr & pageMask
+	if uint64(len(buf))-1 >= pageSize-off {
+		return false
+	}
+	copy(buf, v.at(addr >> pageShift)[off:])
+	return true
+}
+
+// read copies [addr, addr+len(buf)) into buf.
+func (v view) read(addr Addr, buf []byte) {
+	for end := addr + uint64(len(buf)); addr < end; {
+		i, off, n := pageSpan(addr, end)
+		copy(buf, v.at(i)[off:off+n])
+		buf = buf[n:]
+		addr += n
+	}
+}
+
+// writePage is readPage's counterpart for a write to an allocated page.
+// The length test comes first: an empty range may start at the end of the
+// last page, where there is no page to look up.
+func (v view) writePage(addr Addr, data []byte) bool {
+	off := addr & pageMask
+	if uint64(len(data))-1 >= pageSize-off {
+		return false
+	}
+	pg := v[addr>>pageShift]
+	if pg == nil {
+		return false
+	}
+	copy(pg[off:], data)
+	return true
+}
+
+// write copies data to [addr, addr+len(data)). It allocates a missing page
+// only for nonzero bytes: zeros written to a nil page are already there.
+func (v view) write(addr Addr, data []byte) {
+	for end := addr + uint64(len(data)); addr < end; {
+		i, off, n := pageSpan(addr, end)
+		if v[i] == nil && !bytes.Equal(data[:n], zeroPage[:n]) {
+			v[i] = new(page)
+		}
+		if v[i] != nil {
+			copy(v[i][off:off+n], data)
+		}
+		data = data[n:]
+		addr += n
+	}
+}
+
+// holds reports whether [addr, addr+len(data)) of v equals data.
+func (v view) holds(addr Addr, data []byte) bool {
+	for end := addr + uint64(len(data)); addr < end; {
+		i, off, n := pageSpan(addr, end)
+		if !bytes.Equal(v.at(i)[off:off+n], data[:n]) {
+			return false
+		}
+		data = data[n:]
+		addr += n
+	}
+	return true
+}
+
+// copyFrom makes v hold src's bytes: it copies the pages src holds into
+// v's own, allocating those v lacks, and zeroes v's other pages, keeping
+// them for later copies.
+func (v view) copyFrom(src view) {
+	for i, s := range src {
+		switch {
+		case s != nil:
+			if v[i] == nil {
+				v[i] = new(page)
+			}
+			*v[i] = *s
+		case v[i] != nil:
+			*v[i] = page{}
+		}
+	}
+}
+
+// diff returns the lowest address in [addr, addr+size) at which a and b
+// differ, comparing page by page; differ is false when they agree.
+func diff(a, b view, addr Addr, size uint64) (at Addr, differ bool) {
+	for end := addr + size; addr < end; {
+		i, off, n := pageSpan(addr, end)
+		if a[i] != b[i] {
+			x, y := a.at(i)[off:off+n], b.at(i)[off:off+n]
+			if !bytes.Equal(x, y) {
+				j := 0
+				for x[j] == y[j] {
+					j++
+				}
+				return addr + uint64(j), true
+			}
+		}
+		addr += n
+	}
+	return 0, false
+}
+
+// writerPage holds the last writer and site of each byte of one page.
+type writerPage struct {
+	writer, site [pageSize]int32
+}
+
 // New creates a Pool of the given size in bytes, zero-filled and fully
-// persisted.
+// persisted. It allocates only the page tables and the dirty-line bitset.
 func New(size uint64, opts Options) *Pool {
 	lines := (size + LineSize - 1) / LineSize
+	pages := (size + pageSize - 1) / pageSize
 	p := &Pool{
 		opts:        opts,
-		volatile:    make([]byte, size),
-		persistent:  make([]byte, size),
+		size:        size,
+		volatile:    make(view, pages),
+		persistent:  make(view, pages),
 		dirty:       make([]uint64, (lines+63)/64),
 		pending:     make(map[int32]*snapshots),
 		mStores:     opts.Metrics.Counter("pmem.stores"),
@@ -152,21 +301,27 @@ func New(size uint64, opts Options) *Pool {
 		mDirtyLines: opts.Metrics.Gauge("pmem.dirty_lines"),
 	}
 	if opts.TrackWriters {
-		p.lastWriter = make([]int32, size)
-		p.lastSite = make([]int32, size)
+		p.writers = make([]*writerPage, pages)
 	}
 	return p
 }
 
 // Size returns the pool size in bytes.
-func (p *Pool) Size() uint64 { return uint64(len(p.volatile)) }
+func (p *Pool) Size() uint64 { return p.size }
 
 func (p *Pool) check(addr Addr, n int) {
 	// Subtraction form: int(addr)+n wraps negative for addresses near the
 	// top of the address space and silently passes the comparison.
-	if n < 0 || addr > p.Size() || uint64(n) > p.Size()-addr {
-		panic(fmt.Sprintf("pmem: access [%#x,%#x) out of pool bounds %#x", addr, addr+uint64(n), len(p.volatile)))
+	if n < 0 || addr > p.size || uint64(n) > p.size-addr {
+		p.outOfBounds(addr, n)
 	}
+}
+
+// outOfBounds panics for check; out of line, so check inlines.
+//
+//go:noinline
+func (p *Pool) outOfBounds(addr Addr, n int) {
+	panic(fmt.Sprintf("pmem: access [%#x,%#x) out of pool bounds %#x", addr, addr+uint64(n), p.size))
 }
 
 // Store writes data to the volatile view on behalf of tid, dirtying the
@@ -180,16 +335,15 @@ func (p *Pool) Store(tid int32, addr Addr, data []byte, site int32) {
 	p.mStores.Inc()
 	p.mStoreBytes.Add(uint64(len(data)))
 	p.tick()
-	copy(p.volatile[addr:], data)
+	if !p.volatile.writePage(addr, data) {
+		p.volatile.write(addr, data)
+	}
 	if p.opts.EADR {
-		copy(p.persistent[addr:], data)
+		p.persistent.write(addr, data)
 		return
 	}
-	if p.lastWriter != nil {
-		for i := range data {
-			p.lastWriter[addr+uint64(i)] = tid
-			p.lastSite[addr+uint64(i)] = site
-		}
+	if p.writers != nil {
+		p.trackWriters(tid, addr, uint64(len(data)), site)
 	}
 	for l, last := LineOf(addr), LineOf(LastByte(addr, uint64(len(data)))); l <= last; l++ {
 		if !p.isDirty(l) {
@@ -203,6 +357,23 @@ func (p *Pool) Store(tid int32, addr Addr, data []byte, site int32) {
 	p.mDirtyLines.Set(int64(p.ndirty))
 }
 
+// trackWriters records tid and site as the last writer of [addr, addr+n).
+func (p *Pool) trackWriters(tid int32, addr Addr, n uint64, site int32) {
+	for end := addr + n; addr < end; {
+		i, off, k := pageSpan(addr, end)
+		w := p.writers[i]
+		if w == nil {
+			w = new(writerPage)
+			p.writers[i] = w
+		}
+		for j := off; j < off+k; j++ {
+			w.writer[j] = tid
+			w.site[j] = site
+		}
+		addr += k
+	}
+}
+
 // isDirty reports whether line l's bit is set.
 func (p *Pool) isDirty(l uint64) bool { return p.dirty[l/64]&(1<<(l%64)) != 0 }
 
@@ -212,24 +383,29 @@ func (p *Pool) clean(l uint64) {
 	p.ndirty--
 }
 
+// line returns line l's bytes in v for reading.
+func (p *Pool) line(v view, l uint64) []byte {
+	base := l * LineSize
+	off := base & pageMask
+	return v.at(base >> pageShift)[off : off+min(LineSize, p.size-base)]
+}
+
 // tick advances the device clock and performs due background evictions.
 func (p *Pool) tick() {
 	p.clock++
-	if p.opts.EvictAfter <= 0 {
-		return
+	if p.opts.EvictAfter > 0 {
+		p.evict()
 	}
+}
+
+func (p *Pool) evict() {
 	for len(p.evictQueue) > 0 && p.clock-p.evictQueue[0].at >= uint64(p.opts.EvictAfter) {
 		e := p.evictQueue[0]
 		p.evictQueue = p.evictQueue[1:]
 		if !p.isDirty(e.line) {
 			continue
 		}
-		base := e.line * LineSize
-		end := base + LineSize
-		if end > p.Size() {
-			end = p.Size()
-		}
-		copy(p.persistent[base:end], p.volatile[base:end])
+		p.persistent.write(e.line*LineSize, p.line(p.volatile, e.line))
 		p.clean(e.line)
 		p.mEvictions.Inc()
 		p.mDirtyLines.Set(int64(p.ndirty))
@@ -263,7 +439,9 @@ func (p *Pool) snapshot(tid int32, addr Addr, data []byte) {
 func (p *Pool) Load(addr Addr, buf []byte) {
 	p.check(addr, len(buf))
 	p.tick()
-	copy(buf, p.volatile[addr:])
+	if !p.volatile.readPage(addr, buf) {
+		p.volatile.read(addr, buf)
+	}
 }
 
 // Flush issues a CLWB for the line containing addr on behalf of tid: the
@@ -276,12 +454,7 @@ func (p *Pool) Flush(tid int32, addr Addr) {
 		return
 	}
 	line := LineOf(addr)
-	base := line * LineSize
-	end := base + LineSize
-	if end > p.Size() {
-		end = p.Size()
-	}
-	p.snapshot(tid, base, p.volatile[base:end])
+	p.snapshot(tid, line*LineSize, p.line(p.volatile, line))
 }
 
 // FlushRange issues flushes for every line overlapping [addr, addr+size).
@@ -312,12 +485,13 @@ func (p *Pool) Fence(tid int32) {
 	}
 	for _, pf := range s.batch {
 		data := s.data[pf.off : pf.off+pf.n]
-		dst := p.persistent[pf.addr : pf.addr+uint64(pf.n)]
 		if p.observe {
 			p.commits = append(p.commits, Commit{Pos: pf.pos, Addr: pf.addr, Size: uint64(pf.n),
-				Changed: !bytes.Equal(dst, data)})
+				Changed: !p.persistent.holds(pf.addr, data)})
 		}
-		copy(dst, data)
+		if !p.persistent.writePage(pf.addr, data) {
+			p.persistent.write(pf.addr, data)
+		}
 	}
 	// Re-check only the lines this fence touched; lines not covered by one
 	// of its flushes cannot have become clean.
@@ -327,15 +501,7 @@ func (p *Pool) Fence(tid int32) {
 		}
 		last := LineOf(LastByte(pf.addr, uint64(pf.n)))
 		for l := LineOf(pf.addr); l <= last; l++ {
-			if !p.isDirty(l) {
-				continue
-			}
-			base := l * LineSize
-			end := base + LineSize
-			if end > p.Size() {
-				end = p.Size()
-			}
-			if bytes.Equal(p.volatile[base:end], p.persistent[base:end]) {
+			if p.isDirty(l) && bytes.Equal(p.line(p.volatile, l), p.line(p.persistent, l)) {
 				p.clean(l)
 			}
 		}
@@ -344,19 +510,36 @@ func (p *Pool) Fence(tid int32) {
 	p.mDirtyLines.Set(int64(p.ndirty))
 }
 
-// View returns [addr, addr+n) of the volatile and persistent views without
-// copying. The slices alias the device: callers must not modify them, and
-// later operations change what they hold.
-func (p *Pool) View(addr Addr, n uint64) (volatile, persistent []byte) {
-	p.check(addr, int(n))
-	return p.volatile[addr : addr+n : addr+n], p.persistent[addr : addr+n : addr+n]
+// ReadPersistent copies [addr, addr+len(buf)) of the persistent view into
+// buf (post-crash inspection; not an instrumented access).
+func (p *Pool) ReadPersistent(addr Addr, buf []byte) {
+	p.check(addr, len(buf))
+	p.persistent.read(addr, buf)
+}
+
+// DiffPersistent compares p's persistent view with q's over [addr,
+// addr+size), page by page, and returns the lowest address at which they
+// differ; differ is false when they agree. A page neither device has
+// written reads as zeros on both.
+func (p *Pool) DiffPersistent(q *Pool, addr Addr, size uint64) (at Addr, differ bool) {
+	p.check(addr, int(size))
+	q.check(addr, int(size))
+	return diff(p.persistent, q.persistent, addr, size)
+}
+
+// DiffVolatile is DiffPersistent for the volatile views.
+func (p *Pool) DiffVolatile(q *Pool, addr Addr, size uint64) (at Addr, differ bool) {
+	p.check(addr, int(size))
+	q.check(addr, int(size))
+	return diff(p.volatile, q.volatile, addr, size)
 }
 
 // Persisted reports whether every byte of [addr, addr+size) is guaranteed to
 // be in the persistent domain (volatile and persistent views agree).
 func (p *Pool) Persisted(addr Addr, size uint64) bool {
 	p.check(addr, int(size))
-	return bytes.Equal(p.volatile[addr:addr+size], p.persistent[addr:addr+size])
+	_, differ := diff(p.volatile, p.persistent, addr, size)
+	return !differ
 }
 
 // DirtyRead reports whether a load of [addr, addr+size) by tid would observe
@@ -365,14 +548,26 @@ func (p *Pool) Persisted(addr Addr, size uint64) bool {
 // It returns the writing thread and the store's call site for the first such
 // byte. Requires Options.TrackWriters; otherwise it reports nothing.
 func (p *Pool) DirtyRead(tid int32, addr Addr, size uint64) (writer, site int32, ok bool) {
-	if p.lastWriter == nil {
+	if p.writers == nil {
 		return 0, 0, false
 	}
 	p.check(addr, int(size))
-	for i := addr; i < addr+size; i++ {
-		if p.volatile[i] != p.persistent[i] && p.lastWriter[i] != tid {
-			return p.lastWriter[i], p.lastSite[i], true
+	for end := addr + size; addr < end; {
+		i, off, n := pageSpan(addr, end)
+		vol, per, w := p.volatile.at(i), p.persistent.at(i), p.writers[i]
+		for j := off; j < off+n; j++ {
+			if vol[j] == per[j] {
+				continue
+			}
+			if w == nil {
+				if tid != 0 {
+					return 0, 0, true
+				}
+			} else if w.writer[j] != tid {
+				return w.writer[j], w.site[j], true
+			}
 		}
+		addr += n
 	}
 	return 0, 0, false
 }
@@ -380,8 +575,12 @@ func (p *Pool) DirtyRead(tid int32, addr Addr, size uint64) (writer, site int32,
 // Crash returns a copy of the persistent view: the post-crash image with all
 // unpersisted cache contents lost.
 func (p *Pool) Crash() []byte {
-	img := make([]byte, len(p.persistent))
-	copy(img, p.persistent)
+	img := make([]byte, p.size)
+	for i, pg := range p.persistent {
+		if pg != nil {
+			copy(img[i<<pageShift:], pg[:])
+		}
+	}
 	return img
 }
 
@@ -408,8 +607,9 @@ func (p *Pool) Load8(addr Addr) uint64 {
 // ReadPersistent8 reads a uint64 from the persistent view (post-crash
 // inspection; not an instrumented access).
 func (p *Pool) ReadPersistent8(addr Addr) uint64 {
-	p.check(addr, 8)
-	return binary.LittleEndian.Uint64(p.persistent[addr:])
+	var b [8]byte
+	p.ReadPersistent(addr, b[:])
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // Reboot simulates a crash and restart on the same device: the volatile
@@ -417,15 +617,18 @@ func (p *Pool) ReadPersistent8(addr Addr) uint64 {
 // exactly the persistent view, and all dirty/pending state clears. The pool
 // is then ready for a recovery run.
 func (p *Pool) Reboot() {
-	copy(p.volatile, p.persistent)
+	p.volatile.copyFrom(p.persistent)
 	clear(p.dirty)
 	p.ndirty = 0
-	clear(p.pending)
+	p.dropPending()
 	p.evictQueue = nil
-	if p.lastWriter != nil {
-		for i := range p.lastWriter {
-			p.lastWriter[i] = 0
-			p.lastSite[i] = 0
-		}
+	clear(p.writers)
+}
+
+// dropPending discards every thread's unfenced snapshots, keeping their
+// buffers for the next batch.
+func (p *Pool) dropPending() {
+	for _, s := range p.pending {
+		s.batch, s.data = s.batch[:0], s.data[:0]
 	}
 }

@@ -96,7 +96,8 @@ func (r *Replayer) Pos() int { return r.pos }
 
 // Pool exposes the replayed device. Its volatile view is the pre-crash
 // state at Pos and its persistent view is the crash image at Pos. Callers
-// may read both views; mutating it desynchronizes the replay.
+// may read both views (Load, ReadPersistent, DiffPersistent, DiffVolatile);
+// mutating it desynchronizes the replay.
 func (r *Replayer) Pool() *Pool { return r.pool }
 
 // Apply applies one op and returns the snapshots it committed: for a fence,
@@ -143,20 +144,21 @@ func (r *Replayer) AdvanceTo(ops []Op, pos int) {
 // device: both views hold the persistent image, and all cache/pending state
 // is gone. The original pool is untouched, so a replay can continue past
 // the crash point. dst, when non-nil and of matching size, is reused
-// (campaigns reboot hundreds of images; recycling the two size-of-device
-// buffers keeps the allocator out of the hot loop); otherwise a fresh pool
-// is allocated.
+// (campaigns reboot hundreds of images): the pages the source holds are
+// copied into dst's, and dst's other pages, such as those a recovery probe
+// wrote, are zeroed, so a warm clone allocates nothing. Otherwise a fresh
+// pool is allocated.
 func (p *Pool) RebootClone(dst *Pool) *Pool {
 	if dst == nil || dst.Size() != p.Size() || dst.opts != (Options{}) {
 		dst = New(p.Size(), Options{})
 	}
-	copy(dst.persistent, p.persistent)
-	copy(dst.volatile, p.persistent)
+	dst.persistent.copyFrom(p.persistent)
+	dst.volatile.copyFrom(p.persistent)
 	if dst.ndirty > 0 {
 		clear(dst.dirty)
 		dst.ndirty = 0
 	}
-	clear(dst.pending)
+	dst.dropPending()
 	dst.evictQueue = nil
 	dst.clock = 0
 	return dst

@@ -64,10 +64,10 @@ func TestReplayerReproducesDevice(t *testing.T) {
 		t.Fatalf("Pos = %d, want %d", r.Pos(), len(j.ops))
 	}
 	got, want := r.Pool(), j.p
-	if !bytes.Equal(got.volatile, want.volatile) {
+	if _, differ := got.DiffVolatile(want, 0, size); differ {
 		t.Errorf("replayed volatile view differs from original")
 	}
-	if !bytes.Equal(got.persistent, want.persistent) {
+	if _, differ := got.DiffPersistent(want, 0, size); differ {
 		t.Errorf("replayed persistent view differs from original")
 	}
 	// Spot-check the persistency semantics survived replay: t1's post-flush
@@ -173,7 +173,9 @@ func TestReplayerCommits(t *testing.T) {
 		if i == 5 {
 			// The first fence committed line 0's snapshot, not the store
 			// issued after it.
-			vol, per := r.Pool().View(0, 2)
+			vol, per := make([]byte, 2), make([]byte, 2)
+			r.Pool().Load(0, vol)
+			r.Pool().ReadPersistent(0, per)
 			if !bytes.Equal(per, []byte{1, 2}) || !bytes.Equal(vol, []byte{1, 3}) {
 				t.Errorf("after the first fence: volatile %v persistent %v, want [1 3] and [1 2]", vol, per)
 			}

@@ -198,12 +198,10 @@ func journalDiff(base, opt *crashinject.Prep, elide map[string]bool) (uint64, er
 	if ei != len(eops) {
 		return elided, fmt.Errorf("journal differential: elided journal has %d unexpected trailing op(s)", len(eops)-ei)
 	}
-	bv, bp := br.Pool().View(0, size)
-	ev, ep := er.Pool().View(0, size)
-	if !bytes.Equal(bp, ep) {
+	if _, differ := br.Pool().DiffPersistent(er.Pool(), 0, size); differ {
 		return elided, fmt.Errorf("journal differential: final persistent images differ")
 	}
-	if !bytes.Equal(bv, ev) {
+	if _, differ := br.Pool().DiffVolatile(er.Pool(), 0, size); differ {
 		return elided, fmt.Errorf("journal differential: final volatile images differ")
 	}
 	return elided, nil
@@ -215,13 +213,9 @@ func journalDiff(base, opt *crashinject.Prep, elide map[string]bool) (uint64, er
 func samePersistent(a, b *pmem.Pool, pos int, commits ...[]pmem.Commit) error {
 	for _, cs := range commits {
 		for _, c := range cs {
-			_, pa := a.View(c.Addr, c.Size)
-			_, pb := b.View(c.Addr, c.Size)
-			for i := range pa {
-				if pa[i] != pb[i] {
-					return fmt.Errorf("journal differential: persistent images diverge at line %d (baseline position %d)",
-						pmem.LineOf(c.Addr+uint64(i)), pos)
-				}
+			if at, differ := a.DiffPersistent(b, c.Addr, c.Size); differ {
+				return fmt.Errorf("journal differential: persistent images diverge at line %d (baseline position %d)",
+					pmem.LineOf(at), pos)
 			}
 		}
 	}
