@@ -40,6 +40,14 @@
 #                Analyze to the same oracle on the apps' own traces, up to
 #                200 operations of any app, seed and variant, with
 #                AllocAware off and on
+#   replay fuzz  15 s of FuzzStreamFeed beyond its seed corpus: events of
+#                every kind, unknown kinds among them, decoded from any bytes
+#                and fed to a Stream; after each one, every window record's
+#                count must equal the line lists and flush snapshots that
+#                hold it, no recycled record may sit in one, and the records
+#                in use plus the free ones must be all that were allocated;
+#                an unknown kind must leave the stream as it was, and Finish
+#                must not panic
 #   trace fuzz   15 s of FuzzTraceAppend beyond its seed corpus: any
 #                sequence of events, with any field values, appended to a
 #                Trace must come back from Events exactly, and Len must
@@ -106,6 +114,7 @@ go test -run '^$' -bench . -benchtime 1x ./...
 go test -run '^$' -bench 'BenchmarkParallelAnalysis/.*/workers=1$' -benchtime 1x .
 go test -run '^$' -fuzz '^FuzzAnalyzeVsOracle$' -fuzztime 30s ./internal/hawkset
 go test -run '^$' -fuzz '^FuzzAppsVsOracle$' -fuzztime 30s ./internal/hawkset
+go test -run '^$' -fuzz '^FuzzStreamFeed$' -fuzztime 15s ./internal/hawkset
 go test -run '^$' -fuzz '^FuzzTraceAppend$' -fuzztime 15s ./internal/trace
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 15s ./internal/trace
 go test -run '^$' -fuzz '^FuzzWire$' -fuzztime 15s ./internal/pmcheckd

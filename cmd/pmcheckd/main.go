@@ -124,26 +124,28 @@ func listenAddr(addr string) (net.Listener, error) {
 }
 
 // printTenantTable renders one line per tenant with its ingest counters and
-// the analysis working-set gauges — the bounded-RSS instrument.
+// the high-water marks of the analysis working-set gauges — the bounded-RSS
+// instrument.
 func printTenantTable(srv *pmcheckd.Server) {
 	names := srv.TenantNames()
 	if len(names) == 0 {
 		return
 	}
-	fmt.Fprintf(os.Stderr, "%-24s %12s %12s %12s %14s %12s\n",
-		"TENANT", "SEGMENTS", "EVENTS", "DUPS", "OPEN-STORES", "LINES")
+	fmt.Fprintf(os.Stderr, "%-24s %12s %12s %12s %14s %12s %14s\n",
+		"TENANT", "SEGMENTS", "EVENTS", "DUPS", "OPEN-STORES", "LINES", "WINDOW-RECS")
 	for _, name := range names {
 		snap := srv.TenantSnapshot(name)
 		if snap == nil {
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "%-24s %12d %12d %12d %14d %12d\n",
+		fmt.Fprintf(os.Stderr, "%-24s %12d %12d %12d %14d %12d %14d\n",
 			name,
 			snap.Counter("pmcheckd.tenant.segments"),
 			snap.Counter("pmcheckd.tenant.events"),
 			snap.Counter("pmcheckd.tenant.dup_segments"),
 			snap.GaugeMax("hawkset.replay.open_stores"),
-			snap.GaugeMax("hawkset.replay.lines"))
+			snap.GaugeMax("hawkset.replay.lines"),
+			snap.GaugeMax("hawkset.replay.window_records"))
 	}
 }
 

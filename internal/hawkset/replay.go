@@ -64,10 +64,14 @@ type replayer struct {
 	// effBuf is the buffer close computes effective locksets in.
 	effBuf lockset.Set
 
-	// osArena block-allocates openStore records: stage ① opens one per
-	// dynamic store, and allocating them individually made the allocator the
-	// hottest part of the store path.
-	osArena []openStore
+	// free holds the openStore records that no list holds any more, and
+	// newOpenStore takes from it before it allocates: stage ① opens one
+	// record per dynamic store but holds only the windows still open, plus
+	// closed ones a line list or a flush snapshot has not yet let go of.
+	// allocated counts the records ever allocated; all but the free ones
+	// are in use.
+	free      []*openStore
+	allocated int
 	// coveredPool recycles the pendingFlush covered slices that fence
 	// retires every persist cycle, and openPool the arrays of line open
 	// lists that emptied.
@@ -88,12 +92,17 @@ type replayer struct {
 	// so its high-water mark is the retention detector: closed stores left
 	// in any line's list (the streaming-replay leak) push it without bound,
 	// while a healthy replay keeps it near the true open-window count.
-	mEvents     *obs.Counter
-	mOpenStores *obs.Gauge
-	mLines      *obs.Gauge
+	// mWindowRecords counts the openStore records in use, the memory those
+	// entries and the flush snapshots point at: a record that is never
+	// recycled pushes it without bound even when every list is swept.
+	mEvents        *obs.Counter
+	mOpenStores    *obs.Gauge
+	mLines         *obs.Gauge
+	mWindowRecords *obs.Gauge
 }
 
-// openStore is a visible store whose persistence window is still open.
+// openStore is a visible store whose persistence window is still open, or
+// closed but still held by a line's open list or a flush snapshot.
 type openStore struct {
 	tid   int32
 	addr  uint64
@@ -105,6 +114,11 @@ type openStore struct {
 	// extraction in event coordinates).
 	openIdx int
 	closed  bool
+	// refs counts the lists that hold the record: one open list per line
+	// it covers and every pending flush snapshot that took it. An open
+	// record sits in its lines' lists, so a record only reaches zero once
+	// it is closed and swept out of the last of them.
+	refs int32
 }
 
 type threadState struct {
@@ -428,24 +442,40 @@ func (t *loadTab) grew() {
 
 func newReplayer(cfg Config) *replayer {
 	return &replayer{
-		cfg:         cfg,
-		ls:          lockset.NewTable(),
-		vc:          vclock.NewTable(),
-		threads:     make(map[int32]*threadState),
-		mEvents:     cfg.Metrics.Counter("hawkset.replay.events"),
-		mOpenStores: cfg.Metrics.Gauge("hawkset.replay.open_stores"),
-		mLines:      cfg.Metrics.Gauge("hawkset.replay.lines"),
+		cfg:            cfg,
+		ls:             lockset.NewTable(),
+		vc:             vclock.NewTable(),
+		threads:        make(map[int32]*threadState),
+		mEvents:        cfg.Metrics.Counter("hawkset.replay.events"),
+		mOpenStores:    cfg.Metrics.Gauge("hawkset.replay.open_stores"),
+		mLines:         cfg.Metrics.Gauge("hawkset.replay.lines"),
+		mWindowRecords: cfg.Metrics.Gauge("hawkset.replay.window_records"),
 	}
 }
 
-// newOpenStore hands out openStore records from block allocations.
+// newOpenStore hands out a recycled openStore record, or a new one when
+// none is free.
 func (r *replayer) newOpenStore() *openStore {
-	if len(r.osArena) == 0 {
-		r.osArena = make([]openStore, 256)
+	var os *openStore
+	if n := len(r.free); n > 0 {
+		os = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		os = new(openStore)
+		r.allocated++
 	}
-	os := &r.osArena[0]
-	r.osArena = r.osArena[1:]
+	r.mWindowRecords.Set(int64(r.allocated - len(r.free)))
 	return os
+}
+
+// release drops one list's hold on os. The last release recycles the
+// record, cleared so that it pins no lockset and reads as never opened.
+func (r *replayer) release(os *openStore) {
+	if os.refs--; os.refs == 0 {
+		*os = openStore{}
+		r.free = append(r.free, os)
+		r.mWindowRecords.Set(int64(r.allocated - len(r.free)))
+	}
 }
 
 // getCovered pops a recycled covered slice (or allocates one).
@@ -498,6 +528,8 @@ func (r *replayer) compactLine(i int) {
 	for _, os := range open {
 		if !os.closed {
 			kept = append(kept, os)
+		} else {
+			r.release(os)
 		}
 	}
 	r.setOpen(i, kept)
@@ -578,6 +610,13 @@ func (r *replayer) feed(e trace.Event) {
 			// compare relies on no longer holds.
 			r.vc.Disown()
 			idx = old.idx
+			// The old incarnation's unfenced flushes will never complete.
+			for _, pf := range old.pending {
+				for _, os := range pf.covered {
+					r.release(os)
+				}
+			}
+			old.pending = nil
 		}
 		parent.vc = parent.vc.Bump(int(parent.idx))
 		// Not an owned intern: parent.fresh forces another bump before the
@@ -718,11 +757,16 @@ func (r *replayer) store(e trace.Event, nt bool) {
 			}
 			if !os.closed {
 				kept = append(kept, os)
+			} else {
+				r.release(os)
 			}
 		}
 		r.setOpen(i, kept)
 	})
 	for _, os := range closedSpanning {
+		if os.refs == 0 {
+			continue // an earlier sweep already let go of it everywhere
+		}
 		linesOf(os.addr, os.size, func(line uint64) {
 			if i := r.lines.find(line); i >= 0 {
 				r.compactLine(i)
@@ -751,6 +795,7 @@ func (r *replayer) store(e trace.Event, nt bool) {
 			}
 		}
 		le.open = append(le.open, os)
+		os.refs++
 		r.mOpenStores.Add(1)
 	})
 	r.mLines.Set(int64(r.lines.open))
@@ -759,6 +804,7 @@ func (r *replayer) store(e trace.Event, nt bool) {
 		// persistence and needs only the thread's next fence.
 		linesOf(e.Addr, e.Size, func(line uint64) {
 			cv := append(r.getCovered(1), os)
+			os.refs++
 			ts.pending = append(ts.pending, pendingFlush{line: line, covered: cv})
 		})
 	}
@@ -835,7 +881,10 @@ func (r *replayer) flush(e trace.Event) {
 	for _, os := range open {
 		if !os.closed {
 			covered = append(covered, os)
+			os.refs++
 			kept = append(kept, os)
+		} else {
+			r.release(os)
 		}
 	}
 	r.setOpen(i, kept)
@@ -857,6 +906,7 @@ func (r *replayer) fence(e trace.Event) {
 			if !os.closed {
 				r.close(os, EndPersist, e.TID, ts, vcid)
 			}
+			r.release(os)
 		}
 		r.putCovered(pf.covered)
 		if i := r.lines.find(pf.line); i >= 0 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hawkset/internal/obs"
+	"hawkset/internal/sites"
 	"hawkset/internal/trace"
 	"hawkset/internal/vclock"
 )
@@ -96,6 +97,57 @@ func TestClosedStoreRetentionBounded(t *testing.T) {
 	}
 	if len(res.Reports) != 0 {
 		t.Fatalf("reports = %d, want 0", len(res.Reports))
+	}
+}
+
+// TestWindowRecordsBounded: replay holds a record per open window, not one
+// per dynamic store. Of 102,400 stores, one in 256 goes to a line of its own
+// and is never persisted; of the rest, half are persisted and half
+// overwritten. The records allocated must stay within the open_stores
+// high-water mark plus slack, and the window_records gauge must have seen
+// each of them in use. A replayer that never reuses a record allocates one
+// per store; one that handed records out of 256-entry blocks kept every
+// block alive, since each held a store that was never persisted.
+func TestWindowRecordsBounded(t *testing.T) {
+	const n = 400 * 256
+	var events []trace.Event
+	for i := range uint64(n) {
+		switch {
+		case i%256 == 0:
+			events = append(events, trace.Event{Kind: trace.KStore, TID: 1, Addr: 1<<20 + 64*i, Size: 8})
+		case i%2 == 0:
+			a := 0x1000 + 8*(i%8)
+			events = append(events, trace.Event{Kind: trace.KStore, TID: 1, Addr: a, Size: 8},
+				trace.Event{Kind: trace.KFlush, TID: 1, Addr: a}, trace.Event{Kind: trace.KFence, TID: 1})
+		default:
+			events = append(events, trace.Event{Kind: trace.KStore, TID: 1, Addr: 0x2000 + 8*(i%8), Size: 8})
+		}
+	}
+	reg := obs.NewRegistry()
+	cfg := DefaultConfig()
+	cfg.Metrics = reg
+	s := NewStream(sites.NewTable(), cfg)
+	for _, e := range events {
+		if err := s.Feed(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := checkWindowRecords(s.rp); err != nil {
+		t.Fatal(err)
+	}
+	hwm := reg.Gauge("hawkset.replay.open_stores").Max()
+	if got := s.rp.allocated; int64(got) > hwm+16 {
+		t.Fatalf("replay allocated %d window records for %d stores, want at most %d (open_stores high-water %d, plus 16)", got, n, hwm+16, hwm)
+	}
+	if got, want := reg.Gauge("hawkset.replay.window_records").Max(), int64(s.rp.allocated); got != want {
+		t.Fatalf("window_records high-water %d, want the %d records allocated", got, want)
+	}
+	res, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Stats.UnpersistedAtEnd; got != n/256+4 {
+		t.Fatalf("%d stores unpersisted at the end, want %d", got, n/256+4)
 	}
 }
 

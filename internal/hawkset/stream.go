@@ -11,10 +11,10 @@ import (
 )
 
 // ErrStreamFinished is returned by Feed and Finish once Finish has run: the
-// stream's state has been handed over to the Result and accepts nothing
-// more. It is an ordinary error, not a panic, so a long-running server
-// multiplexing many streams (internal/pmcheckd) can reject a misbehaving
-// event source without dying.
+// stream has handed its records over to the Result, dropped the rest of its
+// replay state and accepts nothing more. It is an ordinary error, not a
+// panic, so a long-running server multiplexing many streams
+// (internal/pmcheckd) can reject a misbehaving event source without dying.
 var ErrStreamFinished = errors.New("hawkset: stream already finished")
 
 // Stream is the online analysis mode: events are consumed as the
@@ -34,10 +34,9 @@ var ErrStreamFinished = errors.New("hawkset: stream already finished")
 // Feed is not safe for concurrent use; the cooperative runtime serializes
 // event emission.
 type Stream struct {
-	rp       *replayer
-	cfg      Config
-	sites    *sites.Table
-	finished bool
+	rp    *replayer // nil once finished
+	cfg   Config
+	sites *sites.Table
 	// replayStart is the wall-clock instant of the first Feed, recorded only
 	// when metrics are enabled; it times the streaming ①/② stage. The value
 	// never reaches the Result — it lands in the metrics snapshot only.
@@ -55,7 +54,7 @@ func NewStream(st *sites.Table, cfg Config) *Stream {
 // be absorbed, but they also must not crash the process. An event of an
 // unknown kind is likewise an error and leaves the stream untouched.
 func (s *Stream) Feed(e trace.Event) error {
-	if s.finished {
+	if s.rp == nil {
 		return ErrStreamFinished
 	}
 	if !e.Kind.Valid() {
@@ -71,7 +70,7 @@ func (s *Stream) Feed(e trace.Event) error {
 // Finish closes remaining store windows, runs the PM-Aware Lockset Analysis
 // and returns the result. A second call returns ErrStreamFinished.
 func (s *Stream) Finish() (*Result, error) {
-	if s.finished {
+	if s.rp == nil {
 		return nil, ErrStreamFinished
 	}
 	res := s.records()
@@ -86,23 +85,25 @@ func (s *Stream) Finish() (*Result, error) {
 }
 
 // records ends the stream's replay and hands its records over as a Result
-// that stage ③ has not analyzed yet.
+// that stage ③ has not analyzed yet. The stream keeps no replay state: a
+// finished stream a server still holds must not pin the replay tables.
 func (s *Stream) records() *Result {
-	s.finished = true
-	s.rp.finish()
+	rp := s.rp
+	s.rp = nil
+	rp.finish()
 	if s.cfg.Metrics != nil && !s.replayStart.IsZero() {
 		s.cfg.Metrics.Histogram("hawkset.stage.replay").Observe(time.Since(s.replayStart))
 	}
 	res := &Result{
-		Stores:   s.rp.storeList,
-		Loads:    s.rp.loadList,
-		Stats:    s.rp.stats,
-		Locksets: s.rp.ls,
-		VClocks:  s.rp.vc,
+		Stores:   rp.storeList,
+		Loads:    rp.loadList,
+		Stats:    rp.stats,
+		Locksets: rp.ls,
+		VClocks:  rp.vc,
 		Sites:    s.sites,
 	}
-	res.Stats.LocksetsInterned = s.rp.ls.Len()
-	res.Stats.VClocksInterned = s.rp.vc.Len()
+	res.Stats.LocksetsInterned = rp.ls.Len()
+	res.Stats.VClocksInterned = rp.vc.Len()
 	return res
 }
 

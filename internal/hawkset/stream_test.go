@@ -4,9 +4,11 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
+	"hawkset/internal/sites"
 	"hawkset/internal/trace"
 )
 
@@ -62,6 +64,41 @@ func TestStreamLifecycle(t *testing.T) {
 	}
 	if res, err := s.Finish(); !errors.Is(err, ErrStreamFinished) || res != nil {
 		t.Fatalf("second Finish: got (%v, %v), want (nil, ErrStreamFinished)", res, err)
+	}
+}
+
+// TestFinishedStreamHoldsNoReplayState: once Finish has handed its records
+// to the Result, a stream holds none of its replay tables, so a server that
+// keeps finished streams (pmcheckd's tenants) does not keep their memory.
+// With the Result dropped, the live heap a finished stream of 100,000
+// distinct loads and stores keeps reachable must stay under 1 MiB.
+func TestFinishedStreamHoldsNoReplayState(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.IRH = false
+	s := NewStream(sites.NewTable(), cfg)
+	for i := range uint64(100_000) {
+		for _, e := range []trace.Event{
+			{Kind: trace.KLoad, TID: 1, Addr: 8 * i, Size: 8},
+			{Kind: trace.KStore, TID: 1, Addr: 64 * i, Size: 8},
+		} {
+			if err := s.Feed(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := s.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	live := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	held := live()
+	runtime.KeepAlive(s)
+	if freed := held - min(held, live()); freed >= 1<<20 {
+		t.Fatalf("a finished stream keeps %d bytes of replay state reachable", freed)
 	}
 }
 

@@ -31,7 +31,9 @@ import (
 // least n events with a bounded working set: a small shared address pool
 // with frequent persists, so the analysis working-set gauges stay flat no
 // matter how long the trace runs — the property the bounded-RSS test pins.
-func buildTrace(seed int64, n int) *trace.Trace {
+// strays more stores, spread evenly over the trace, each go to a line of
+// their own and are never persisted or overwritten.
+func buildTrace(seed int64, n, strays int) *trace.Trace {
 	rng := rand.New(rand.NewSource(seed))
 	b := trace.NewBuilder()
 	const nThreads = 4
@@ -42,7 +44,11 @@ func buildTrace(seed int64, n int) *trace.Trace {
 	for t := 1; t <= nThreads; t++ {
 		b.Create(0, int32(t), "main.create")
 	}
-	for b.T.Len() < n {
+	for stray := 0; b.T.Len() < n; {
+		if stray < strays && b.T.Len() >= stray*n/strays {
+			b.Store(1, 0x100000+64*uint64(stray), 8, "store.stray")
+			stray++
+		}
 		tid := int32(1 + rng.Intn(nThreads))
 		addr := addrs[rng.Intn(len(addrs))]
 		lock := uint64(1 + rng.Intn(2))
@@ -169,7 +175,7 @@ func clientCfg(addr, tenant string) pmcheckd.ClientConfig {
 // document byte-for-byte, and a later client for the same tenant fetches
 // the identical document (idempotent finish).
 func TestDaemonDifferential(t *testing.T) {
-	tr := buildTrace(1, 20000)
+	tr := buildTrace(1, 20000, 0)
 	want := offlineDoc(t, tr, "synthetic", "buildTrace")
 	ts := startServer(t, t.TempDir(), nil)
 
@@ -229,7 +235,7 @@ func (c *cutConn) Read(p []byte) (int, error) {
 // times; the client reconnects, resumes from the acked sequence number, and
 // the final document is still byte-identical.
 func TestKillAndResumeMidSegment(t *testing.T) {
-	tr := buildTrace(2, 20000)
+	tr := buildTrace(2, 20000, 0)
 	want := offlineDoc(t, tr, "synthetic", "buildTrace")
 	ts := startServer(t, t.TempDir(), nil)
 
@@ -261,7 +267,7 @@ func TestKillAndResumeMidSegment(t *testing.T) {
 // chunked (slow) reads, deterministic by seed. The differential must hold
 // regardless.
 func TestInjectedNetworkFaults(t *testing.T) {
-	tr := buildTrace(3, 20000)
+	tr := buildTrace(3, 20000, 0)
 	want := offlineDoc(t, tr, "synthetic", "buildTrace")
 	ts := startServer(t, t.TempDir(), nil)
 
@@ -306,7 +312,7 @@ func TestInjectedNetworkFaults(t *testing.T) {
 // finishes the stream against the new daemon. The document must equal the
 // uninterrupted offline analysis, proving acked-means-durable end to end.
 func TestServerRestartRecovery(t *testing.T) {
-	tr := buildTrace(4, 20000)
+	tr := buildTrace(4, 20000, 0)
 	want := offlineDoc(t, tr, "synthetic", "buildTrace")
 	dir := t.TempDir()
 
@@ -396,8 +402,8 @@ func TestServerRestartRecovery(t *testing.T) {
 // with a terminal error while a concurrent, in-budget tenant on the same
 // daemon completes with a correct document.
 func TestBudgetIsolation(t *testing.T) {
-	small := buildTrace(5, 4000)
-	big := buildTrace(6, 20000)
+	small := buildTrace(5, 4000, 0)
+	big := buildTrace(6, 20000, 0)
 	want := offlineDoc(t, small, "synthetic", "buildTrace")
 	ts := startServer(t, t.TempDir(), func(c *pmcheckd.Config) {
 		c.MaxEventsPerTenant = 10000
@@ -426,7 +432,9 @@ func TestBudgetIsolation(t *testing.T) {
 // TestManyTenantsBounded: concurrent tenant streams (8 x 100k events, or a
 // scaled-down version under -short) all hold the differential, and every
 // tenant's analysis working-set gauges stay bounded — flat high-water marks
-// independent of stream length, the bounded-RSS acceptance instrument.
+// independent of stream length, the bounded-RSS acceptance instrument —
+// the window records in use among them, on a tenant whose stream leaves
+// stores unpersisted too.
 func TestManyTenantsBounded(t *testing.T) {
 	tenants, events := 8, 100000
 	if testing.Short() {
@@ -445,7 +453,14 @@ func TestManyTenantsBounded(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tr := buildTrace(int64(100+i), events)
+			// Tenant 0 also leaves stores unpersisted, each of which kept a
+			// whole block of window records alive before replay recycled
+			// them.
+			strays := 0
+			if i == 0 {
+				strays = 64
+			}
+			tr := buildTrace(int64(100+i), events, strays)
 			lens[i] = uint64(tr.Len())
 			want := offlineDoc(t, tr, "synthetic", "buildTrace")
 			c, err := pmcheckd.NewClient(tr.Sites, clientCfg(ts.addr, fmt.Sprintf("tenant-%d", i)))
@@ -493,6 +508,9 @@ func TestManyTenantsBounded(t *testing.T) {
 		if hw := snap.GaugeMax("hawkset.replay.lines"); hw <= 0 || hw > 1024 {
 			t.Errorf("%s: lines high-water %d not bounded", name, hw)
 		}
+		if hw := snap.GaugeMax("hawkset.replay.window_records"); hw <= 0 || hw > 1024 {
+			t.Errorf("%s: window_records high-water %d not bounded", name, hw)
+		}
 	}
 	snap := metrics.Snapshot()
 	if got := snap.Counter("pmcheckd.events"); got != total {
@@ -504,7 +522,7 @@ func TestManyTenantsBounded(t *testing.T) {
 // next daemon process resumes the tenant exactly at the acked position with
 // nothing lost and nothing duplicated.
 func TestDrainCheckpoint(t *testing.T) {
-	tr := buildTrace(8, 8000)
+	tr := buildTrace(8, 8000, 0)
 	dir := t.TempDir()
 	ts := startServer(t, dir, nil)
 

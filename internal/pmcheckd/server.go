@@ -236,9 +236,12 @@ func (s *Server) TenantNames() []string {
 }
 
 // TenantSnapshot returns the named tenant's metrics snapshot (nil when
-// unknown): ingest counters plus the hawkset working-set gauges
-// (hawkset.replay.open_stores, hawkset.replay.lines) whose flat high-water
-// marks are the bounded-RSS acceptance instrument.
+// unknown): ingest counters plus the hawkset working-set gauges whose flat
+// high-water marks are the bounded-RSS acceptance instrument. The line-list
+// entries (hawkset.replay.open_stores) and lines (hawkset.replay.lines)
+// catch closed stores left in a list; the window records in use
+// (hawkset.replay.window_records) catch records that no list holds but
+// replay never recycles.
 func (s *Server) TenantSnapshot(name string) *obs.Snapshot {
 	s.mu.Lock()
 	t := s.tenants[name]
