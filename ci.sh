@@ -47,7 +47,12 @@
 #                hold it, no recycled record may sit in one, and the records
 #                in use plus the free ones must be all that were allocated;
 #                an unknown kind must leave the stream as it was, and Finish
-#                must not panic
+#                must not panic; then 15 s of FuzzReplayTables: each replay
+#                hash table driven through long random insert, hit, lookup
+#                and (line table) delete sequences that split segments and
+#                double the directory, held against a Go map, with the
+#                directory invariant (a segment of depth d fills 2^(global-d)
+#                aligned slots) checked after every split
 #   trace fuzz   15 s of FuzzTraceAppend beyond its seed corpus: any
 #                sequence of events, with any field values, appended to a
 #                Trace must come back from Events exactly, and Len must
@@ -115,6 +120,7 @@ go test -run '^$' -bench 'BenchmarkParallelAnalysis/.*/workers=1$' -benchtime 1x
 go test -run '^$' -fuzz '^FuzzAnalyzeVsOracle$' -fuzztime 30s ./internal/hawkset
 go test -run '^$' -fuzz '^FuzzAppsVsOracle$' -fuzztime 30s ./internal/hawkset
 go test -run '^$' -fuzz '^FuzzStreamFeed$' -fuzztime 15s ./internal/hawkset
+go test -run '^$' -fuzz '^FuzzReplayTables$' -fuzztime 15s ./internal/hawkset
 go test -run '^$' -fuzz '^FuzzTraceAppend$' -fuzztime 15s ./internal/trace
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 15s ./internal/trace
 go test -run '^$' -fuzz '^FuzzWire$' -fuzztime 15s ./internal/pmcheckd

@@ -131,21 +131,22 @@ func printTenantTable(srv *pmcheckd.Server) {
 	if len(names) == 0 {
 		return
 	}
-	fmt.Fprintf(os.Stderr, "%-24s %12s %12s %12s %14s %12s %14s\n",
-		"TENANT", "SEGMENTS", "EVENTS", "DUPS", "OPEN-STORES", "LINES", "WINDOW-RECS")
+	fmt.Fprintf(os.Stderr, "%-24s %12s %12s %12s %14s %12s %14s %14s\n",
+		"TENANT", "SEGMENTS", "EVENTS", "DUPS", "OPEN-STORES", "LINES", "WINDOW-RECS", "TABLE-BYTES")
 	for _, name := range names {
 		snap := srv.TenantSnapshot(name)
 		if snap == nil {
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "%-24s %12d %12d %12d %14d %12d %14d\n",
+		fmt.Fprintf(os.Stderr, "%-24s %12d %12d %12d %14d %12d %14d %14d\n",
 			name,
 			snap.Counter("pmcheckd.tenant.segments"),
 			snap.Counter("pmcheckd.tenant.events"),
 			snap.Counter("pmcheckd.tenant.dup_segments"),
 			snap.GaugeMax("hawkset.replay.open_stores"),
 			snap.GaugeMax("hawkset.replay.lines"),
-			snap.GaugeMax("hawkset.replay.window_records"))
+			snap.GaugeMax("hawkset.replay.window_records"),
+			snap.GaugeMax("hawkset.replay.table_bytes"))
 	}
 }
 

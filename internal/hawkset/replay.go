@@ -2,7 +2,9 @@ package hawkset
 
 import (
 	"math"
+	"math/rand/v2"
 	"sort"
+	"unsafe"
 
 	"hawkset/internal/lockset"
 	"hawkset/internal/obs"
@@ -94,7 +96,9 @@ type replayer struct {
 	// while a healthy replay keeps it near the true open-window count.
 	// mWindowRecords counts the openStore records in use, the memory those
 	// entries and the flush snapshots point at: a record that is never
-	// recycled pushes it without bound even when every list is swept.
+	// recycled pushes it without bound even when every list is swept. The
+	// tables count the bytes of their segments and directories in
+	// hawkset.replay.table_bytes (segDir.bytes).
 	mEvents        *obs.Counter
 	mOpenStores    *obs.Gauge
 	mLines         *obs.Gauge
@@ -152,10 +156,9 @@ type spillLoad struct {
 	ord int32
 }
 
-// The replayer's tables are open-addressing hash tables with linear probing
-// over flat entry arrays. Every dynamic PM access probes several of them, so
-// a lookup is kept to one multiply-hash and a short run of adjacent slots:
-// no hash-function call, no bucket indirection.
+// Every dynamic PM access probes several of the replayer's tables, so each
+// table has its own lookup, kept to one multiply-hash, one directory load
+// and a short run of adjacent slots: no hash-function call, no bucket chain.
 
 // hash2 mixes two words into a table hash.
 func hash2(a, b uint64) uint64 {
@@ -165,46 +168,158 @@ func hash2(a, b uint64) uint64 {
 	return h ^ h>>32
 }
 
-const tabInitBits = 10
+const (
+	segBits = 12
+	segSize = 1 << segBits // slots per segment
+	segMask = segSize - 1
+)
 
-// rehash returns a table of n slots holding the live entries of old, each
-// placed by linear probing from its home slot. home returns an entry's hash
-// and whether the slot is in use.
-func rehash[E any](old []E, n int, home func(*E) (uint64, bool)) []E {
-	entries := make([]E, n)
-	mask := uint64(n - 1)
-	for k := range old {
-		h, live := home(&old[k])
-		if !live {
+// segDir is the directory of an extendible-hashing table (Fagin,
+// Nievergelt, Pippenger and Strong, "Extendible Hashing — A Fast Access
+// Method for Dynamic Files", TODS 1979), which all four tables share.
+// Directory slot h>>(64-global) holds the segment of hash h, whose slots
+// are probed linearly from h&segMask, wrapping within the segment. A
+// segment of local depth d holds the entries whose hashes share its top d
+// bits, and it fills the 2^(global-d) aligned directory slots that begin
+// with those bits. A segment that an insert leaves more than three
+// quarters full splits in two by the next hash bit, after the directory
+// doubles if the segment's depth equals the global depth. So a table grows
+// one segment at a time and never holds a copy of itself; segments never
+// merge. A table allocates its first segment at its first insert.
+//
+// seed is mixed into every hash, so input cannot choose entries whose
+// hashes share their top bits: thousands of those would split one segment
+// after another and double the directory each time without bound. No
+// result depends on the layout it picks.
+type segDir[E slot] struct {
+	dir    []segRef[E]
+	global uint8
+	seed   uint64
+	// bytes counts the bytes held in segments and directories, across all
+	// of a replayer's tables (nil without Config.Metrics).
+	bytes *obs.Gauge
+}
+
+// segRef is a directory slot: the slots of a segment, for probes, and the
+// count and depth its aliases share, for inserts and splits. The slots are
+// a slice of segSize, not an array pointer: a probe that reslices them to
+// segSize checks their length in registers once, where an array pointer
+// costs a nil check, a load of the segment's first cache line, at every
+// step.
+type segRef[E slot] struct {
+	slots []E
+	seg   *segment
+}
+
+type segment struct {
+	used  int // slots in use
+	depth uint8
+}
+
+// slot is a table entry. home returns its hash under the table's seed and
+// whether the slot is in use.
+type slot interface {
+	home(seed uint64) (uint64, bool)
+}
+
+// at returns the directory slot of hash h.
+func (d *segDir[E]) at(h uint64) segRef[E] { return d.dir[h>>(64-d.global)] }
+
+// newSeg allocates an empty segment of the given depth.
+func (d *segDir[E]) newSeg(depth uint8) segRef[E] {
+	d.bytes.Add(int64(unsafe.Sizeof([segSize]E{}) + unsafe.Sizeof(segment{})))
+	return segRef[E]{make([]E, segSize), &segment{depth: depth}}
+}
+
+// init gives an empty table its first segment.
+func (d *segDir[E]) init() {
+	d.dir = []segRef[E]{d.newSeg(0)}
+	d.bytes.Add(int64(unsafe.Sizeof(segRef[E]{})))
+}
+
+// grew counts e, an empty slot of the table the caller has just filled,
+// and splits its segment if that leaves more than three quarters of the
+// segment's slots in use. It reports a split, which moves entries: a slot
+// taken before it is stale.
+func (d *segDir[E]) grew(e *E) bool {
+	h, _ := (*e).home(d.seed)
+	s := d.at(h).seg
+	if s.used++; 4*s.used <= 3*segSize {
+		return false
+	}
+	d.split(h)
+	return true
+}
+
+// split divides the segment of hash h by the next hash bit. The half of its
+// directory slots whose index has that bit set moves to one new segment,
+// and the old segment is rebuilt in place: a walk that starts after an
+// empty slot visits every probe run from its start, so each entry it lifts
+// out lands, in its own segment, at or before the slot it left, where no
+// later lift disturbs it.
+func (d *segDir[E]) split(h uint64) {
+	old := d.at(h)
+	if old.seg.depth == d.global {
+		dir := make([]segRef[E], 2*len(d.dir))
+		for i, r := range d.dir {
+			dir[2*i], dir[2*i+1] = r, r
+		}
+		d.bytes.Add(int64(len(d.dir)) * int64(unsafe.Sizeof(segRef[E]{})))
+		d.dir, d.global = dir, d.global+1
+	}
+	old.seg.depth++
+	n := 1 << (d.global - old.seg.depth) // directory slots per half
+	upper := int(h>>(64-d.global))&^(2*n-1) + n
+	nu := d.newSeg(old.seg.depth)
+	for i := upper; i < upper+n; i++ {
+		d.dir[i] = nu
+	}
+	inUse := func(s []E, i uint64) bool {
+		_, used := s[i&segMask].home(d.seed)
+		return used
+	}
+	start := uint64(0)
+	for inUse(old.slots, start) {
+		start++
+	}
+	old.seg.used = 0
+	for i := start + 1; i <= start+segSize; i++ {
+		e := &old.slots[i&segMask]
+		eh, used := (*e).home(d.seed)
+		if !used {
 			continue
 		}
-		for i := h & mask; ; i = (i + 1) & mask {
-			if _, used := home(&entries[i]); !used {
-				entries[i] = old[k]
-				break
+		v := *e
+		*e = *new(E)
+		to := d.at(eh)
+		j := eh
+		for inUse(to.slots, j) {
+			j++
+		}
+		to.slots[j&segMask] = v
+		to.seg.used++
+	}
+}
+
+// all yields every slot of every segment, in use or not, each once.
+func (d *segDir[E]) all(yield func(*E) bool) {
+	for i := 0; i < len(d.dir); i += 1 << (d.global - d.dir[i].seg.depth) {
+		s := d.dir[i].slots
+		for k := range s {
+			if !yield(&s[k]) {
+				return
 			}
 		}
 	}
-	return entries
 }
 
-// grown returns entries, doubled once more than three quarters of its slots
-// are in use. Every table here stays within that load factor.
-func grown[E any](entries []E, used int, home func(*E) (uint64, bool)) []E {
-	if 4*used <= 3*len(entries) {
-		return entries
-	}
-	return rehash(entries, 2*len(entries), home)
-}
-
-// lineTab maps a cache line to its open stores and allocation epoch. It is
-// kept at most three-quarters full. A line left with no open store and
-// epoch 0 is deleted by backward shift, so the table holds only live lines
-// and needs no tombstones.
+// lineTab maps a cache line to its open stores and allocation epoch. A line
+// left with no open store and epoch 0 is deleted by backward shift, so the
+// table holds only live lines and needs no tombstones. An entry that find
+// or insert returns stays valid until the next insert.
 type lineTab struct {
-	entries []lineEntry
-	used    int
-	open    int // lines holding open stores
+	segDir[lineEntry]
+	open int // lines holding open stores
 }
 
 type lineEntry struct {
@@ -213,83 +328,80 @@ type lineEntry struct {
 	open  []*openStore
 }
 
-// find returns the slot of line, or -1.
-func (t *lineTab) find(line uint64) int {
-	if t.used == 0 {
-		return -1
+func (e lineEntry) home(seed uint64) (uint64, bool) { return hash2((e.key-1)^seed, 0), e.key != 0 }
+
+// find returns the entry of line, or nil.
+func (t *lineTab) find(line uint64) *lineEntry {
+	if t.dir == nil {
+		return nil
 	}
-	mask := uint64(len(t.entries) - 1)
-	for i := hash2(line, 0) & mask; ; i = (i + 1) & mask {
-		switch t.entries[i].key {
+	h := hash2(line^t.seed, 0)
+	s := t.at(h).slots[:segSize]
+	for i := h; ; i++ {
+		switch e := &s[i&segMask]; e.key {
 		case line + 1:
-			return int(i)
+			return e
 		case 0:
-			return -1
+			return nil
 		}
 	}
 }
 
-// insert returns the slot of line, adding an empty entry if it is absent.
-func (t *lineTab) insert(line uint64) int {
-	t.reserve(1)
-	mask := uint64(len(t.entries) - 1)
-	for i := hash2(line, 0) & mask; ; i = (i + 1) & mask {
-		switch t.entries[i].key {
+// insert returns the entry of line, adding an empty one if it is absent.
+func (t *lineTab) insert(line uint64) *lineEntry {
+	if t.dir == nil {
+		t.init()
+	}
+	h := hash2(line^t.seed, 0)
+	s := t.at(h).slots[:segSize]
+	for i := h; ; i++ {
+		switch e := &s[i&segMask]; e.key {
 		case line + 1:
-			return int(i)
+			return e
 		case 0:
-			t.entries[i].key = line + 1
-			t.used++
-			return int(i)
+			e.key = line + 1
+			if t.grew(e) {
+				return t.find(line)
+			}
+			return e
 		}
 	}
 }
 
-// reserve grows the table so that n more lines fit. A store spanning many
-// lines reserves them all at once, so the table is allocated at its final
-// size instead of through every doubling.
-func (t *lineTab) reserve(n int) {
-	size := max(len(t.entries), 1<<tabInitBits)
-	for 4*(t.used+n) > 3*size {
-		size *= 2
-	}
-	if size != len(t.entries) {
-		t.entries = rehash(t.entries, size, lineHome)
-	}
-}
-
-func lineHome(e *lineEntry) (uint64, bool) { return hash2(e.key-1, 0), e.key != 0 }
-
-// remove deletes slot i. Each later entry of the probe run whose home slot
+// remove deletes entry e. Each later entry of its probe run whose home slot
 // does not lie between the hole and itself moves back into the hole, so
-// every remaining entry stays reachable from its home slot.
-func (t *lineTab) remove(i int) {
-	mask := len(t.entries) - 1
-	for j := (i + 1) & mask; t.entries[j].key != 0; j = (j + 1) & mask {
-		h, _ := lineHome(&t.entries[j])
-		if home := int(h) & mask; (j-home)&mask >= (j-i)&mask {
-			t.entries[i] = t.entries[j]
+// every remaining entry stays reachable from its home slot. The run wraps
+// within the segment, as probes do.
+func (t *lineTab) remove(e *lineEntry) {
+	h, _ := e.home(t.seed)
+	r := t.at(h)
+	s := r.slots[:segSize]
+	i := h & segMask
+	for &s[i] != e {
+		i = (i + 1) & segMask
+	}
+	for j := (i + 1) & segMask; s[j].key != 0; j = (j + 1) & segMask {
+		hj, _ := s[j].home(t.seed)
+		if home := hj & segMask; (j-home)&segMask >= (j-i)&segMask {
+			s[i] = s[j]
 			i = j
 		}
 	}
-	t.entries[i] = lineEntry{}
-	t.used--
+	s[i] = lineEntry{}
+	r.seg.used--
 }
 
 // epoch returns the allocation epoch of line.
 func (t *lineTab) epoch(line uint64) uint64 {
-	if i := t.find(line); i >= 0 {
-		return t.entries[i].epoch
+	if e := t.find(line); e != nil {
+		return e.epoch
 	}
 	return 0
 }
 
 // pubTab maps an access start address to its publication state. Entries are
 // never deleted.
-type pubTab struct {
-	entries []pubEntry
-	used    int
-}
+type pubTab struct{ segDir[pubEntry] }
 
 type pubEntry struct {
 	addr      uint64
@@ -299,63 +411,50 @@ type pubEntry struct {
 	live      bool // the slot is in use (address 0 is a valid key)
 }
 
+func (e pubEntry) home(seed uint64) (uint64, bool) { return hash2(e.addr^seed, 0), e.live }
+
 // lookup returns the entry for addr, or the empty slot where it belongs. The
-// caller fills the slot to insert and must then call grew().
+// caller fills the slot to insert and must then call grew.
 func (t *pubTab) lookup(addr uint64) *pubEntry {
-	if t.entries == nil {
-		t.entries = make([]pubEntry, 1<<tabInitBits)
+	if t.dir == nil {
+		t.init()
 	}
-	mask := uint64(len(t.entries) - 1)
-	for i := hash2(addr, 0) & mask; ; i = (i + 1) & mask {
-		e := &t.entries[i]
+	h := hash2(addr^t.seed, 0)
+	s := t.at(h).slots[:segSize]
+	for i := h; ; i++ {
+		e := &s[i&segMask]
 		if !e.live || e.addr == addr {
 			return e
 		}
 	}
 }
 
-// grew records an insertion.
-func (t *pubTab) grew() {
-	t.used++
-	t.entries = grown(t.entries, t.used, func(e *pubEntry) (uint64, bool) {
-		return hash2(e.addr, 0), e.live
-	})
-}
-
 // recTab indexes records by a hash of their fields; the caller confirms a
-// hash match against the record. Entries are never deleted.
-type recTab struct {
-	entries []recEntry
-	used    int
-}
+// hash match against the record, and mixes the table's seed into the first
+// field it hashes. Entries are never deleted.
+type recTab struct{ segDir[recEntry] }
 
 type recEntry struct {
 	hash uint64
 	idx  int32 // record index + 1; 0 = empty slot
 }
 
+func (e recEntry) home(uint64) (uint64, bool) { return e.hash, e.idx != 0 }
+
 // lookup returns the entry whose hash is h and whose record satisfies same,
 // or the empty slot where such a record belongs. The caller fills the slot
-// to insert and must then call grew().
+// to insert and must then call grew.
 func (t *recTab) lookup(h uint64, same func(idx int32) bool) *recEntry {
-	if t.entries == nil {
-		t.entries = make([]recEntry, 1<<tabInitBits)
+	if t.dir == nil {
+		t.init()
 	}
-	mask := uint64(len(t.entries) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := &t.entries[i]
+	s := t.at(h).slots[:segSize]
+	for i := h; ; i++ {
+		e := &s[i&segMask]
 		if e.idx == 0 || e.hash == h && same(e.idx-1) {
 			return e
 		}
 	}
-}
-
-// grew records an insertion.
-func (t *recTab) grew() {
-	t.used++
-	t.entries = grown(t.entries, t.used, func(e *recEntry) (uint64, bool) {
-		return e.hash, e.idx != 0
-	})
 }
 
 // packLoad bit budget, low to high. The bounds cover every realistic trace
@@ -390,10 +489,7 @@ func packLoad(tid int32, size uint32, site sites.ID, ls lockset.ID, vc vclock.ID
 // loadTab maps (addr, packed key) to the load record's ordinal and its hits
 // since it was added. It serves the single hottest lookup of the whole
 // pipeline, one probe per dynamic PM load. Entries are never deleted.
-type loadTab struct {
-	entries []loadTabEntry
-	used    int
-}
+type loadTab struct{ segDir[loadTabEntry] }
 
 type loadTabEntry struct {
 	addr uint64
@@ -401,6 +497,8 @@ type loadTabEntry struct {
 	idx  int32  // ordinal + 1; 0 = empty slot
 	hits uint32 // repeats not carried into hitCarry
 }
+
+func (e loadTabEntry) home(seed uint64) (uint64, bool) { return hash2(e.addr^seed, e.key), e.idx != 0 }
 
 // record unpacks the load record of entry e, its Count from e.hits alone.
 func (e *loadTabEntry) record() LoadData {
@@ -418,30 +516,23 @@ func (e *loadTabEntry) record() LoadData {
 
 // lookup returns a pointer to the entry for (addr, key), or to the empty
 // slot where it belongs (idx == 0). The caller fills the slot to insert and
-// must then call grew().
+// must then call grew.
 func (t *loadTab) lookup(addr, key uint64) *loadTabEntry {
-	if t.entries == nil {
-		t.entries = make([]loadTabEntry, 1<<tabInitBits)
+	if t.dir == nil {
+		t.init()
 	}
-	mask := uint64(len(t.entries) - 1)
-	for i := hash2(addr, key) & mask; ; i = (i + 1) & mask {
-		e := &t.entries[i]
+	h := hash2(addr^t.seed, key)
+	s := t.at(h).slots[:segSize]
+	for i := h; ; i++ {
+		e := &s[i&segMask]
 		if e.idx == 0 || (e.addr == addr && e.key == key) {
 			return e
 		}
 	}
 }
 
-// grew records an insertion.
-func (t *loadTab) grew() {
-	t.used++
-	t.entries = grown(t.entries, t.used, func(e *loadTabEntry) (uint64, bool) {
-		return hash2(e.addr, e.key), e.idx != 0
-	})
-}
-
 func newReplayer(cfg Config) *replayer {
-	return &replayer{
+	r := &replayer{
 		cfg:            cfg,
 		ls:             lockset.NewTable(),
 		vc:             vclock.NewTable(),
@@ -451,6 +542,13 @@ func newReplayer(cfg Config) *replayer {
 		mLines:         cfg.Metrics.Gauge("hawkset.replay.lines"),
 		mWindowRecords: cfg.Metrics.Gauge("hawkset.replay.window_records"),
 	}
+	tableBytes := cfg.Metrics.Gauge("hawkset.replay.table_bytes")
+	r.lines.seed, r.lines.bytes = rand.Uint64(), tableBytes
+	r.pub.seed, r.pub.bytes = rand.Uint64(), tableBytes
+	r.stores.seed, r.stores.bytes = rand.Uint64(), tableBytes
+	r.loads.seed, r.loads.bytes = rand.Uint64(), tableBytes
+	r.loadsSpill.seed, r.loadsSpill.bytes = rand.Uint64(), tableBytes
+	return r
 }
 
 // newOpenStore hands out a recycled openStore record, or a new one when
@@ -501,8 +599,7 @@ func (r *replayer) putCovered(s []*openStore) {
 // of lingering as a dead entry. kept is a prefix of the line's list; the
 // rest is cleared, so an array never pins a closed store, and an emptied
 // array goes to openPool for the next line that opens a store.
-func (r *replayer) setOpen(i int, kept []*openStore) {
-	e := &r.lines.entries[i]
+func (r *replayer) setOpen(e *lineEntry, kept []*openStore) {
 	if removed := len(e.open) - len(kept); removed > 0 {
 		r.mOpenStores.Add(-int64(removed))
 		clear(e.open[len(kept):])
@@ -516,14 +613,14 @@ func (r *replayer) setOpen(i int, kept []*openStore) {
 	}
 	e.open = kept
 	if kept == nil && e.epoch == 0 {
-		r.lines.remove(i)
+		r.lines.remove(e)
 	}
 	r.mLines.Set(int64(r.lines.open))
 }
 
-// compactLine sweeps closed entries out of line slot i.
-func (r *replayer) compactLine(i int) {
-	open := r.lines.entries[i].open
+// compactLine sweeps closed entries out of line entry e.
+func (r *replayer) compactLine(e *lineEntry) {
+	open := e.open
 	kept := open[:0]
 	for _, os := range open {
 		if !os.closed {
@@ -532,7 +629,7 @@ func (r *replayer) compactLine(i int) {
 			r.release(os)
 		}
 	}
-	r.setOpen(i, kept)
+	r.setOpen(e, kept)
 }
 
 func (r *replayer) thread(tid int32) *threadState {
@@ -597,7 +694,7 @@ func (r *replayer) feed(e trace.Event) {
 	case trace.KAlloc:
 		if r.cfg.AllocAware {
 			linesOf(e.Addr, e.Size, func(line uint64) {
-				r.lines.entries[r.lines.insert(line)].epoch++
+				r.lines.insert(line).epoch++
 			})
 		}
 	case trace.KThreadCreate:
@@ -656,7 +753,7 @@ func (r *replayer) touch(tid int32, addr uint64) bool {
 		fresh := !p.live
 		*p = pubEntry{addr: addr, epoch: epoch, first: tid, live: true}
 		if fresh {
-			r.pub.grew()
+			r.pub.grew(p)
 		}
 		return false
 	}
@@ -742,11 +839,11 @@ func (r *replayer) store(e trace.Event, nt bool) {
 	// and every later flush of those lines re-scanned it.
 	var closedSpanning []*openStore
 	linesOf(e.Addr, e.Size, func(line uint64) {
-		i := r.lines.find(line)
-		if i < 0 {
+		le := r.lines.find(line)
+		if le == nil {
 			return
 		}
-		open := r.lines.entries[i].open
+		open := le.open
 		kept := open[:0]
 		for _, os := range open {
 			if !os.closed && overlaps(os.addr, os.size, e.Addr, e.Size) {
@@ -761,15 +858,15 @@ func (r *replayer) store(e trace.Event, nt bool) {
 				r.release(os)
 			}
 		}
-		r.setOpen(i, kept)
+		r.setOpen(le, kept)
 	})
 	for _, os := range closedSpanning {
 		if os.refs == 0 {
 			continue // an earlier sweep already let go of it everywhere
 		}
 		linesOf(os.addr, os.size, func(line uint64) {
-			if i := r.lines.find(line); i >= 0 {
-				r.compactLine(i)
+			if le := r.lines.find(line); le != nil {
+				r.compactLine(le)
 			}
 		})
 	}
@@ -784,9 +881,8 @@ func (r *replayer) store(e trace.Event, nt bool) {
 		start:   vcid,
 		openIdx: r.stats.Events - 1,
 	}
-	r.lines.reserve(int(pmem.LineOf(lastAddrOf(e.Addr, e.Size)) - pmem.LineOf(e.Addr) + 1))
 	linesOf(e.Addr, e.Size, func(line uint64) {
-		le := &r.lines.entries[r.lines.insert(line)]
+		le := r.lines.insert(line)
 		if len(le.open) == 0 {
 			r.lines.open++
 			if n := len(r.openPool); n > 0 {
@@ -831,7 +927,7 @@ func (r *replayer) load(e trace.Event) {
 		if slot.idx == 0 {
 			r.nLoads++
 			*slot = loadTabEntry{addr: e.Addr, key: packed, idx: r.nLoads}
-			r.loads.grew()
+			r.loads.grew(slot)
 			return
 		}
 		slot.hits++
@@ -845,7 +941,7 @@ func (r *replayer) load(e trace.Event) {
 		return
 	}
 	want := LoadData{TID: e.TID, Addr: e.Addr, Size: e.Size, Site: e.Site, LS: ts.lsID, VC: vcid, Count: 1}
-	h := hash2(hash2(e.Addr, uint64(e.Size)<<32|uint64(uint32(e.TID))),
+	h := hash2(hash2(e.Addr^r.loadsSpill.seed, uint64(e.Size)<<32|uint64(uint32(e.TID))),
 		hash2(uint64(uint32(e.Site))<<32|uint64(uint32(ts.lsID)), uint64(uint32(vcid))))
 	slot := r.loadsSpill.lookup(h, func(i int32) bool {
 		d := r.spillList[i].LoadData
@@ -859,14 +955,14 @@ func (r *replayer) load(e trace.Event) {
 	r.spillList = append(r.spillList, spillLoad{LoadData: want, ord: r.nLoads})
 	r.nLoads++
 	*slot = recEntry{hash: h, idx: int32(len(r.spillList))}
-	r.loadsSpill.grew()
+	r.loadsSpill.grew(slot)
 }
 
 func (r *replayer) flush(e trace.Event) {
 	ts := r.thread(e.TID)
 	line := pmem.LineOf(e.Addr)
-	i := r.lines.find(line)
-	if i < 0 || len(r.lines.entries[i].open) == 0 {
+	le := r.lines.find(line)
+	if le == nil || len(le.open) == 0 {
 		return
 	}
 	// Snapshot semantics: the flush covers the stores visible now; stores
@@ -875,7 +971,7 @@ func (r *replayer) flush(e trace.Event) {
 	// never enqueues a pendingFlush, so fence's compaction never reaches it
 	// and its dead entries (and table entry) would otherwise be retained for
 	// the rest of the session.
-	open := r.lines.entries[i].open
+	open := le.open
 	covered := r.getCovered(len(open))
 	kept := open[:0]
 	for _, os := range open {
@@ -887,7 +983,7 @@ func (r *replayer) flush(e trace.Event) {
 			r.release(os)
 		}
 	}
-	r.setOpen(i, kept)
+	r.setOpen(le, kept)
 	if len(covered) > 0 {
 		ts.pending = append(ts.pending, pendingFlush{line: line, covered: covered})
 	} else {
@@ -909,8 +1005,8 @@ func (r *replayer) fence(e trace.Event) {
 			r.release(os)
 		}
 		r.putCovered(pf.covered)
-		if i := r.lines.find(pf.line); i >= 0 {
-			r.compactLine(i)
+		if le := r.lines.find(pf.line); le != nil {
+			r.compactLine(le)
 		}
 	}
 	ts.pending = ts.pending[:0]
@@ -967,7 +1063,7 @@ func (r *replayer) record(os *openStore, kind EndKind, eff lockset.Set, endVC vc
 		TID: os.tid, Addr: os.addr, Size: os.size, Site: os.site,
 		Eff: r.ls.InternLocks(eff), Start: os.start, End: endVC, EndKind: kind, Count: 1,
 	}
-	h := hash2(hash2(os.addr, uint64(os.size)<<32|uint64(uint32(os.tid))),
+	h := hash2(hash2(os.addr^r.stores.seed, uint64(os.size)<<32|uint64(uint32(os.tid))),
 		hash2(uint64(uint32(os.site))<<32|uint64(uint32(want.Eff)),
 			uint64(uint32(os.start))<<32|uint64(uint32(endVC)))^uint64(kind))
 	slot := r.stores.lookup(h, func(i int32) bool {
@@ -985,7 +1081,7 @@ func (r *replayer) record(os *openStore, kind EndKind, eff lockset.Set, endVC vc
 		}
 		r.storeList = append(r.storeList, want)
 		*slot = recEntry{hash: h, idx: int32(len(r.storeList))}
-		r.stores.grew()
+		r.stores.grew(slot)
 	}
 	r.stats.DynamicStores++
 }
@@ -996,16 +1092,15 @@ func (r *replayer) record(os *openStore, kind EndKind, eff lockset.Set, endVC vc
 // builds loadList, in ordinal order, from the load table and spillList.
 func (r *replayer) finish() {
 	// Deterministic record order: walk still-open lines in address order.
-	slots := make([]int, 0, r.lines.open)
-	for i, le := range r.lines.entries {
+	lines := make([]*lineEntry, 0, r.lines.open)
+	for le := range r.lines.all {
 		if len(le.open) > 0 {
-			slots = append(slots, i)
+			lines = append(lines, le)
 		}
 	}
-	lines := r.lines.entries
-	sort.Slice(slots, func(i, j int) bool { return lines[slots[i]].key < lines[slots[j]].key })
-	for _, i := range slots {
-		for _, os := range lines[i].open {
+	sort.Slice(lines, func(i, j int) bool { return lines[i].key < lines[j].key })
+	for _, le := range lines {
+		for _, os := range le.open {
 			if os.closed {
 				continue
 			}
@@ -1025,8 +1120,8 @@ func (r *replayer) finish() {
 		}
 	}
 	r.loadList = make([]LoadData, r.nLoads)
-	for k := range r.loads.entries {
-		if e := &r.loads.entries[k]; e.idx != 0 {
+	for e := range r.loads.all {
+		if e.idx != 0 {
 			r.loadList[e.idx-1] = e.record()
 		}
 	}

@@ -64,11 +64,11 @@ func TestClosedStoreRetentionBounded(t *testing.T) {
 
 	// Every window above is closed, so nothing may be retained: the line
 	// map must be empty (small slack for implementation drift, not growth).
-	if got := s.rp.lines.used; got > 2 {
+	if got := s.rp.lines.len(); got > 2 {
 		t.Fatalf("replayer retains %d cache-line entries after %d fully-closed iterations; closed stores are not being swept", got, 2*iters)
 	}
 	retained := 0
-	for _, le := range s.rp.lines.entries {
+	for le := range s.rp.lines.all {
 		retained += len(le.open)
 	}
 	if retained > 2 {

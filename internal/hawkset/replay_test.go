@@ -14,65 +14,6 @@ import (
 	"hawkset/internal/vclock"
 )
 
-// TestLineTabMatchesMap drives a lineTab and a Go map through the same
-// random inserts, lookups and deletes, and compares their whole contents
-// after every operation. Some keys share one home slot at every table size
-// the test reaches, so deletes must shift probe runs back, and enough keys
-// are live at once to make the table grow.
-func TestLineTabMatchesMap(t *testing.T) {
-	const homeBits = 16
-	var keys []uint64
-	home := hash2(0, 0) & (1<<homeBits - 1)
-	for k := uint64(0); len(keys) < 24; k++ {
-		if hash2(k, 0)&(1<<homeBits-1) == home {
-			keys = append(keys, k)
-		}
-	}
-	rng := rand.New(rand.NewSource(1))
-	for range 1500 {
-		keys = append(keys, uint64(rng.Intn(1<<20)))
-	}
-
-	var tab lineTab
-	ref := map[uint64]uint64{} // line → epoch
-	for op := range 6000 {
-		k := keys[rng.Intn(len(keys))]
-		if rng.Intn(4) == 0 {
-			k = keys[rng.Intn(24)]
-		}
-		switch rng.Intn(4) {
-		case 0, 1:
-			tab.entries[tab.insert(k)].epoch++
-			ref[k]++
-		case 2:
-			if i := tab.find(k); i >= 0 {
-				tab.remove(i)
-			}
-			delete(ref, k)
-		default:
-			if got, want := tab.epoch(k), ref[k]; got != want {
-				t.Fatalf("op %d: epoch(%d) = %d, want %d", op, k, got, want)
-			}
-		}
-		if tab.used != len(ref) {
-			t.Fatalf("op %d: table holds %d lines, map %d", op, tab.used, len(ref))
-		}
-		for _, e := range tab.entries {
-			if e.key != 0 && ref[e.key-1] != e.epoch {
-				t.Fatalf("op %d: table has line %d at epoch %d, map %d", op, e.key-1, e.epoch, ref[e.key-1])
-			}
-		}
-		for line, epoch := range ref {
-			if i := tab.find(line); i < 0 || tab.entries[i].epoch != epoch {
-				t.Fatalf("op %d: line %d (epoch %d) not found", op, line, epoch)
-			}
-		}
-	}
-	if len(tab.entries) <= 1<<tabInitBits {
-		t.Fatalf("table never grew past %d slots", len(tab.entries))
-	}
-}
-
 // TestReplayLoadAllocs: a load that dedups into an existing record
 // allocates nothing, and a load inside a critical section adds no
 // allocation to the lock and unlock around it — its lockset is interned
@@ -129,7 +70,7 @@ func TestReplayPersistCycleAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, feed); got != 0 {
 		t.Errorf("a store-flush-fence cycle allocates %v times, want 0", got)
 	}
-	if s.rp.lines.used != 0 {
+	if s.rp.lines.len() != 0 {
 		t.Fatalf("the persisted line stays in the line table")
 	}
 	for _, a := range s.rp.openPool {
@@ -164,11 +105,11 @@ func TestLoadHitsCarry(t *testing.T) {
 	cfg.IRH = false
 	s := NewStream(sites.NewTable(), cfg)
 	s.rp.feed(load)
-	var e *loadTabEntry
-	for k := range s.rp.loads.entries {
-		if s.rp.loads.entries[k].idx != 0 {
-			e = &s.rp.loads.entries[k]
-		}
+	ts := s.rp.threads[load.TID]
+	key, _ := packLoad(load.TID, load.Size, load.Site, ts.lsID, ts.vcID)
+	e := s.rp.loads.lookup(load.Addr, key)
+	if e.idx == 0 {
+		t.Fatal("the load has no entry in the load table")
 	}
 	want := uint64(1)
 	// skipTo stands in for the repeats that would raise the counter to h.
@@ -319,10 +260,10 @@ func TestLoadRecordsMatchBruteForce(t *testing.T) {
 // TestDistinctRecordsAllocs bounds what replay allocates per record, with
 // the IRH off. The load table holds the load records until Finish builds
 // Result.Loads at its exact length, the store records double when full, the
-// tables double at three quarters full, and a persisted store's window
-// record is recycled for the next store. So 100,000 distinct loads (each
-// also a publication-table entry) allocate under 320 B each, and 100,000
-// distinct persisted stores under 370 B each.
+// tables grow a segment at a time and never copy themselves, and a
+// persisted store's window record is recycled for the next store. So
+// 100,000 distinct loads (each also a publication-table entry) allocate
+// under 200 B each, and 100,000 distinct persisted stores under 260 B each.
 func TestDistinctRecordsAllocs(t *testing.T) {
 	const n = 100_000
 	var loads, stores []trace.Event
@@ -339,8 +280,8 @@ func TestDistinctRecordsAllocs(t *testing.T) {
 		bound  float64
 		count  func(*Result) int
 	}{
-		{"load", loads, 320, func(r *Result) int { return len(r.Loads) }},
-		{"store", stores, 370, func(r *Result) int { return len(r.Stores) }},
+		{"load", loads, 200, func(r *Result) int { return len(r.Loads) }},
+		{"store", stores, 260, func(r *Result) int { return len(r.Stores) }},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -360,33 +301,5 @@ func TestDistinctRecordsAllocs(t *testing.T) {
 func TestOpenStoreSize(t *testing.T) {
 	if got := unsafe.Sizeof(openStore{}); got != 72 {
 		t.Fatalf("openStore is %d bytes, want 72", got)
-	}
-}
-
-// TestTablesGrowAtThreeQuarters: the publication, record and load tables
-// double only once an insertion leaves more than three quarters of their
-// slots in use, as the line table does.
-func TestTablesGrowAtThreeQuarters(t *testing.T) {
-	const full = 3 << (tabInitBits - 2) // three quarters of the initial size
-	var (
-		pub pubTab
-		rec recTab
-		ld  loadTab
-	)
-	for i := range uint64(full + 1) {
-		*pub.lookup(i) = pubEntry{addr: i, live: true}
-		pub.grew()
-		h := hash2(i, 0)
-		*rec.lookup(h, func(int32) bool { return false }) = recEntry{hash: h, idx: int32(i) + 1}
-		rec.grew()
-		*ld.lookup(i, 0) = loadTabEntry{addr: i, idx: int32(i) + 1}
-		ld.grew()
-		want := 1 << tabInitBits
-		if i+1 > full {
-			want *= 2
-		}
-		if len(pub.entries) != want || len(rec.entries) != want || len(ld.entries) != want {
-			t.Fatalf("%d entries: tables of %d, %d and %d slots, want %d", i+1, len(pub.entries), len(rec.entries), len(ld.entries), want)
-		}
 	}
 }

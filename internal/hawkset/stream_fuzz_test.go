@@ -84,7 +84,7 @@ func fuzzSeed(sel byte, evs ...[4]byte) []byte {
 func checkWindowRecords(r *replayer) error {
 	held := map[*openStore]int32{}
 	inLines := map[*openStore]int{}
-	for _, le := range r.lines.entries {
+	for le := range r.lines.all {
 		for _, os := range le.open {
 			held[os]++
 			inLines[os]++
@@ -198,7 +198,7 @@ func FuzzStreamFeed(f *testing.F) {
 				t.Fatalf("after event %d, %v: %v", i, e, err)
 			}
 			open := 0
-			for _, le := range s.rp.lines.entries {
+			for le := range s.rp.lines.all {
 				for _, os := range le.open {
 					if !os.closed && pmem.LineOf(os.addr) == le.key-1 {
 						open++

@@ -433,8 +433,8 @@ func TestBudgetIsolation(t *testing.T) {
 // scaled-down version under -short) all hold the differential, and every
 // tenant's analysis working-set gauges stay bounded — flat high-water marks
 // independent of stream length, the bounded-RSS acceptance instrument —
-// the window records in use among them, on a tenant whose stream leaves
-// stores unpersisted too.
+// the window records in use and the bytes of replay's tables among them,
+// on a tenant whose stream leaves stores unpersisted too.
 func TestManyTenantsBounded(t *testing.T) {
 	tenants, events := 8, 100000
 	if testing.Short() {
@@ -510,6 +510,10 @@ func TestManyTenantsBounded(t *testing.T) {
 		}
 		if hw := snap.GaugeMax("hawkset.replay.window_records"); hw <= 0 || hw > 1024 {
 			t.Errorf("%s: window_records high-water %d not bounded", name, hw)
+		}
+		// One segment per replay table holds that working set.
+		if hw := snap.GaugeMax("hawkset.replay.table_bytes"); hw <= 0 || hw > 1<<20 {
+			t.Errorf("%s: table_bytes high-water %d not bounded", name, hw)
 		}
 	}
 	snap := metrics.Snapshot()
