@@ -46,10 +46,14 @@
 #                count must equal the line lists and flush snapshots that
 #                hold it, no recycled record may sit in one, and the records
 #                in use plus the free ones must be all that were allocated;
-#                an unknown kind must leave the stream as it was, and Finish
-#                must not panic; then 15 s of FuzzReplayTables: each replay
-#                hash table driven through long random insert, hit, lookup
-#                and (line table) delete sequences that split segments and
+#                each record log must match its index: every record named
+#                by exactly one 8-byte slot holding its hash's fingerprint,
+#                and no slot naming one past the log's end; an unknown kind
+#                must leave the stream as it was, and Finish must not
+#                panic; then 15 s of FuzzReplayTables: each replay hash
+#                table (lines, publication, and the record index over its
+#                log) driven through long random insert, hit, lookup and
+#                (line table) delete sequences that split segments and
 #                double the directory, held against a Go map, with the
 #                directory invariant (a segment of depth d fills 2^(global-d)
 #                aligned slots) checked after every split

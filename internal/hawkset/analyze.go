@@ -110,14 +110,17 @@ type bucketIndex struct {
 // finds by binary search when no load covers its start line; so a long store
 // costs nothing on the lines no load touches.
 func indexBuckets(res *Result, storeStore bool) *bucketIndex {
+	stores, loads := &res.Stores, &res.Loads
 	ordinal := make(map[uint64]int32)
 	addLine := func(line uint64) { ordinal[line] = 0 }
-	for i := range res.Loads {
-		linesOf(res.Loads[i].Addr, res.Loads[i].Size, addLine)
+	for i := range loads.Len() {
+		ld := loads.At(i)
+		linesOf(ld.Addr, ld.Size, addLine)
 	}
 	if storeStore {
-		for i := range res.Stores {
-			linesOf(res.Stores[i].Addr, res.Stores[i].Size, addLine)
+		for i := range stores.Len() {
+			st := stores.At(i)
+			linesOf(st.Addr, st.Size, addLine)
 		}
 	}
 	bx := &bucketIndex{lines: make([]uint64, 0, len(ordinal))}
@@ -143,11 +146,13 @@ func indexBuckets(res *Result, storeStore bool) *bucketIndex {
 		}
 		return lo, hi
 	}
-	bx.storeOff, bx.stores = fillBuckets(len(bx.lines), len(res.Stores), func(i int) (int, int) {
-		return span(res.Stores[i].Addr, res.Stores[i].Size)
+	bx.storeOff, bx.stores = fillBuckets(len(bx.lines), stores.Len(), func(i int) (int, int) {
+		st := stores.At(i)
+		return span(st.Addr, st.Size)
 	})
-	bx.loadOff, bx.loads = fillBuckets(len(bx.lines), len(res.Loads), func(i int) (int, int) {
-		return span(res.Loads[i].Addr, res.Loads[i].Size)
+	bx.loadOff, bx.loads = fillBuckets(len(bx.lines), loads.Len(), func(i int) (int, int) {
+		ld := loads.At(i)
+		return span(ld.Addr, ld.Size)
 	})
 	return bx
 }
@@ -303,7 +308,7 @@ type loadMember struct {
 	sig   uint64 // the lockset's signature
 	count uint64
 	ls    lockset.ID
-	rec   int32 // index into Result.Loads
+	rec   int32 // ordinal in Result.Loads
 }
 
 // runTabSize is the number of entries of the table build finds runs by.
@@ -400,7 +405,7 @@ func analyzeShard(res *Result, cfg Config, bx *bucketIndex, part [2]int) *shardR
 		}
 		j.build(bx.lines[b], bx.loads[bx.loadOff[b]:bx.loadOff[b+1]])
 		for _, si := range stores {
-			j.pair(&res.Stores[si], cfg.HBFilter, out)
+			j.pair(res.Stores.At(int(si)), cfg.HBFilter, out)
 		}
 	}
 	out.stats = j.stats
@@ -418,7 +423,7 @@ func analyzeShard(res *Result, cfg Config, bx *bucketIndex, part [2]int) *shardR
 // index only split a run, which is still exact), and the runs' members are
 // laid out run by run, in record order.
 func (j *join) build(line uint64, loads []int32) {
-	res := j.res
+	res, recs := j.res, &j.res.Loads
 	key := func(addr uint64) int32 {
 		if pmem.LineOf(addr) < line {
 			return 0
@@ -427,7 +432,7 @@ func (j *join) build(line uint64, loads []int32) {
 	}
 	var next [1 + pmem.LineSize]int32 // per key: its count, then its next place in order
 	for _, li := range loads {
-		next[key(res.Loads[li].Addr)]++
+		next[key(recs.At(int(li)).Addr)]++
 	}
 	var n int32
 	for k, c := range next {
@@ -437,7 +442,7 @@ func (j *join) build(line uint64, loads []int32) {
 	j.order, j.runOf = j.order[:len(loads)], j.runOf[:len(loads)]
 	order, runOf := j.order, j.runOf
 	for _, li := range loads {
-		k := key(res.Loads[li].Addr)
+		k := key(recs.At(int(li)).Addr)
 		order[next[k]] = li
 		next[k]++
 	}
@@ -448,7 +453,7 @@ func (j *join) build(line uint64, loads []int32) {
 		first := len(j.runs)
 		j.group++
 		for i := start; i < end; i++ {
-			ld := &res.Loads[order[i]]
+			ld := recs.At(int(order[i]))
 			last := lastAddrOf(ld.Addr, ld.Size)
 			e := &j.runTab[hash2(last^uint64(uint32(ld.Site))<<32, uint64(uint32(ld.TID))<<32|uint64(uint32(ld.VC)))%runTabSize]
 			if e.group != j.group || !j.holds(e.run, ld, last) {
@@ -466,7 +471,7 @@ func (j *join) build(line uint64, loads []int32) {
 			j.runs[r].lo, j.runs[r].hi, at = at, at, at+j.runs[r].hi
 		}
 		for i := start; i < end; i++ {
-			ld := &res.Loads[order[i]]
+			ld := recs.At(int(order[i]))
 			r := &j.runs[runOf[i]]
 			j.members[r.hi] = loadMember{sig: res.Locksets.Sig(ld.LS), count: ld.Count, ls: ld.LS, rec: order[i]}
 			r.hi++
@@ -646,9 +651,9 @@ func analyzeStoreStoreShard(res *Result, cfg Config, bx *bucketIndex, part [2]in
 		line := bx.lines[b]
 		stores := bx.stores[bx.storeOff[b]:bx.storeOff[b+1]]
 		for i, si := range stores {
-			st := &res.Stores[si]
+			st := res.Stores.At(int(si))
 			for _, sj := range stores[i+1:] {
-				st2 := &res.Stores[sj]
+				st2 := res.Stores.At(int(sj))
 				if st.TID == st2.TID || !overlaps(st.Addr, st.Size, st2.Addr, st2.Size) {
 					continue
 				}

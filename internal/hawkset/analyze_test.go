@@ -446,21 +446,23 @@ func TestIndexBucketsMatchesBruteForce(t *testing.T) {
 		}
 		for range rng.Intn(30) {
 			addr, size := randRange()
-			res.Stores = append(res.Stores, StoreData{Addr: addr, Size: size})
+			res.Stores.push(StoreData{Addr: addr, Size: size}, nil)
 		}
 		for range rng.Intn(30) {
 			addr, size := randRange()
-			res.Loads = append(res.Loads, LoadData{Addr: addr, Size: size})
+			res.Loads.push(LoadData{Addr: addr, Size: size}, nil)
 		}
 		for _, storeStore := range []bool{false, true} {
 			bx := indexBuckets(res, storeStore)
 			var lines []uint64
 			for line := uint64(0); line < 80; line++ {
 				bucket := false
-				for _, ld := range res.Loads {
+				for i := range res.Loads.Len() {
+					ld := res.Loads.At(i)
 					bucket = bucket || covers(ld.Addr, ld.Size, line)
 				}
-				for _, st := range res.Stores {
+				for i := range res.Stores.Len() {
+					st := res.Stores.At(i)
 					bucket = bucket || storeStore && covers(st.Addr, st.Size, line)
 				}
 				if bucket {
@@ -472,13 +474,13 @@ func TestIndexBucketsMatchesBruteForce(t *testing.T) {
 			}
 			for b, line := range lines {
 				var stores, loads []int32
-				for i, st := range res.Stores {
-					if covers(st.Addr, st.Size, line) {
+				for i := range res.Stores.Len() {
+					if st := res.Stores.At(i); covers(st.Addr, st.Size, line) {
 						stores = append(stores, int32(i))
 					}
 				}
-				for i, ld := range res.Loads {
-					if covers(ld.Addr, ld.Size, line) {
+				for i := range res.Loads.Len() {
+					if ld := res.Loads.At(i); covers(ld.Addr, ld.Size, line) {
 						loads = append(loads, int32(i))
 					}
 				}

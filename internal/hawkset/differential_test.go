@@ -166,6 +166,9 @@ func TestDifferentialMetricsPopulated(t *testing.T) {
 	if cfg.Metrics.Gauge("hawkset.replay.table_bytes").Max() == 0 {
 		t.Error("hawkset.replay.table_bytes high-water never moved")
 	}
+	if cfg.Metrics.Gauge("hawkset.replay.record_bytes").Max() == 0 {
+		t.Error("hawkset.replay.record_bytes high-water never moved")
+	}
 	if cfg.Metrics.Histogram("hawkset.stage.analyze").Count() == 0 {
 		t.Error("hawkset.stage.analyze never observed")
 	}

@@ -186,14 +186,13 @@ type Stats struct {
 	PairsLockFiltered uint64
 }
 
-// Result is the output of Analyze. Stores and Loads are value slices (the
-// replayer's store records handed over whole, and its load records built at
-// their exact length); take the address of an element to hold a record by
-// pointer.
+// Result is the output of Analyze. Stores and Loads are the replayer's record
+// logs, handed over whole and held by value: each record sits where replay
+// appended it, in first-appearance order, and At returns a pointer to it.
 type Result struct {
 	Reports []Report
-	Stores  []StoreData
-	Loads   []LoadData
+	Stores  Records[StoreData]
+	Loads   Records[LoadData]
 	Stats   Stats
 
 	Locksets *lockset.Table

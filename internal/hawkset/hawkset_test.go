@@ -525,8 +525,8 @@ func TestIRHReusePatternFalsePositive(t *testing.T) {
 		t.Fatalf("IRHDroppedStores = %d, want 1 (only the pre-publication init)", res.Stats.IRHDroppedStores)
 	}
 	foundReinit := false
-	for _, st := range res.Stores {
-		if res.Sites.Lookup(st.Site).String() == "t2.reinit" {
+	for i := range res.Stores.Len() {
+		if res.Sites.Lookup(res.Stores.At(i).Site).String() == "t2.reinit" {
 			foundReinit = true
 		}
 	}

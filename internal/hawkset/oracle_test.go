@@ -49,6 +49,9 @@ type oracleResult struct {
 	// create or join edge rather than through the loading thread's own
 	// program order.
 	hbPruned, hbViaOther int
+	// reusedRaces counts the racing store-load pairs with an access by a
+	// re-created TID's new incarnation.
+	reusedRaces int
 }
 
 // oWindow is one dynamic store and its unpersisted window.
@@ -64,15 +67,17 @@ type oWindow struct {
 	endKind hawkset.EndKind
 	eff     map[uint64]bool // effective lockset, by lock identity
 	kept    bool            // not dropped by the IRH
+	reused  bool            // stored by a re-created TID's new incarnation
 }
 
 type oLoad struct {
-	ev    int
-	tid   int32
-	addr  uint64
-	size  uint32
-	site  sites.ID
-	locks map[uint64]bool // held locks, by identity
+	ev     int
+	tid    int32
+	addr   uint64
+	size   uint32
+	site   sites.ID
+	locks  map[uint64]bool // held locks, by identity
+	reused bool            // by a re-created TID's new incarnation
 }
 
 // oThread is one incarnation of a thread: a create of a TID starts a new one.
@@ -80,6 +85,7 @@ type oThread struct {
 	step    int            // happens-before node its next event belongs to
 	locks   map[uint64]int // lock → index of the acquiring event
 	pending []*oWindow     // windows its flushes snapshotted, ended by its next fence
+	reused  bool           // not the TID's first incarnation
 }
 
 // oracle computes the report set of Definition 1 for tr under cfg.
@@ -165,7 +171,7 @@ func oracle(tr *trace.Trace, cfg hawkset.Config) *oracleResult {
 				}
 			}
 			w := &oWindow{ev: i, tid: e.TID, addr: e.Addr, size: e.Size, site: e.Site,
-				locks: maps.Clone(th.locks), end: -1, kept: true}
+				locks: maps.Clone(th.locks), end: -1, kept: true, reused: th.reused}
 			open = append(open, w)
 			windows = append(windows, w)
 			if e.Kind == trace.KNTStore {
@@ -177,7 +183,7 @@ func oracle(tr *trace.Trace, cfg hawkset.Config) *oracleResult {
 				continue
 			}
 			loads = append(loads, oLoad{ev: i, tid: e.TID, addr: e.Addr, size: e.Size,
-				site: e.Site, locks: identities(th.locks)})
+				site: e.Site, locks: identities(th.locks), reused: th.reused})
 		case trace.KFlush:
 			line := e.Addr / 64
 			for _, w := range open {
@@ -206,7 +212,8 @@ func oracle(tr *trace.Trace, cfg hawkset.Config) *oracleResult {
 				}
 			}
 		case trace.KThreadCreate:
-			threads[e.Kid] = &oThread{step: newStep(th.step), locks: map[uint64]int{}}
+			_, again := threads[e.Kid]
+			threads[e.Kid] = &oThread{step: newStep(th.step), locks: map[uint64]int{}, reused: again}
 			th.step = newStep(th.step)
 		case trace.KThreadJoin:
 			child := thread(e.Kid)
@@ -259,6 +266,9 @@ func oracle(tr *trace.Trace, cfg hawkset.Config) *oracleResult {
 			}
 			k := oracleKey{store: w.site, load: l.site}
 			add(k, w.endKind != hawkset.EndPersist)
+			if w.reused || l.reused {
+				res.reusedRaces++
+			}
 			res.witnesses[oracleWitness{k, w.addr, w.tid, l.tid, w.endKind}] = true
 		}
 	}
@@ -334,10 +344,17 @@ func overlap(a uint64, aSize uint32, b uint64, bSize uint32) bool {
 // through thread creates and joins. Main accesses PM before creating its
 // workers, while they run and after joining them; each worker is created by
 // main or a lower-numbered worker and joined, if at all, by a lower-numbered
-// thread that need not be its creator. A thread makes all its creates before
-// its first join, and joins only higher-numbered threads, so the program
-// cannot deadlock. Threads interleave between operations; an operation (a
-// critical section, a store and its persist) runs without interruption.
+// thread that need not be its creator. A joiner sometimes creates the TID
+// it joined again, as a new incarnation with a script of its own, which it
+// may join before its last operation. A thread makes all its first creates
+// before its first join, and joins only higher-numbered threads or the
+// incarnations it created, which join nothing, so the program cannot
+// deadlock. Threads interleave between operations; an operation (a critical
+// section, a store and its persist) runs without interruption.
+//
+// The TIDs to create again, and the scripts of their new incarnations,
+// draw from a second source seeded from seed, so a program without a
+// re-created TID is the one the first source alone builds.
 //
 // The operations mix locked and unlocked stores and loads, persists inside
 // and outside critical sections, a lock released and reacquired between a
@@ -348,7 +365,8 @@ func overlap(a uint64, aSize uint32, b uint64, bSize uint32) bool {
 // addresses with sub-line offsets, sometimes ending at the top of the
 // address space, and sizes from 0 to 200 bytes, so they overlap within and
 // across lines.
-func oracleTrace(rng *rand.Rand) *trace.Trace {
+func oracleTrace(seed int64) *trace.Trace {
+	rng, again := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(^seed))
 	b := trace.NewBuilder()
 	n := 3 + rng.Intn(4) // main and 2–5 workers
 	nLocks := 1 + rng.Intn(3)
@@ -371,7 +389,7 @@ func oracleTrace(rng *rand.Rand) *trace.Trace {
 		}
 		b.Fence(tid, site)
 	}
-	access := func() op {
+	access := func(rng *rand.Rand) op {
 		addr := addrs[rng.Intn(len(addrs))]
 		size := sizes[rng.Intn(len(sizes))]
 		lock := uint64(1 + rng.Intn(nLocks))
@@ -449,12 +467,17 @@ func oracleTrace(rng *rand.Rand) *trace.Trace {
 		}
 	}
 
-	// Who creates and who joins each worker.
+	// Who creates and who joins each worker. Slot t runs scripts[t] as TID
+	// tids[t]; the slots past n are incarnations of re-created TIDs.
 	type action struct {
 		run  op
-		join int // thread to wait for before run; -1: none
+		join int // slot to wait for before run; -1: none
 	}
 	scripts := make([][]action, n)
+	tids := make([]int32, n)
+	for t := range tids {
+		tids[t] = int32(t)
+	}
 	creates := make([][]int, n)
 	joins := make([][]int, n)
 	created := make([]bool, n)
@@ -468,35 +491,52 @@ func oracleTrace(rng *rand.Rand) *trace.Trace {
 		}
 	}
 	for tid := range n {
-		phase := func(sync []int, mk func(c int) action) []action {
+		phase := func(sync []int, mk func(c int) []action) []action {
 			var out []action
 			for range rng.Intn(4) {
-				out = append(out, action{run: access(), join: -1})
+				out = append(out, action{run: access(rng), join: -1})
 			}
 			for _, c := range sync {
-				out = append(out, mk(c))
+				out = append(out, mk(c)...)
 				for range rng.Intn(3) {
-					out = append(out, action{run: access(), join: -1})
+					out = append(out, action{run: access(rng), join: -1})
 				}
 			}
 			return out
 		}
-		s := []action{{run: access(), join: -1}}
-		s = append(s, phase(creates[tid], func(c int) action {
-			return action{run: func(p int32) { b.Create(p, int32(c), "create"); created[c] = true }, join: -1}
+		s := []action{{run: access(rng), join: -1}}
+		s = append(s, phase(creates[tid], func(c int) []action {
+			return []action{{run: func(p int32) { b.Create(p, int32(c), "create"); created[c] = true }, join: -1}}
 		})...)
-		s = append(s, phase(joins[tid], func(c int) action {
-			return action{run: func(w int32) { b.Join(w, int32(c), "join") }, join: c}
+		var rejoin []int // the incarnations tid created, to join at its end
+		s = append(s, phase(joins[tid], func(c int) []action {
+			join := action{run: func(w int32) { b.Join(w, int32(c), "join") }, join: c}
+			if again.Intn(3) != 0 {
+				return []action{join}
+			}
+			slot := len(scripts)
+			var inc []action
+			for range 1 + again.Intn(3) {
+				inc = append(inc, action{run: access(again), join: -1})
+			}
+			scripts, tids, created = append(scripts, inc), append(tids, int32(c)), append(created, false)
+			if again.Intn(2) == 0 {
+				rejoin = append(rejoin, slot)
+			}
+			return []action{join, {run: func(p int32) { b.Create(p, int32(c), "create.again"); created[slot] = true }, join: -1}}
 		})...)
-		scripts[tid] = append(s, action{run: access(), join: -1})
+		for _, slot := range rejoin {
+			s = append(s, action{run: func(w int32) { b.Join(w, tids[slot], "join.again") }, join: slot})
+		}
+		scripts[tid] = append(s, action{run: access(rng), join: -1})
 	}
 
 	// Run the scripts, picking a random runnable thread for each action.
-	pc := make([]int, n)
+	pc := make([]int, len(scripts))
 	done := func(t int) bool { return pc[t] == len(scripts[t]) }
 	for {
 		var runnable []int
-		for t := range n {
+		for t := range scripts {
 			if !created[t] || done(t) {
 				continue
 			}
@@ -509,7 +549,7 @@ func oracleTrace(rng *rand.Rand) *trace.Trace {
 			return b.T
 		}
 		t := runnable[rng.Intn(len(runnable))]
-		scripts[t][pc[t]].run(int32(t))
+		scripts[t][pc[t]].run(tids[t])
 		pc[t]++
 	}
 }
@@ -607,7 +647,7 @@ func FuzzAnalyzeVsOracle(f *testing.F) {
 	f.Add(int64(56), uint8(len(oracleConfigs())-1))
 	f.Fuzz(func(t *testing.T, seed int64, c uint8) {
 		cfgs := oracleConfigs()
-		checkOracle(t, oracleTrace(rand.New(rand.NewSource(seed))), cfgs[int(c)%len(cfgs)])
+		checkOracle(t, oracleTrace(seed), cfgs[int(c)%len(cfgs)])
 	})
 }
 
@@ -649,12 +689,38 @@ func FuzzAppsVsOracle(f *testing.F) {
 func TestOracleCorpusOrdersThroughOtherThreads(t *testing.T) {
 	var pruned, viaOther int
 	for seed := range int64(40) {
-		res := oracle(oracleTrace(rand.New(rand.NewSource(seed))), hawkset.DefaultConfig())
+		res := oracle(oracleTrace(seed), hawkset.DefaultConfig())
 		pruned += res.hbPruned
 		viaOther += res.hbViaOther
 	}
 	t.Logf("happens-before prunes: %d, through another thread's clock: %d", pruned, viaOther)
 	if viaOther == 0 {
 		t.Fatal("no pair of the corpus is ordered through a create or join edge")
+	}
+}
+
+// TestOracleCorpusReusesTIDs: the corpus must re-create TIDs, and the new
+// incarnations' accesses must race, so that the reports depend on replay
+// giving an incarnation its own thread state.
+func TestOracleCorpusReusesTIDs(t *testing.T) {
+	programs, races := 0, 0
+	for seed := range int64(40) {
+		tr := oracleTrace(seed)
+		kids := map[int32]bool{}
+		again := false
+		for e := range tr.Events() {
+			if e.Kind == trace.KThreadCreate {
+				again = again || kids[e.Kid]
+				kids[e.Kid] = true
+			}
+		}
+		if again {
+			programs++
+		}
+		races += oracle(tr, hawkset.DefaultConfig()).reusedRaces
+	}
+	t.Logf("programs that re-create a TID: %d of 40; racing pairs with a new incarnation's access: %d", programs, races)
+	if programs == 0 || races == 0 {
+		t.Fatal("no program of the corpus re-creates a TID whose new incarnation races")
 	}
 }

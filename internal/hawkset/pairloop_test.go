@@ -18,9 +18,9 @@ func pairLoopAnalyze(res *Result, cfg Config) {
 	vc := res.VClocks
 	for b, line := range bx.lines {
 		for _, si := range bx.stores[bx.storeOff[b]:bx.storeOff[b+1]] {
-			s := &res.Stores[si]
+			s := res.Stores.At(int(si))
 			for _, li := range bx.loads[bx.loadOff[b]:bx.loadOff[b+1]] {
-				ld := &res.Loads[li]
+				ld := res.Loads.At(int(li))
 				// The pair is processed in the first line both records cover.
 				if pmem.LineOf(s.Addr) < line && pmem.LineOf(ld.Addr) < line {
 					continue

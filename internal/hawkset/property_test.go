@@ -196,16 +196,16 @@ func TestPropertyStatsConsistent(t *testing.T) {
 		cfg.IRH = false
 		res := Analyze(tr, cfg)
 		var dynStores, dynLoads uint64
-		for _, st := range res.Stores {
-			dynStores += st.Count
+		for i := range res.Stores.Len() {
+			dynStores += res.Stores.At(i).Count
 		}
-		for _, ld := range res.Loads {
-			dynLoads += ld.Count
+		for i := range res.Loads.Len() {
+			dynLoads += res.Loads.At(i).Count
 		}
 		return dynStores == res.Stats.DynamicStores &&
 			dynLoads == res.Stats.DynamicLoads &&
-			len(res.Stores) == res.Stats.StoreRecords &&
-			len(res.Loads) == res.Stats.LoadRecords
+			res.Stores.Len() == res.Stats.StoreRecords &&
+			res.Loads.Len() == res.Stats.LoadRecords
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

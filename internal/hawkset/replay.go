@@ -1,7 +1,6 @@
 package hawkset
 
 import (
-	"math"
 	"math/rand/v2"
 	"sort"
 	"unsafe"
@@ -42,27 +41,11 @@ type replayer struct {
 	// by address, not by line, so it is a table of its own.
 	pub pubTab
 
-	// Dedup state. The tables are pointer-free arrays the GC never scans. A
-	// load whose key fields fit the 64-bit packing dedups in loads, whose
-	// entry is its whole record: address, packed shape, ordinal (the
-	// record's index in first-appearance order) and later hits. A repeated
-	// load touches one table entry, a new one takes the next ordinal, and
-	// finish builds loadList from the entries at its exact length. Loads
-	// with out-of-range fields (huge TIDs, >16KB loads, very long streams)
-	// keep full records in spillList, and stores keep theirs in storeList;
-	// both dedup by a hash of the record's fields that is confirmed against
-	// the record itself. A load key deterministically belongs to exactly one
-	// of the two load tables.
-	stores     recTab
-	loads      loadTab
-	loadsSpill recTab
-	storeList  []StoreData
-	spillList  []spillLoad
-	// nLoads counts the load records. hitCarry holds, by ordinal, the hits a
-	// load-table entry carried out each time its 32-bit counter filled.
-	nLoads   int32
-	hitCarry map[int32]uint64
-	loadList []LoadData // built by finish
+	// Dedup state (the grouping optimization, §4): each distinct load and
+	// store record is appended once to its table's log, and a repeat adds to
+	// the record's count in place.
+	stores recTab[StoreData]
+	loads  recTab[LoadData]
 	// effBuf is the buffer close computes effective locksets in.
 	effBuf lockset.Set
 
@@ -98,7 +81,8 @@ type replayer struct {
 	// entries and the flush snapshots point at: a record that is never
 	// recycled pushes it without bound even when every list is swept. The
 	// tables count the bytes of their segments and directories in
-	// hawkset.replay.table_bytes (segDir.bytes).
+	// hawkset.replay.table_bytes (segDir.bytes), and the record logs the
+	// bytes of their chunks in hawkset.replay.record_bytes (recTab.logBytes).
 	mEvents        *obs.Counter
 	mOpenStores    *obs.Gauge
 	mLines         *obs.Gauge
@@ -149,16 +133,9 @@ type pendingFlush struct {
 	covered []*openStore
 }
 
-// spillLoad is a load record whose fields overflow the packing, with its
-// ordinal.
-type spillLoad struct {
-	LoadData
-	ord int32
-}
-
 // Every dynamic PM access probes several of the replayer's tables, so each
-// table has its own lookup, kept to one multiply-hash, one directory load
-// and a short run of adjacent slots: no hash-function call, no bucket chain.
+// table has its own lookup, kept to one directory load and a short run of
+// adjacent slots: no bucket chain.
 
 // hash2 mixes two words into a table hash.
 func hash2(a, b uint64) uint64 {
@@ -429,106 +406,115 @@ func (t *pubTab) lookup(addr uint64) *pubEntry {
 	}
 }
 
-// recTab indexes records by a hash of their fields; the caller confirms a
-// hash match against the record, and mixes the table's seed into the first
-// field it hashes. Entries are never deleted.
-type recTab struct{ segDir[recEntry] }
-
-type recEntry struct {
-	hash uint64
-	idx  int32 // record index + 1; 0 = empty slot
+// recTab dedups the records of one kind. Each distinct record is appended
+// once to log, and the table's slots index the log: a slot holds the top 32
+// bits of the record's seeded hash, its fingerprint, and its ordinal. A
+// probe confirms a fingerprint match against the record in the log, so the
+// fingerprint may collide; a split re-homes a slot from the fingerprint
+// alone, so it never reads the log. Entries are never deleted.
+type recTab[T record[T]] struct {
+	segDir[recSlot]
+	log Records[T]
+	// logBytes counts the bytes of the logs' chunks, across a replayer's two
+	// tables (nil without Config.Metrics).
+	logBytes *obs.Gauge
 }
 
-func (e recEntry) home(uint64) (uint64, bool) { return e.hash, e.idx != 0 }
+// record is a record type: same reports whether the record equals o but for
+// their counts.
+type record[T any] interface {
+	same(o *T) bool
+}
 
-// lookup returns the entry whose hash is h and whose record satisfies same,
-// or the empty slot where such a record belongs. The caller fills the slot
-// to insert and must then call grew.
-func (t *recTab) lookup(h uint64, same func(idx int32) bool) *recEntry {
+func (d LoadData) same(o *LoadData) bool   { d.Count = o.Count; return d == *o }
+func (d StoreData) same(o *StoreData) bool { d.Count = o.Count; return d == *o }
+
+// recSlot is an index slot: the fingerprint in the high half and the
+// ordinal + 1 in the low half; 0 marks an empty slot.
+type recSlot uint64
+
+// home spreads the fingerprint over both halves of the hash, so that the
+// directory reads it from the top bits and the probe starts at its low bits.
+func (s recSlot) home(uint64) (uint64, bool) { fp := uint64(s) >> 32; return fp<<32 | fp, s != 0 }
+
+// recHash hashes a record's address and three words of its other fields
+// by two chained hash2 rounds, so it costs two multiply-hashes, not three.
+// The seed enters the first round, whose output the second mixes with c, so
+// input that cannot see the seed cannot choose records whose hashes
+// collide.
+func recHash(seed, addr, b, c, d uint64) uint64 {
+	return hash2(hash2(addr^seed, b)^c, d)
+}
+
+// hash returns the record's hash under seed, which ignores its count.
+func (d *LoadData) hash(seed uint64) uint64 {
+	return recHash(seed, d.Addr, uint64(d.Size)<<32|uint64(uint32(d.TID)),
+		uint64(uint32(d.Site))<<32|uint64(uint32(d.LS)), uint64(uint32(d.VC)))
+}
+
+// hash returns the record's hash under seed, which ignores its count. The
+// end kind, the one field left, picks the seed.
+func (d *StoreData) hash(seed uint64) uint64 {
+	return recHash(seed+uint64(d.EndKind), d.Addr, uint64(d.Size)<<32|uint64(uint32(d.TID)),
+		uint64(uint32(d.Site))<<32|uint64(uint32(d.Eff)), uint64(uint32(d.Start))<<32|uint64(uint32(d.End)))
+}
+
+// add returns the record equal to rec but for its count, or appends rec to
+// the log and returns it with added set. h is rec's hash.
+func (t *recTab[T]) add(rec T, h uint64) (p *T, added bool) {
 	if t.dir == nil {
 		t.init()
 	}
+	fp := h >> 32
+	h = fp<<32 | fp
 	s := t.at(h).slots[:segSize]
 	for i := h; ; i++ {
 		e := &s[i&segMask]
-		if e.idx == 0 || e.hash == h && same(e.idx-1) {
-			return e
+		if *e == 0 {
+			*e = recSlot(fp<<32 | uint64(t.log.n+1))
+			t.grew(e)
+			return t.log.push(rec, t.logBytes), true
+		}
+		if uint64(*e)>>32 == fp {
+			if p := t.log.At(int(uint32(*e) - 1)); rec.same(p) {
+				return p, false
+			}
 		}
 	}
 }
 
-// packLoad bit budget, low to high. The bounds cover every realistic trace
-// (the apps use tens of threads, sub-KB accesses, thousands of sites and
-// locksets); anything larger dedups in loadsSpill.
 const (
-	packVCBits   = 12
-	packLSBits   = 14
-	packSiteBits = 16
-	packSizeBits = 14
-	packTIDBits  = 8
-
-	packLSShift   = packVCBits
-	packSiteShift = packLSShift + packLSBits
-	packSizeShift = packSiteShift + packSiteBits
-	packTIDShift  = packSizeShift + packSizeBits
+	chunkBits = 10
+	chunkSize = 1 << chunkBits // records per chunk
+	chunkMask = chunkSize - 1
 )
 
-// packLoad packs the non-address load-key fields into one word, reporting
-// ok=false when any field exceeds its bit budget (negative IDs wrap to huge
-// unsigned values and fail the bound too).
-func packLoad(tid int32, size uint32, site sites.ID, ls lockset.ID, vc vclock.ID) (uint64, bool) {
-	if uint64(uint32(tid)) >= 1<<packTIDBits || uint64(size) >= 1<<packSizeBits ||
-		uint64(uint32(site)) >= 1<<packSiteBits || uint64(uint32(ls)) >= 1<<packLSBits ||
-		uint64(uint32(vc)) >= 1<<packVCBits {
-		return 0, false
-	}
-	return uint64(uint32(vc)) | uint64(uint32(ls))<<packLSShift | uint64(uint32(site))<<packSiteShift |
-		uint64(size)<<packSizeShift | uint64(uint32(tid))<<packTIDShift, true
+// Records is a log of replay records of one kind, in first-appearance
+// order, held in fixed-size chunks that never move: replay appends a record
+// once and counts its repeats in place, and stage ③ reads it there. The
+// chunks are slices for the reason segRef's slots are.
+type Records[T any] struct {
+	chunks [][]T
+	n      int
 }
 
-// loadTab maps (addr, packed key) to the load record's ordinal and its hits
-// since it was added. It serves the single hottest lookup of the whole
-// pipeline, one probe per dynamic PM load. Entries are never deleted.
-type loadTab struct{ segDir[loadTabEntry] }
+// Len returns the number of records.
+func (l *Records[T]) Len() int { return l.n }
 
-type loadTabEntry struct {
-	addr uint64
-	key  uint64
-	idx  int32  // ordinal + 1; 0 = empty slot
-	hits uint32 // repeats not carried into hitCarry
-}
+// At returns record i, for 0 ≤ i < Len.
+func (l *Records[T]) At(i int) *T { return &l.chunks[i>>chunkBits][i&chunkMask] }
 
-func (e loadTabEntry) home(seed uint64) (uint64, bool) { return hash2(e.addr^seed, e.key), e.idx != 0 }
-
-// record unpacks the load record of entry e, its Count from e.hits alone.
-func (e *loadTabEntry) record() LoadData {
-	field := func(shift, bits int) uint64 { return e.key >> shift & (1<<bits - 1) }
-	return LoadData{
-		TID:   int32(field(packTIDShift, packTIDBits)),
-		Addr:  e.addr,
-		Size:  uint32(field(packSizeShift, packSizeBits)),
-		Site:  sites.ID(field(packSiteShift, packSiteBits)),
-		LS:    lockset.ID(field(packLSShift, packLSBits)),
-		VC:    vclock.ID(field(0, packVCBits)),
-		Count: 1 + uint64(e.hits),
+// push appends v and returns it in place. A new chunk's bytes count in
+// bytes.
+func (l *Records[T]) push(v T, bytes *obs.Gauge) *T {
+	if l.n == len(l.chunks)*chunkSize {
+		l.chunks = append(l.chunks, make([]T, chunkSize))
+		bytes.Add(int64(unsafe.Sizeof([chunkSize]T{})))
 	}
-}
-
-// lookup returns a pointer to the entry for (addr, key), or to the empty
-// slot where it belongs (idx == 0). The caller fills the slot to insert and
-// must then call grew.
-func (t *loadTab) lookup(addr, key uint64) *loadTabEntry {
-	if t.dir == nil {
-		t.init()
-	}
-	h := hash2(addr^t.seed, key)
-	s := t.at(h).slots[:segSize]
-	for i := h; ; i++ {
-		e := &s[i&segMask]
-		if e.idx == 0 || (e.addr == addr && e.key == key) {
-			return e
-		}
-	}
+	p := l.At(l.n)
+	*p = v
+	l.n++
+	return p
 }
 
 func newReplayer(cfg Config) *replayer {
@@ -543,11 +529,11 @@ func newReplayer(cfg Config) *replayer {
 		mWindowRecords: cfg.Metrics.Gauge("hawkset.replay.window_records"),
 	}
 	tableBytes := cfg.Metrics.Gauge("hawkset.replay.table_bytes")
+	recordBytes := cfg.Metrics.Gauge("hawkset.replay.record_bytes")
 	r.lines.seed, r.lines.bytes = rand.Uint64(), tableBytes
 	r.pub.seed, r.pub.bytes = rand.Uint64(), tableBytes
-	r.stores.seed, r.stores.bytes = rand.Uint64(), tableBytes
-	r.loads.seed, r.loads.bytes = rand.Uint64(), tableBytes
-	r.loadsSpill.seed, r.loadsSpill.bytes = rand.Uint64(), tableBytes
+	r.stores.seed, r.stores.bytes, r.stores.logBytes = rand.Uint64(), tableBytes, recordBytes
+	r.loads.seed, r.loads.bytes, r.loads.logBytes = rand.Uint64(), tableBytes, recordBytes
 	return r
 }
 
@@ -700,6 +686,7 @@ func (r *replayer) feed(e trace.Event) {
 	case trace.KThreadCreate:
 		parent := r.thread(e.TID)
 		idx := int32(len(r.threads))
+		var clock uint32
 		if old, exists := r.threads[e.Kid]; exists {
 			// The TID is being reused while a state for it is live: clocks
 			// interned for the old incarnation share the component the new
@@ -707,6 +694,10 @@ func (r *replayer) feed(e trace.Event) {
 			// compare relies on no longer holds.
 			r.vc.Disown()
 			idx = old.idx
+			// Lock timestamps go on from the old incarnation's, so a window
+			// it opened and the new one ends never takes a lock of each
+			// for one critical section (close compares them by TID).
+			clock = old.clock
 			// The old incarnation's unfenced flushes will never complete.
 			for _, pf := range old.pending {
 				for _, os := range pf.covered {
@@ -720,7 +711,7 @@ func (r *replayer) feed(e trace.Event) {
 		// next recorded access, so this clock is never an event clock — it
 		// exists only to ship the post-create state to the child.
 		parent.vcID = r.vc.Intern(parent.vc)
-		child := &threadState{idx: idx}
+		child := &threadState{idx: idx, clock: clock}
 		child.vc = parent.vc.Clone().Bump(int(idx))
 		child.vcID = r.vc.InternOwned(child.vc, idx)
 		r.threads[e.Kid] = child
@@ -922,40 +913,10 @@ func (r *replayer) load(e trace.Event) {
 		ts.lsID = r.ls.InternLocks(ts.set)
 		ts.lsOK = true
 	}
-	if packed, ok := packLoad(e.TID, e.Size, e.Site, ts.lsID, vcid); ok {
-		slot := r.loads.lookup(e.Addr, packed)
-		if slot.idx == 0 {
-			r.nLoads++
-			*slot = loadTabEntry{addr: e.Addr, key: packed, idx: r.nLoads}
-			r.loads.grew(slot)
-			return
-		}
-		slot.hits++
-		if slot.hits == math.MaxUint32 {
-			if r.hitCarry == nil {
-				r.hitCarry = make(map[int32]uint64)
-			}
-			r.hitCarry[slot.idx-1] += uint64(slot.hits)
-			slot.hits = 0
-		}
-		return
-	}
 	want := LoadData{TID: e.TID, Addr: e.Addr, Size: e.Size, Site: e.Site, LS: ts.lsID, VC: vcid, Count: 1}
-	h := hash2(hash2(e.Addr^r.loadsSpill.seed, uint64(e.Size)<<32|uint64(uint32(e.TID))),
-		hash2(uint64(uint32(e.Site))<<32|uint64(uint32(ts.lsID)), uint64(uint32(vcid))))
-	slot := r.loadsSpill.lookup(h, func(i int32) bool {
-		d := r.spillList[i].LoadData
-		d.Count = 1
-		return d == want
-	})
-	if slot.idx != 0 {
-		r.spillList[slot.idx-1].Count++
-		return
+	if d, added := r.loads.add(want, want.hash(r.loads.seed)); !added {
+		d.Count++
 	}
-	r.spillList = append(r.spillList, spillLoad{LoadData: want, ord: r.nLoads})
-	r.nLoads++
-	*slot = recEntry{hash: h, idx: int32(len(r.spillList))}
-	r.loadsSpill.grew(slot)
 }
 
 func (r *replayer) flush(e trace.Event) {
@@ -1063,33 +1024,15 @@ func (r *replayer) record(os *openStore, kind EndKind, eff lockset.Set, endVC vc
 		TID: os.tid, Addr: os.addr, Size: os.size, Site: os.site,
 		Eff: r.ls.InternLocks(eff), Start: os.start, End: endVC, EndKind: kind, Count: 1,
 	}
-	h := hash2(hash2(os.addr^r.stores.seed, uint64(os.size)<<32|uint64(uint32(os.tid))),
-		hash2(uint64(uint32(os.site))<<32|uint64(uint32(want.Eff)),
-			uint64(uint32(os.start))<<32|uint64(uint32(endVC)))^uint64(kind))
-	slot := r.stores.lookup(h, func(i int32) bool {
-		d := r.storeList[i]
-		d.Count = 1
-		return d == want
-	})
-	if slot.idx != 0 {
-		r.storeList[slot.idx-1].Count++
-	} else {
-		if len(r.storeList) == cap(r.storeList) {
-			// Double when full: append's gentler growth of a list this
-			// large allocates about five times its final size.
-			r.storeList = append(make([]StoreData, 0, max(2*cap(r.storeList), 64)), r.storeList...)
-		}
-		r.storeList = append(r.storeList, want)
-		*slot = recEntry{hash: h, idx: int32(len(r.storeList))}
-		r.stores.grew(slot)
+	if d, added := r.stores.add(want, want.hash(r.stores.seed)); !added {
+		d.Count++
 	}
 	r.stats.DynamicStores++
 }
 
 // finish closes every store still unpersisted when the trace ends: their
 // windows are unbounded, so no lock protects them (a crash at any later
-// point loses the value) and their effective lockset is empty. It also
-// builds loadList, in ordinal order, from the load table and spillList.
+// point loses the value) and their effective lockset is empty.
 func (r *replayer) finish() {
 	// Deterministic record order: walk still-open lines in address order.
 	lines := make([]*lineEntry, 0, r.lines.open)
@@ -1119,18 +1062,6 @@ func (r *replayer) finish() {
 			r.record(os, EndNone, eff, NoVC)
 		}
 	}
-	r.loadList = make([]LoadData, r.nLoads)
-	for e := range r.loads.all {
-		if e.idx != 0 {
-			r.loadList[e.idx-1] = e.record()
-		}
-	}
-	for ord, n := range r.hitCarry {
-		r.loadList[ord].Count += n
-	}
-	for _, s := range r.spillList {
-		r.loadList[s.ord] = s.LoadData
-	}
-	r.stats.StoreRecords = len(r.storeList)
-	r.stats.LoadRecords = len(r.loadList)
+	r.stats.StoreRecords = r.stores.log.Len()
+	r.stats.LoadRecords = r.loads.log.Len()
 }

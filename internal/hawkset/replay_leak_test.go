@@ -164,9 +164,9 @@ func TestZeroSizeStoreClosable(t *testing.T) {
 
 	res := Analyze(b.T, cfgNoIRH())
 	var zero *StoreData
-	for i := range res.Stores {
-		if res.Stores[i].Size == 0 {
-			zero = &res.Stores[i]
+	for i := range res.Stores.Len() {
+		if st := res.Stores.At(i); st.Size == 0 {
+			zero = st
 		}
 	}
 	if zero == nil {
@@ -237,5 +237,28 @@ func TestLiveTIDReuseKeepsRace(t *testing.T) {
 	res := Analyze(b.T, DefaultConfig())
 	if !hasReport(res, "t2.store", "t1.load") {
 		t.Fatalf("race across a re-created TID pruned; reports = %v", reportStrings(res))
+	}
+}
+
+// TestReusedTIDLockClockContinues: a re-created TID's lock acquisitions
+// must not repeat its old incarnation's timestamps. The first T1 NT-stores
+// X inside lock 1 and is joined before its fence; the second T1 flushes X
+// and fences inside its own first acquisition of lock 1. Those are two
+// critical sections, so the window's effective lockset is empty and T2's
+// load of X under lock 1 races with it.
+func TestReusedTIDLockClockContinues(t *testing.T) {
+	const X = 0x100
+	b := trace.NewBuilder()
+	b.Create(0, 2, "t0.create.t2")
+	b.Create(0, 1, "t0.create.first")
+	b.Lock(1, 1, "t1.lock").NTStore(1, X, 8, "t1.ntstore").Unlock(1, 1, "t1.unlock")
+	b.Join(0, 1, "t0.join")
+	b.Create(0, 1, "t0.create.again")
+	b.Lock(2, 1, "t2.lock").Load(2, X, 8, "t2.load").Unlock(2, 1, "t2.unlock")
+	b.Lock(1, 1, "t1.lock.again").Flush(1, X, "t1.flush").Fence(1, "t1.fence").Unlock(1, 1, "t1.unlock.again")
+
+	res := Analyze(b.T, DefaultConfig())
+	if !hasReport(res, "t1.ntstore", "t2.load") {
+		t.Fatalf("a re-created TID's critical section merged with its old incarnation's; reports = %v", reportStrings(res))
 	}
 }

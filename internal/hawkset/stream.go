@@ -22,7 +22,8 @@ var ErrStreamFinished = errors.New("hawkset: stream already finished")
 // This mirrors the paper's implementation detail that the Initialization
 // Removal Heuristic runs alongside the Instrumentation stage (§4), and
 // extends it to the whole stage-①/② pipeline; only the (far smaller)
-// deduplicated access records are kept until Finish runs stage ③.
+// deduplicated access records are kept until Finish runs stage ③, which
+// reads them where replay appended them.
 //
 // Wire a Stream to a runtime with pmrt's Config.NoTrace plus an EventSink:
 //
@@ -84,9 +85,10 @@ func (s *Stream) Finish() (*Result, error) {
 	return res, nil
 }
 
-// records ends the stream's replay and hands its records over as a Result
-// that stage ③ has not analyzed yet. The stream keeps no replay state: a
-// finished stream a server still holds must not pin the replay tables.
+// records ends the stream's replay and hands its record logs over as a
+// Result that stage ③ has not analyzed yet. The Result holds the logs by
+// value and the stream keeps no replay state, so a finished stream a server
+// still holds pins no replay table, and the Result only the records.
 func (s *Stream) records() *Result {
 	rp := s.rp
 	s.rp = nil
@@ -95,8 +97,8 @@ func (s *Stream) records() *Result {
 		s.cfg.Metrics.Histogram("hawkset.stage.replay").Observe(time.Since(s.replayStart))
 	}
 	res := &Result{
-		Stores:   rp.storeList,
-		Loads:    rp.loadList,
+		Stores:   rp.stores.log,
+		Loads:    rp.loads.log,
 		Stats:    rp.stats,
 		Locksets: rp.ls,
 		VClocks:  rp.vc,

@@ -126,7 +126,9 @@ func checkWindowRecords(r *replayer) error {
 }
 
 // FuzzStreamFeed feeds decoded events of every kind to a Stream and checks
-// the replayer's bookkeeping after each one (checkWindowRecords). An
+// the replayer's bookkeeping after each one: its window records
+// (checkWindowRecords), and each record log against its index
+// (checkRecTab). An
 // unknown kind must be rejected with the stream's state untouched, and
 // every store must open exactly one window and close it at most once:
 // closed windows plus open records equal the stores fed. Finish must not
@@ -196,6 +198,12 @@ func FuzzStreamFeed(f *testing.F) {
 			}
 			if err := checkWindowRecords(s.rp); err != nil {
 				t.Fatalf("after event %d, %v: %v", i, e, err)
+			}
+			if err := checkRecTab(&s.rp.loads, func(d *LoadData) uint64 { return d.hash(s.rp.loads.seed) }); err != nil {
+				t.Fatalf("after event %d, %v: load index: %v", i, e, err)
+			}
+			if err := checkRecTab(&s.rp.stores, func(d *StoreData) uint64 { return d.hash(s.rp.stores.seed) }); err != nil {
+				t.Fatalf("after event %d, %v: store index: %v", i, e, err)
 			}
 			open := 0
 			for le := range s.rp.lines.all {

@@ -137,6 +137,14 @@ type testTable interface {
 	dir() (global uint8, segs int)
 	seg(k uint64) *segment
 	segments() map[unsafe.Pointer]bool
+	// logBytes returns the bytes of the record log's chunks, or 0 for a
+	// table that keeps no log.
+	logBytes() uint64
+}
+
+// logBytes returns the bytes of l's chunks.
+func logBytes[T any](l *Records[T]) uint64 {
+	return uint64(len(l.chunks)) * uint64(unsafe.Sizeof([chunkSize]T{}))
 }
 
 func newTestTable(kind int, seed uint64) testTable {
@@ -146,9 +154,9 @@ func newTestTable(kind int, seed uint64) testTable {
 	case 1:
 		return &testPubs{pubTab{segDir[pubEntry]{seed: seed}}}
 	case 2:
-		return &testRecs{t: recTab{segDir[recEntry]{seed: seed}}, recs: make([]uint64, 0, 1<<15), counts: make([]uint64, 0, 1<<15)}
+		return &testRecs{recTab[testRec]{segDir: segDir[recSlot]{seed: seed}}}
 	default:
-		return &testLoads{t: loadTab{segDir[loadTabEntry]{seed: seed}}}
+		return &testLoads{recTab[LoadData]{segDir: segDir[recSlot]{seed: seed}}}
 	}
 }
 
@@ -242,6 +250,7 @@ func (a *testLines) seg(k uint64) *segment { return segOf(&a.t.segDir, a.hash(k)
 func (a *testLines) segments() map[unsafe.Pointer]bool {
 	return a.t.segments()
 }
+func (a *testLines) logBytes() uint64 { return 0 }
 
 type testPubs struct{ t pubTab }
 
@@ -283,35 +292,75 @@ func (a *testPubs) seg(k uint64) *segment { return segOf(&a.t.segDir, a.hash(k))
 func (a *testPubs) segments() map[unsafe.Pointer]bool {
 	return a.t.segments()
 }
+func (a *testPubs) logBytes() uint64 { return 0 }
 
-// testRecs keeps records of keys whose hash ignores the lowest bit, so
-// every two keys share a hash and the record check tells them apart.
-type testRecs struct {
-	t      recTab
-	recs   []uint64
-	counts []uint64
+// testRec is a record of key, whose hash ignores its lowest bit.
+type testRec struct{ key, count uint64 }
+
+func (r testRec) same(o *testRec) bool { return r.key == o.key }
+
+// slotOf returns the index slot of the record rec is the same as, whose
+// hash is h, or nil.
+func (t *recTab[T]) slotOf(rec T, h uint64) *recSlot {
+	if t.dir == nil {
+		return nil
+	}
+	fp := h >> 32
+	h = fp<<32 | fp
+	s := t.at(h).slots
+	for i := h; ; i++ {
+		e := &s[i&segMask]
+		switch {
+		case *e == 0:
+			return nil
+		case uint64(*e)>>32 == fp && rec.same(t.log.At(int(uint32(*e)-1))):
+			return e
+		}
+	}
 }
 
-func (a *testRecs) lookup(k uint64) *recEntry {
-	return a.t.lookup(a.hash(k), func(i int32) bool { return a.recs[i] == k })
+// checkRecTab holds t's index to its log: every ordinal below the log's
+// length is named by exactly one slot, whose fingerprint is that of the
+// record's hash, and no slot names an ordinal at or past it.
+func checkRecTab[T record[T]](t *recTab[T], hash func(*T) uint64) error {
+	named := make([]bool, t.log.Len())
+	for e := range t.all {
+		if *e == 0 {
+			continue
+		}
+		ord := int(uint32(*e) - 1)
+		if ord >= len(named) || named[ord] {
+			return fmt.Errorf("ordinal %d named twice, or past the %d records of the log", ord, len(named))
+		}
+		named[ord] = true
+		if fp := uint64(*e) >> 32; fp != hash(t.log.At(ord))>>32 {
+			return fmt.Errorf("record %d's slot holds fingerprint %#x, its hash %#x", ord, fp, hash(t.log.At(ord))>>32)
+		}
+	}
+	for ord, ok := range named {
+		if !ok {
+			return fmt.Errorf("no slot names record %d of %d", ord, len(named))
+		}
+	}
+	return nil
 }
+
+// testRecs drives the index of a recTab of testRecs: every two keys that
+// differ in their lowest bit share a hash, so their fingerprints match and
+// only the record tells them apart.
+type testRecs struct{ t recTab[testRec] }
+
+func (a *testRecs) hash(k uint64) uint64 { return hash2(k>>1^a.t.seed, 0) }
 
 func (a *testRecs) add(k uint64) uint64 {
-	e := a.lookup(k)
-	if e.idx == 0 {
-		a.recs = append(a.recs, k)
-		a.counts = append(a.counts, 0)
-		*e = recEntry{hash: a.hash(k), idx: int32(len(a.recs))}
-		a.t.grew(e)
-		e = a.lookup(k)
-	}
-	a.counts[e.idx-1]++
-	return a.counts[e.idx-1]
+	d, _ := a.t.add(testRec{key: k}, a.hash(k))
+	d.count++
+	return d.count
 }
 
 func (a *testRecs) get(k uint64) (uint64, bool) {
-	if e := a.lookup(k); e.idx != 0 {
-		return a.counts[e.idx-1], true
+	if e := a.t.slotOf(testRec{key: k}, a.hash(k)); e != nil {
+		return a.t.log.At(int(uint32(*e) - 1)).count, true
 	}
 	return 0, false
 }
@@ -320,101 +369,101 @@ func (a *testRecs) del(uint64) bool       { return false }
 func (a *testRecs) checkSeg(uint64) error { return nil }
 
 func (a *testRecs) check(ref map[uint64]uint64) error {
-	find := func(k uint64) *recEntry {
-		if e := a.lookup(k); e.idx != 0 {
-			return e
-		}
-		return nil
+	if err := checkRecTab(&a.t, func(r *testRec) uint64 { return a.hash(r.key) }); err != nil {
+		return err
 	}
-	kv := func(e *recEntry) (uint64, uint64) {
-		k := a.recs[e.idx-1]
-		if e.hash != a.hash(k) {
-			return k, math.MaxUint64 // a hash that is not its record's
-		}
-		return k, a.counts[e.idx-1]
+	kv := func(e *recSlot) (uint64, uint64) {
+		r := a.t.log.At(int(uint32(*e) - 1))
+		return r.key, r.count
 	}
+	find := func(k uint64) *recSlot { return a.t.slotOf(testRec{key: k}, a.hash(k)) }
 	return checkDir(&a.t.segDir, kv, find, ref)
 }
 
-func (a *testRecs) hash(k uint64) uint64 { return hash2(k>>1^a.t.seed, 0) }
+// home is where the index places a hash: its fingerprint's.
+func home(h uint64) uint64 { return h>>32<<32 | h>>32 }
+
+// craftHash returns a hash whose home agrees with h in its top 16 bits and
+// its low segBits bits.
+func craftHash(h uint64, rng *rand.Rand) uint64 {
+	return h&^(1<<48-1) | rng.Uint64()&(1<<48-1)&^(segMask<<32) | h&segMask<<32
+}
+
 func (a *testRecs) craft(h uint64, rng *rand.Rand) uint64 {
-	return craftKey(h, rng, func(h uint64) (uint64, bool) {
-		k := unhash(h, 0) ^ a.t.seed
-		return k<<1 | rng.Uint64()&1, k>>63 == 0
-	})
+	for {
+		if k := unhash(craftHash(h, rng), 0) ^ a.t.seed; k>>63 == 0 {
+			return k<<1 | rng.Uint64()&1
+		}
+	}
 }
 func (a *testRecs) dir() (uint8, int)     { return dirOf(&a.t.segDir) }
-func (a *testRecs) seg(k uint64) *segment { return segOf(&a.t.segDir, a.hash(k)) }
+func (a *testRecs) seg(k uint64) *segment { return segOf(&a.t.segDir, home(a.hash(k))) }
 func (a *testRecs) segments() map[unsafe.Pointer]bool {
 	return a.t.segments()
 }
+func (a *testRecs) logBytes() uint64 { return logBytes(&a.t.log) }
 
-// testLoads keys the load table by address k and packed key k>>60; each
-// entry's ordinal is its insertion number.
-type testLoads struct {
-	t loadTab
-	n int32
-}
+// testLoads drives the index of a recTab of load records, of address k and
+// thread k>>60, through the load records' own hash.
+type testLoads struct{ t recTab[LoadData] }
+
+func loadOf(k uint64) LoadData { return LoadData{TID: int32(k >> 60), Addr: k, Size: 8, Count: 1} }
 
 func (a *testLoads) add(k uint64) uint64 {
-	e := a.t.lookup(k, k>>60)
-	if e.idx != 0 {
-		e.hits++
-		return uint64(e.hits) + 1
+	ld := loadOf(k)
+	d, added := a.t.add(ld, ld.hash(a.t.seed))
+	if !added {
+		d.Count++
 	}
-	a.n++
-	*e = loadTabEntry{addr: k, key: k >> 60, idx: a.n}
-	a.t.grew(e)
-	return 1
+	return d.Count
 }
 
 func (a *testLoads) get(k uint64) (uint64, bool) {
-	e := a.t.lookup(k, k>>60)
-	return uint64(e.hits) + 1, e.idx != 0
+	ld := loadOf(k)
+	if e := a.t.slotOf(ld, ld.hash(a.t.seed)); e != nil {
+		return a.t.log.At(int(uint32(*e) - 1)).Count, true
+	}
+	return 0, false
 }
 
 func (a *testLoads) del(uint64) bool       { return false }
 func (a *testLoads) checkSeg(uint64) error { return nil }
 
 func (a *testLoads) check(ref map[uint64]uint64) error {
-	ords := make([]bool, a.n)
-	for e := range a.t.all {
-		if e.idx == 0 {
-			continue
-		}
-		if e.idx > a.n || ords[e.idx-1] {
-			return fmt.Errorf("ordinal %d twice, or past the %d taken", e.idx, a.n)
-		}
-		ords[e.idx-1] = true
+	if err := checkRecTab(&a.t, func(d *LoadData) uint64 { return d.hash(a.t.seed) }); err != nil {
+		return err
 	}
-	find := func(k uint64) *loadTabEntry {
-		if e := a.t.lookup(k, k>>60); e.idx != 0 {
-			return e
+	kv := func(e *recSlot) (uint64, uint64) {
+		d := a.t.log.At(int(uint32(*e) - 1))
+		if !loadOf(d.Addr).same(d) {
+			return d.Addr, math.MaxUint64 // not the record of its address
 		}
-		return nil
+		return d.Addr, d.Count
 	}
-	kv := func(e *loadTabEntry) (uint64, uint64) {
-		if e.key != e.addr>>60 {
-			return e.addr, math.MaxUint64
-		}
-		return e.addr, uint64(e.hits) + 1
-	}
+	find := func(k uint64) *recSlot { ld := loadOf(k); return a.t.slotOf(ld, ld.hash(a.t.seed)) }
 	return checkDir(&a.t.segDir, kv, find, ref)
 }
 
-func (a *testLoads) hash(k uint64) uint64 { return hash2(k^a.t.seed, k>>60) }
+func (a *testLoads) hash(k uint64) uint64 { ld := loadOf(k); return ld.hash(a.t.seed) }
+
+// craft unhashes a crafted hash through both levels of recHash.
 func (a *testLoads) craft(h uint64, rng *rand.Rand) uint64 {
-	return craftKey(h, rng, func(h uint64) (uint64, bool) {
-		p := rng.Uint64() >> 60
-		k := unhash(h, p) ^ a.t.seed
-		return k, k>>60 == p
-	})
+	for {
+		tid := rng.Uint64() >> 60
+		ld := loadOf(tid << 60)
+		c := uint64(uint32(ld.Site))<<32 | uint64(uint32(ld.LS))
+		k := unhash(unhash(craftHash(h, rng), uint64(uint32(ld.VC)))^c, uint64(ld.Size)<<32|tid) ^ a.t.seed
+		if k>>60 == tid {
+			return k
+		}
+	}
 }
 func (a *testLoads) dir() (uint8, int)     { return dirOf(&a.t.segDir) }
-func (a *testLoads) seg(k uint64) *segment { return segOf(&a.t.segDir, a.hash(k)) }
+func (a *testLoads) seg(k uint64) *segment { return segOf(&a.t.segDir, home(a.hash(k))) }
 func (a *testLoads) segments() map[unsafe.Pointer]bool {
 	return a.t.segments()
 }
+func (a *testLoads) logBytes() uint64 { return logBytes(&a.t.log) }
 
 // keyShapes draw the keys a table test inserts: random words; a dense run
 // of small integers; random words of which one in eight is crafted so that
@@ -530,8 +579,11 @@ func FuzzReplayTables(f *testing.F) {
 			t.Fatalf("%s table, %s keys: %v", tableKinds[k], keyShapes[int(shape)%len(keyShapes)], err)
 		}
 		// Even with a delete in every fourth op, the keys outgrow two splits.
-		if g, n := tab.dir(); g < 2 || n < 3 {
-			t.Fatalf("%s table: %d segments at global depth %d; the test never split enough", tableKinds[k], n, g)
+		// However the keys are crafted, splits tell them apart by their
+		// hashes' bits below the crafted ones (for the index, its
+		// fingerprints'), so the directory stays shallow.
+		if g, n := tab.dir(); g < 2 || n < 3 || g > 8 {
+			t.Fatalf("%s table: %d segments at global depth %d; the test never split enough, or split too deep", tableKinds[k], n, g)
 		}
 	})
 }
@@ -541,8 +593,8 @@ func FuzzReplayTables(f *testing.F) {
 // allocates one segment and, when the directory doubles, the new directory,
 // keeps every segment the table had, and doubles the directory only for a
 // segment as deep as it. Over all inserts, the table allocates no more than
-// the segments it ends with and the directories it ever had: no insert
-// copies the table.
+// the segments it ends with, the directories it ever had and, for the
+// record index, its log's chunks: no insert copies the table or the log.
 func TestTablesSplitAtThreeQuarters(t *testing.T) {
 	const n = 16_000
 	// The counts are the process's: the runtime allocates a little now and
@@ -561,10 +613,8 @@ func TestTablesSplitAtThreeQuarters(t *testing.T) {
 			segBytes, refBytes = unsafe.Sizeof([segSize]lineEntry{}), unsafe.Sizeof(segRef[lineEntry]{})
 		case 1:
 			segBytes, refBytes = unsafe.Sizeof([segSize]pubEntry{}), unsafe.Sizeof(segRef[pubEntry]{})
-		case 2:
-			segBytes, refBytes = unsafe.Sizeof([segSize]recEntry{}), unsafe.Sizeof(segRef[recEntry]{})
 		default:
-			segBytes, refBytes = unsafe.Sizeof([segSize]loadTabEntry{}), unsafe.Sizeof(segRef[loadTabEntry]{})
+			segBytes, refBytes = unsafe.Sizeof([segSize]recSlot{}), unsafe.Sizeof(segRef[recSlot]{})
 		}
 		segBytes += unsafe.Sizeof(segment{})
 
@@ -579,6 +629,7 @@ func TestTablesSplitAtThreeQuarters(t *testing.T) {
 			var before, after runtime.MemStats
 			var had map[unsafe.Pointer]bool
 			split := s != nil && s.used == 3*segSize/4
+			logged := tab.logBytes()
 			if split {
 				had = tab.segments()
 				runtime.ReadMemStats(&before)
@@ -599,14 +650,14 @@ func TestTablesSplitAtThreeQuarters(t *testing.T) {
 			if n != segs+1 || g != global && (g != global+1 || s.depth != g) {
 				t.Fatalf("%s, insert %d: a split took %d segments at depth %d to %d at %d (split segment now depth %d)", name, i, segs, global, n, g, s.depth)
 			}
-			want := uint64(segBytes)
+			want := uint64(segBytes) + tab.logBytes() - logged
 			if g != global {
 				doublings++
 				want += uint64(refBytes) << g
 				dirBytes += uint64(refBytes) << g
 			}
 			if got := after.TotalAlloc - before.TotalAlloc; got < want || got > want+slack {
-				t.Errorf("%s, insert %d: a split allocated %d B, want %d (one segment, and the directory if it doubled) plus at most %d", name, i, got, want, slack)
+				t.Errorf("%s, insert %d: a split allocated %d B, want %d (one segment, the directory if it doubled and a log chunk if one began) plus at most %d", name, i, got, want, slack)
 			}
 			for p := range had {
 				if !tab.segments()[p] {
@@ -630,8 +681,8 @@ func TestTablesSplitAtThreeQuarters(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		_, segs := tab.dir()
-		if got, want := after.TotalAlloc-before.TotalAlloc, uint64(segs)*uint64(segBytes)+dirBytes; got > want+slack {
-			t.Errorf("%s: %d inserts allocated %d B, more than the %d segments and the directories (%d B)", name, n, got, segs, want)
+		if got, want := after.TotalAlloc-before.TotalAlloc, uint64(segs)*uint64(segBytes)+dirBytes+tab.logBytes(); got > want+slack {
+			t.Errorf("%s: %d inserts allocated %d B, more than the %d segments, the directories and the log's chunks (%d B)", name, n, got, segs, want)
 		}
 		if err := tab.check(ref); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -662,6 +713,38 @@ func TestCraftedLinesSpread(t *testing.T) {
 	}
 	if g := s.rp.lines.global; g > 3 {
 		t.Fatalf("4,000 lines took the directory to depth %d", g)
+	}
+}
+
+// TestCraftedRecordsSpread: loads crafted so that their records' hashes,
+// unseeded, share their top 16 bits would split one index segment after
+// another, doubling the directory each time, until depth 16 told their
+// fingerprints apart. The replayer's hash seed spreads them.
+func TestCraftedRecordsSpread(t *testing.T) {
+	rng := rand.New(rand.NewPCG(4, 4))
+	cfg := DefaultConfig()
+	cfg.IRH = false
+	s := NewStream(sites.NewTable(), cfg)
+	first := trace.Event{Kind: trace.KLoad, TID: 1, Size: 8}
+	if err := s.Feed(first); err != nil {
+		t.Fatal(err)
+	}
+	ts := s.rp.threads[1]
+	for range 4000 {
+		h := craftHash(0xABCD<<48|rng.Uint64()&segMask, rng)
+		addr := unhash(unhash(h, uint64(uint32(ts.vcID)))^uint64(uint32(ts.lsID)), 8<<32|1)
+		if want := (&LoadData{TID: 1, Addr: addr, Size: 8, LS: ts.lsID, VC: ts.vcID}).hash(0); want>>48 != 0xABCD {
+			t.Fatalf("crafted a load of hash %#x", want)
+		}
+		if err := s.Feed(trace.Event{Kind: trace.KLoad, TID: 1, Addr: addr, Size: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.rp.loads.log.Len(); n != 4001 {
+		t.Fatalf("%d load records, want 4001", n)
+	}
+	if g := s.rp.loads.global; g > 3 {
+		t.Fatalf("4,000 load records took the index directory to depth %d", g)
 	}
 }
 

@@ -511,9 +511,13 @@ func TestManyTenantsBounded(t *testing.T) {
 		if hw := snap.GaugeMax("hawkset.replay.window_records"); hw <= 0 || hw > 1024 {
 			t.Errorf("%s: window_records high-water %d not bounded", name, hw)
 		}
-		// One segment per replay table holds that working set.
+		// One segment per replay table holds that working set, and a few
+		// chunks per record log its records.
 		if hw := snap.GaugeMax("hawkset.replay.table_bytes"); hw <= 0 || hw > 1<<20 {
 			t.Errorf("%s: table_bytes high-water %d not bounded", name, hw)
+		}
+		if hw := snap.GaugeMax("hawkset.replay.record_bytes"); hw <= 0 || hw > 1<<20 {
+			t.Errorf("%s: record_bytes high-water %d not bounded", name, hw)
 		}
 	}
 	snap := metrics.Snapshot()

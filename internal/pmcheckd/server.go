@@ -241,8 +241,10 @@ func (s *Server) TenantNames() []string {
 // entries (hawkset.replay.open_stores) and lines (hawkset.replay.lines)
 // catch closed stores left in a list; the window records in use
 // (hawkset.replay.window_records) catch records that no list holds but
-// replay never recycles; and the bytes of replay's hash tables
-// (hawkset.replay.table_bytes) show what the dedup and line tables hold.
+// replay never recycles; the bytes of replay's hash tables
+// (hawkset.replay.table_bytes) show what the tables hold, and the bytes of
+// its record logs' chunks (hawkset.replay.record_bytes) what the
+// deduplicated records do.
 func (s *Server) TenantSnapshot(name string) *obs.Snapshot {
 	s.mu.Lock()
 	t := s.tenants[name]
